@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import CellCoord, OccupancyState, manhattan
+from .grid import CellCoord, OccupancyState, manhattan, manhattan_matrix
 
 SEARCHING = "searching"
 PARKED = "parked"
@@ -167,9 +167,7 @@ def step_competitors_batch(
         return pos
     nf = len(free_cells)
     if nf:
-        dist = np.abs(pos[:, 0, None] - free_cells[None, :, 0]) + np.abs(
-            pos[:, 1, None] - free_cells[None, :, 1]
-        )
+        dist = manhattan_matrix(pos, free_cells)
         # dist + u*0.9 picks uniformly among minimal-distance cells
         noisy = dist + rng.random((m, nf)) * 0.9
         pick = np.argmin(noisy, axis=1)

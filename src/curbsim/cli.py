@@ -19,7 +19,7 @@ from .errors import CurbsimError, ConfigError
 from .grid import load_grid
 from .metrics import GROUPS, export_report, fold_events, hourly_series
 from .predictor import load_corpus, retrain, save_model
-from .strategies import StrategyKind
+from .strategies import StrategyKind, parse_strategy
 
 
 def load_config(path) -> SimConfig:
@@ -76,7 +76,11 @@ def cmd_sweep(args) -> int:
     try:
         cfg = load_config(args.config)
         cfg = _apply_overrides(cfg, args)
-        strategies = args.strategies.split(",") if args.strategies else [cfg.strategy.value]
+        strategies = (
+            [parse_strategy(s).value for s in args.strategies.split(",")]
+            if args.strategies
+            else [cfg.strategy.value]
+        )
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
         scales = [float(s) for s in args.scales.split(",")] if args.scales else [cfg.demand_scale]
     except (CurbsimError, OSError, json.JSONDecodeError, ValueError) as exc:

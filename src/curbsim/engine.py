@@ -25,7 +25,7 @@ from . import demand as demand_mod
 from .agents import DwellSpec, sample_dwell_batch, step_competitors_batch, step_toward_batch
 from .demand import ArrivalSeries, SynthSpec, scale_series, synth_demand
 from .errors import ConfigError, ValidationError
-from .grid import CellCoord, GridSpec, OccupancyState, load_grid
+from .grid import GridSpec, OccupancyState, load_grid, manhattan_matrix
 from .predictor import (
     BUCKET_MINUTES,
     HistoryCorpus,
@@ -36,7 +36,7 @@ from .predictor import (
     update_history,
 )
 from .rng import RngStreams, derive_seed
-from .strategies import OracleContext, StrategyKind, capture_prob_table, dispatch
+from .strategies import OracleContext, StrategyKind, capture_prob_table, dispatch, parse_strategy
 
 GROUP_PARTICIPANT = 0
 GROUP_COMPETITOR = 1
@@ -90,8 +90,7 @@ class SimConfig:
     history_groups: str = "participants"
 
     def __post_init__(self):
-        if isinstance(self.strategy, str):
-            self.strategy = StrategyKind(self.strategy)
+        self.strategy = parse_strategy(self.strategy)
         if isinstance(self.arrivals, dict):
             self.arrivals = ArrivalsConfig(**self.arrivals)
         if isinstance(self.dwell, dict):
@@ -320,26 +319,6 @@ class Simulation:
             if self.cfg.checks:
                 self.occ.check()
 
-    def _captures_mask(self, free_cells, d_pos, c_pos):
-        """Eq.-1 capture set over the free cells: some competitor within R and
-        strictly closer than every participant (equality defers to the arrival
-        tie-break)."""
-        nf = len(free_cells)
-        if nf == 0 or len(c_pos) == 0:
-            return np.zeros(nf, dtype=bool)
-        dc = np.abs(c_pos[:, 0, None] - free_cells[None, :, 0]) + np.abs(
-            c_pos[:, 1, None] - free_cells[None, :, 1]
-        )
-        min_c = dc.min(axis=0)
-        if len(d_pos):
-            dd = np.abs(d_pos[:, 0, None] - free_cells[None, :, 0]) + np.abs(
-                d_pos[:, 1, None] - free_cells[None, :, 1]
-            )
-            min_d = dd.min(axis=0)
-        else:
-            min_d = np.full(nf, np.iinfo(np.int64).max)
-        return (min_c <= self.cfg.r) & (min_c < min_d)
-
     def _capture_allocation(self, free_cells, free_counts, c_pos):
         """Capacity-aware capture estimate for the oracle's offer.
 
@@ -356,9 +335,7 @@ class Simulation:
         unallocated = np.ones(nc, dtype=bool)
         if nf == 0 or nc == 0:
             return blockers, unallocated
-        dc = np.abs(c_pos[:, 0, None] - free_cells[None, :, 0]) + np.abs(
-            c_pos[:, 1, None] - free_cells[None, :, 1]
-        )
+        dc = manhattan_matrix(c_pos, free_cells)
         nearest = np.argmin(dc, axis=1)
         best = dc[np.arange(nc), nearest]
         sees = best <= self.cfg.r
@@ -604,27 +581,6 @@ class Simulation:
         for _ in range(self.cfg.horizon):
             self.tick()
         return self.finish()
-
-
-def competitor_captures(sim: Simulation, r: int | None = None) -> set[CellCoord]:
-    """Contract view of the Eq.-1 capture set for the simulation's current state."""
-    if r is None:
-        r = sim.cfg.r
-    free = sim.occ.free()
-    free_k = np.flatnonzero(free > 0)
-    free_cells = np.stack([free_k // sim.n, free_k % sim.n], axis=1) if len(free_k) else np.zeros((0, 2), np.int64)
-    t = sim.occ.tick
-    age_p = t - sim.participants.spawn
-    age_c = t - sim.competitors.spawn
-    act_p = (age_p > 0) & (age_p <= sim.cfg.t_max)
-    act_c = (age_c > 0) & (age_c <= sim.cfg.t_max)
-    saved = sim.cfg.r
-    sim.cfg.r = r
-    try:
-        mask = sim._captures_mask(free_cells, sim.participants.pos[act_p], sim.competitors.pos[act_c])
-    finally:
-        sim.cfg.r = saved
-    return {CellCoord(int(i), int(j)) for (i, j) in free_cells[mask]}
 
 
 def build_arrivals(cfg: SimConfig, grid: GridSpec, master_seed: int) -> ArrivalSeries:

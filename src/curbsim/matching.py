@@ -7,9 +7,8 @@ larger than the sum of all finite entries, which makes the solver maximize
 feasible-match cardinality first and total cost second. Matches landing on
 the sentinel are stripped from the result.
 
-The kernel is a single numpy-vectorized source, compiled with numba when
-enabled (see _accel); ties between equal-cost optima resolve by the fixed
-scan order, so identical inputs always yield identical assignments.
+The kernel is numpy-vectorized; ties between equal-cost optima resolve by the
+fixed scan order, so identical inputs always yield identical assignments.
 """
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import force_jit, maybe_jit
 from .errors import ValidationError
 
 INFEASIBLE = float("inf")
@@ -28,8 +26,6 @@ class CostMatrix:
     """Participants x spot-unit costs; entries are finite >= 0 or INFEASIBLE."""
 
     entries: np.ndarray
-    row_ids: list | None = None
-    col_cells: list | None = None
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=np.float64)
@@ -102,23 +98,7 @@ def _sap_core(cost):
     return col4row
 
 
-_sap_default = maybe_jit(_sap_core)
-
-
-def _solve_oriented(entries: np.ndarray, compiled: bool | None = None) -> np.ndarray:
-    """Run the kernel on an already-finite, rows<=cols matrix."""
-    if compiled is None:
-        fn = _sap_default
-    elif compiled:
-        fn = force_jit(_sap_core)
-        if fn is None:
-            raise RuntimeError("numba not importable")
-    else:
-        fn = _sap_core
-    return fn(np.ascontiguousarray(entries, dtype=np.float64))
-
-
-def solve_dense(entries: np.ndarray, compiled: bool | None = None) -> list[tuple[int, int]]:
+def solve_dense(entries: np.ndarray) -> list[tuple[int, int]]:
     """Assignment pairs for a raw matrix (may be rectangular, may hold inf)."""
     entries = np.asarray(entries, dtype=np.float64)
     nr, nc = entries.shape
@@ -132,7 +112,7 @@ def solve_dense(entries: np.ndarray, compiled: bool | None = None) -> list[tuple
     else:
         big = work[finite].sum() + 2.0
         filled = np.where(finite, work, big)
-    col4row = _solve_oriented(filled, compiled)
+    col4row = _sap_core(np.ascontiguousarray(filled))
     pairs = []
     for r, c in enumerate(col4row):
         c = int(c)
@@ -142,33 +122,8 @@ def solve_dense(entries: np.ndarray, compiled: bool | None = None) -> list[tuple
     return sorted(pairs)
 
 
-def hungarian_assign(m: CostMatrix, compiled: bool | None = None) -> Assignment:
+def hungarian_assign(m: CostMatrix) -> Assignment:
     """Minimum-cost maximum-cardinality assignment restricted to finite entries."""
-    pairs = solve_dense(m.entries, compiled)
+    pairs = solve_dense(m.entries)
     total = float(sum(m.entries[r, c] for r, c in pairs))
     return Assignment(set(pairs), total)
-
-
-@dataclass
-class PaddedSquare:
-    """Square form of a rectangular matrix with 0-cost dummy rows/cols."""
-
-    entries: np.ndarray
-    real_rows: int
-    real_cols: int
-
-    def unpad(self, pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
-        return {(r, c) for r, c in pairs if r < self.real_rows and c < self.real_cols}
-
-
-def pad_rectangular(m: CostMatrix) -> PaddedSquare:
-    """Embed into a square matrix; dummies cost 0 against every counterpart.
-
-    Solving the padded square and unpadding gives the same assignment as
-    solving the rectangle directly.
-    """
-    nr, nc = m.entries.shape
-    n = max(nr, nc)
-    padded = np.zeros((n, n), dtype=np.float64)
-    padded[:nr, :nc] = m.entries
-    return PaddedSquare(padded, nr, nc)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, force_jit, maybe_jit
 from .errors import ConfigError
 from .grid import CellCoord, manhattan, manhattan_matrix
 from .matching import INFEASIBLE, CostMatrix, hungarian_assign
@@ -41,6 +40,15 @@ class StrategyKind(enum.Enum):
 
 
 COORDINATED = (StrategyKind.CORD_AGN, StrategyKind.CORD_ORACLE, StrategyKind.CORD_APPROX)
+
+
+def parse_strategy(name) -> StrategyKind:
+    """The strategy called `name`; ConfigError names the valid ones otherwise."""
+    try:
+        return StrategyKind(name)
+    except ValueError:
+        valid = ", ".join(k.value for k in StrategyKind)
+        raise ConfigError(f"unknown strategy {name!r} (expected one of {valid})") from None
 
 
 @dataclass
@@ -166,9 +174,11 @@ def approx_cost(tau: float, p_hat: float) -> float:
     return tau / p_hat
 
 
-# --- vectorized oracle matrix, numpy path ---
-
-def _oracle_matrix_numpy(d_pos, cells, comp_pos, r, p_table):
+def oracle_cost_matrix(d_pos, cells, comp_pos, r, p_table):
+    """(nd, nf) competitor-aware cost matrix; inf marks infeasible pairs."""
+    d_pos = np.ascontiguousarray(d_pos, dtype=np.int64).reshape(-1, 2)
+    cells = np.ascontiguousarray(cells, dtype=np.int64).reshape(-1, 2)
+    comp_pos = np.ascontiguousarray(comp_pos, dtype=np.int64).reshape(-1, 2)
     nd, nf, ncp = len(d_pos), len(cells), len(comp_pos)
     td = manhattan_matrix(d_pos, cells).astype(np.float64)
     if ncp == 0 or nd == 0 or nf == 0:
@@ -197,58 +207,6 @@ def _oracle_matrix_numpy(d_pos, cells, comp_pos, r, p_table):
     out = td * (1.0 + psum)
     out[cond2] = np.inf
     return out
-
-
-# --- vectorized oracle matrix, loop kernel for numba ---
-
-def _oracle_matrix_loops(d_pos, cells, comp_pos, r, p_table):
-    nd, nf, ncp = d_pos.shape[0], cells.shape[0], comp_pos.shape[0]
-    out = np.empty((nd, nf), np.float64)
-    inf = np.inf
-    for f in range(nf):
-        fi = cells[f, 0]
-        fj = cells[f, 1]
-        min_c = 1 << 30
-        for c in range(ncp):
-            t = abs(comp_pos[c, 0] - fi) + abs(comp_pos[c, 1] - fj)
-            if t < min_c:
-                min_c = t
-        for d in range(nd):
-            tau = abs(d_pos[d, 0] - fi) + abs(d_pos[d, 1] - fj)
-            if tau < min_c:
-                out[d, f] = tau
-            elif min_c <= r and min_c < tau:
-                out[d, f] = inf
-            else:
-                total = float(tau)
-                if tau >= r + 2:
-                    t_c = min(tau - r - 1, r)
-                    for c in range(ncp):
-                        t = abs(comp_pos[c, 0] - fi) + abs(comp_pos[c, 1] - fj)
-                        if r < t < tau:
-                            total += tau * p_table[t_c, abs(comp_pos[c, 0] - fi), abs(comp_pos[c, 1] - fj)]
-                out[d, f] = total
-    return out
-
-
-_oracle_matrix_jit = maybe_jit(_oracle_matrix_loops)
-
-
-def oracle_cost_matrix(d_pos, cells, comp_pos, r, p_table, compiled: bool | None = None):
-    """(nd, nf) competitor-aware cost matrix; inf marks infeasible pairs."""
-    d_pos = np.ascontiguousarray(d_pos, dtype=np.int64).reshape(-1, 2)
-    cells = np.ascontiguousarray(cells, dtype=np.int64).reshape(-1, 2)
-    comp_pos = np.ascontiguousarray(comp_pos, dtype=np.int64).reshape(-1, 2)
-    if compiled is None:
-        if NUMBA_ENABLED:
-            return _oracle_matrix_jit(d_pos, cells, comp_pos, r, p_table)
-        return _oracle_matrix_numpy(d_pos, cells, comp_pos, r, p_table)
-    if compiled:
-        fn = force_jit(_oracle_matrix_loops)
-        if fn is None:
-            raise RuntimeError("numba not importable")
-        return fn(d_pos, cells, comp_pos, r, p_table)
-    return _oracle_matrix_numpy(d_pos, cells, comp_pos, r, p_table)
 
 
 def dispatch(

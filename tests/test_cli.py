@@ -140,3 +140,23 @@ def test_report_rerenders(tmp_path, short_config):
     (out / "series.csv").unlink()
     assert main(["report", str(out)]) == 0
     assert (out / "series.csv").exists()
+
+
+def test_validate_unknown_strategy(tmp_path, short_config, capsys):
+    cfg = json.loads(short_config.read_text())
+    cfg["strategy"] = "cord-aprox"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown strategy 'cord-aprox'")
+    assert "Traceback" not in err
+
+
+def test_sweep_unknown_strategy_runs_no_cell(tmp_path, short_config, capsys):
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(short_config), "--out", str(out),
+                 "--strategies", "unc-agn,cord-aprox"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: unknown strategy 'cord-aprox'")
+    assert not out.exists()

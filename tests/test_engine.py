@@ -11,11 +11,10 @@ from curbsim.engine import (
     SimConfig,
     Simulation,
     build_arrivals,
-    competitor_captures,
     run_simulation,
 )
 from curbsim.errors import ConfigError
-from curbsim.grid import CellCoord, make_grid
+from curbsim.grid import CellCoord, make_grid, manhattan_matrix
 
 
 def empty_series(horizon=10):
@@ -33,6 +32,27 @@ def base_cfg(**kw):
     )
     defaults.update(kw)
     return SimConfig(**defaults)
+
+
+def competitor_captures(sim, r=None):
+    """Eq.-1 capture set over the free cells: some active competitor within r
+    (default: the config's R) and strictly closer than every active
+    participant; equality defers to the arrival tie-break."""
+    r = sim.cfg.r if r is None else r
+    free_k = np.flatnonzero(sim.occ.free() > 0)
+    free_cells = np.stack([free_k // sim.n, free_k % sim.n], axis=1)
+
+    def active(agents):
+        age = sim.occ.tick - agents.spawn
+        return agents.pos[(age > 0) & (age <= sim.cfg.t_max)]
+
+    c_pos, d_pos = active(sim.competitors), active(sim.participants)
+    if len(c_pos) == 0:
+        return set()
+    min_c = manhattan_matrix(c_pos, free_cells).min(axis=0)
+    min_d = manhattan_matrix(d_pos, free_cells).min(axis=0, initial=np.iinfo(np.int64).max)
+    mask = (min_c <= r) & (min_c < min_d)
+    return {CellCoord(int(i), int(j)) for i, j in free_cells[mask]}
 
 
 def test_captures_examples():

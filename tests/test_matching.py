@@ -3,15 +3,8 @@ import pytest
 
 from conftest import brute_force_assignment
 
-from curbsim._accel import NUMBA_ENABLED
 from curbsim.errors import ValidationError
-from curbsim.matching import (
-    INFEASIBLE,
-    CostMatrix,
-    hungarian_assign,
-    pad_rectangular,
-    solve_dense,
-)
+from curbsim.matching import INFEASIBLE, CostMatrix, hungarian_assign
 
 
 def test_examples():
@@ -77,52 +70,8 @@ def test_determinism():
     assert a.pairs == b.pairs and a.total_cost == b.total_cost
 
 
-def test_pad_rectangular():
-    m = CostMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    padded = pad_rectangular(m)
-    assert padded.entries.shape == (3, 3)
-    assert (padded.entries[2] == 0).all()
-    direct = hungarian_assign(m)
-    via_pad = padded.unpad(set(solve_dense(padded.entries)))
-    assert via_pad == direct.pairs
-
-    sq = pad_rectangular(CostMatrix([[1.0, 2.0], [3.0, 4.0]]))
-    assert sq.entries.shape == (2, 2)
-
-    empty = pad_rectangular(CostMatrix(np.zeros((0, 3))))
-    assert empty.entries.shape == (3, 3)
-    assert empty.unpad({(0, 0), (1, 2)}) == set()
-
-
-def test_pad_equals_rectangular_optimum_randomized():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        nr, nc = rng.integers(1, 6, 2)
-        m = rng.uniform(0, 20, (int(nr), int(nc)))
-        mat = CostMatrix(m)
-        direct = hungarian_assign(mat)
-        padded = pad_rectangular(mat)
-        unpadded = padded.unpad(set(solve_dense(padded.entries)))
-        cost = sum(m[r, c] for r, c in unpadded)
-        assert cost == pytest.approx(direct.total_cost, abs=1e-9)
-
-
 def test_validation():
     with pytest.raises(ValidationError):
         CostMatrix([[-1.0]])
     with pytest.raises(ValidationError):
         CostMatrix([[float("nan")]])
-
-
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba disabled or unavailable")
-def test_numba_and_numpy_paths_agree():
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        m = rng.uniform(0, 100, (7, 5))
-        m[rng.random(m.shape) < 0.2] = INFEASIBLE
-        fast = solve_dense(m, compiled=True)
-        slow = solve_dense(m, compiled=False)
-        cost_fast = sum(m[r, c] for r, c in fast)
-        cost_slow = sum(m[r, c] for r, c in slow)
-        assert len(fast) == len(slow)
-        assert cost_fast == pytest.approx(cost_slow, abs=1e-9)
