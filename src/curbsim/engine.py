@@ -105,6 +105,11 @@ class SimConfig:
             raise ConfigError("runs must be >= 1")
         if not (0.0 <= self.initial_occupancy <= 1.0):
             raise ConfigError("initial_occupancy must be in [0, 1]")
+        # the engine retrains only at bucket ends
+        if self.retrain_every <= 0 or self.retrain_every % BUCKET_MINUTES:
+            raise ConfigError(
+                f"retrain_every must be a positive multiple of {BUCKET_MINUTES} minutes, got {self.retrain_every}"
+            )
 
     def to_dict(self) -> dict:
         out = asdict(self)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +20,9 @@ CLAMP_LO = 0.01
 DEFAULT_LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 TREND_BUCKETS = 3
 TREND_DEFAULT = 0.5
+# gap, relative to the mean squared target, under which two lambdas' mean
+# fold MSEs count as a tie
+TIE_RTOL = 1e-10
 
 
 @dataclass
@@ -84,6 +88,22 @@ def feature_dim(n_cells: int) -> int:
     return 2 + 7 + n_cells + 1
 
 
+def _dense_columns(bucket_starts: np.ndarray, trends: np.ndarray, base_weekday: int = 0) -> np.ndarray:
+    """The 11 non-cell design columns: intercept, cyclical time of day,
+    weekday one-hot, trend."""
+    bucket_starts = np.asarray(bucket_starts, dtype=np.int64)
+    m = len(bucket_starts)
+    d = np.zeros((m, 11))
+    d[:, 0] = 1.0
+    theta = 2.0 * np.pi * (bucket_starts % 1440) / 1440.0
+    d[:, 1] = np.sin(theta)
+    d[:, 2] = np.cos(theta)
+    weekday = (bucket_starts // 1440 + base_weekday) % 7
+    d[np.arange(m), 3 + weekday] = 1.0
+    d[:, 10] = trends
+    return d
+
+
 def build_features(
     cells: np.ndarray,
     bucket_starts: np.ndarray,
@@ -92,25 +112,25 @@ def build_features(
     base_weekday: int = 0,
 ) -> np.ndarray:
     """Feature rows: cyclical time of day, weekday one-hot, cell one-hot, trend."""
-    cells = np.asarray(cells, dtype=np.int64)
-    bucket_starts = np.asarray(bucket_starts, dtype=np.int64)
-    if (cells < 0).any() or (cells >= n_cells).any():
-        raise SchemaError(f"cell index outside schema range 0..{n_cells - 1}")
+    cells = _checked_cells(cells, n_cells)
+    dense = _dense_columns(bucket_starts, trends, base_weekday)
     m = len(cells)
     x = np.zeros((m, feature_dim(n_cells)))
-    minute_of_day = bucket_starts % 1440
-    theta = 2.0 * np.pi * minute_of_day / 1440.0
-    x[:, 0] = np.sin(theta)
-    x[:, 1] = np.cos(theta)
-    weekday = (bucket_starts // 1440 + base_weekday) % 7
-    x[np.arange(m), 2 + weekday] = 1.0
+    x[:, :9] = dense[:, 1:10]
     x[np.arange(m), 9 + cells] = 1.0
-    x[:, -1] = trends
+    x[:, -1] = dense[:, 10]
     return x
 
 
-def corpus_design(corpus: HistoryCorpus) -> tuple[np.ndarray, np.ndarray]:
-    """(X, y) over the whole corpus, trend computed per record.
+def _checked_cells(cells, n_cells: int) -> np.ndarray:
+    cells = np.asarray(cells, dtype=np.int64)
+    if (cells < 0).any() or (cells >= n_cells).any():
+        raise SchemaError(f"cell index outside schema range 0..{n_cells - 1}")
+    return cells
+
+
+def _corpus_columns(corpus: HistoryCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(cells, bucket starts, trends, rho) per record, trend computed per record.
 
     Trends use a per-cell sliding window over bucket-sorted records, so this
     stays linear in corpus size (corpus.trend is the per-record contract).
@@ -118,7 +138,7 @@ def corpus_design(corpus: HistoryCorpus) -> tuple[np.ndarray, np.ndarray]:
     recs = corpus.records
     cells = np.array([r.cell for r in recs], dtype=np.int64)
     starts = np.array([r.bucket_start for r in recs], dtype=np.int64)
-    y = np.array([r.rho for r in recs])
+    y = np.array([r.rho for r in recs], dtype=np.float64)
     trends = np.full(len(recs), TREND_DEFAULT)
     order = np.lexsort((starts, cells))
     span = TREND_BUCKETS * BUCKET_MINUTES
@@ -141,8 +161,13 @@ def corpus_design(corpus: HistoryCorpus) -> tuple[np.ndarray, np.ndarray]:
             if w_hi > w_lo:
                 trends[order[p]] = ssum / (w_hi - w_lo)
         i = j
-    x = build_features(cells, starts, trends, corpus.n_cells, corpus.base_weekday)
-    return x, y
+    return cells, starts, trends, y
+
+
+def corpus_design(corpus: HistoryCorpus) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (X, y) over the whole corpus; retrain never builds it."""
+    cells, starts, trends, y = _corpus_columns(corpus)
+    return build_features(cells, starts, trends, corpus.n_cells, corpus.base_weekday), y
 
 
 def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float, schema: str = "raw") -> RidgeModel:
@@ -173,36 +198,6 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float, schema: str = "raw") -> 
         rank = int(np.linalg.matrix_rank(design))
         raise SingularityError(f"normal equations singular at lambda=0: design rank {rank} < {p + 1}")
     return RidgeModel(beta[1:], float(beta[0]), float(lam), schema)
-
-
-def select_lambda(x: np.ndarray, y: np.ndarray, grid, folds: int) -> float:
-    """Grid value minimizing mean fold MSE; ties go to the smaller lambda.
-
-    Deterministic fold split: record index modulo folds.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    grid = list(grid)
-    if not grid:
-        raise ConfigError("lambda grid must be nonempty")
-    if folds < 2:
-        raise ConfigError("need at least 2 folds")
-    if len(y) < folds:
-        raise ConfigError(f"{len(y)} rows is fewer than {folds} folds")
-    idx = np.arange(len(y))
-    best_lam = None
-    best_mse = np.inf
-    for lam in grid:
-        errs = []
-        for fold in range(folds):
-            test = idx % folds == fold
-            model = fit_ridge(x[~test], y[~test], lam)
-            pred = model.intercept + x[test] @ model.coefficients
-            errs.append(float(np.mean((y[test] - pred) ** 2)))
-        mse = float(np.mean(errs))
-        if mse < best_mse or (mse == best_mse and lam < best_lam):
-            best_mse, best_lam = mse, lam
-    return float(best_lam)
 
 
 def predict_availability(model: RidgeModel, cell: int, tick: int, corpus: HistoryCorpus) -> float:
@@ -248,24 +243,116 @@ def update_history(corpus: HistoryCorpus, observations: dict[tuple[int, int], tu
     return corpus
 
 
+class _NormalEquations(NamedTuple):
+    """Blocks of the ridge normal equations over the design [D | C]: D holds
+    the 11 dense columns, C the cell one-hot. a = D'D, r_a = D'y, b = D'C,
+    and the cell block C'C = diag(d) with r_c = C'y. Per-fold blocks carry
+    a leading fold axis."""
+
+    a: np.ndarray
+    r_a: np.ndarray
+    b: np.ndarray
+    d: np.ndarray
+    r_c: np.ndarray
+
+    def total(self, keep: np.ndarray) -> "_NormalEquations":
+        """Sum of the folds that the boolean mask keep selects."""
+        return _NormalEquations(*(block[keep].sum(axis=0) for block in self))
+
+    def solve(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """(dense, cell) coefficients at lam > 0; the intercept is unpenalized.
+
+        The diagonal cell block diag(d + lam) is eliminated through its Schur
+        complement S = a + lam*P - b diag(1/(d + lam)) b', so only an 11x11
+        system is solved; the cell coefficients follow by back-substitution.
+        """
+        w = 1.0 / (self.d + lam)
+        bw = self.b * w
+        s = self.a + lam * _DENSE_PENALTY - np.einsum("ic,jc->ij", bw, self.b)
+        beta_a = np.linalg.solve(s, self.r_a - np.einsum("ic,c->i", bw, self.r_c))
+        beta_c = (self.r_c - np.einsum("ic,i->c", self.b, beta_a)) * w
+        return beta_a, beta_c
+
+
+_DENSE_PENALTY = np.diag([0.0] + [1.0] * 10)
+
+
+def _fold_equations(dense: np.ndarray, cells: np.ndarray, y: np.ndarray, n_cells: int,
+                    folds: int) -> _NormalEquations:
+    """Normal-equation blocks per fold (record index modulo folds).
+
+    Sums run in einsum and bincount, never in BLAS, so their rounding does
+    not depend on the BLAS thread count.
+    """
+    fold = np.arange(len(y)) % folds
+    rows = [fold == f for f in range(folds)]
+    key = fold * n_cells + cells
+    size = folds * n_cells
+    a = np.stack([np.einsum("ri,rj->ij", dense[r], dense[r]) for r in rows])
+    r_a = np.stack([np.einsum("ri,r->i", dense[r], y[r]) for r in rows])
+    b = np.stack([np.bincount(key, weights=col, minlength=size) for col in dense.T])
+    d = np.bincount(key, minlength=size).astype(np.float64)
+    r_c = np.bincount(key, weights=y, minlength=size)
+    return _NormalEquations(a, r_a, b.reshape(-1, folds, n_cells).swapaxes(0, 1),
+                            d.reshape(folds, n_cells), r_c.reshape(folds, n_cells))
+
+
+def _select_lambda(eqs: _NormalEquations, dense: np.ndarray, cells: np.ndarray, y: np.ndarray,
+                   grid, folds: int) -> float:
+    """Grid value minimizing mean fold MSE; ties go to the smaller lambda.
+
+    Each fold's model is solved from the other folds' summed blocks and
+    scored on the fold's own records. Mean MSEs closer to the minimum than
+    TIE_RTOL times the mean squared target tie, so rounding cannot pick
+    between lambdas that fit equally well (as on a corpus whose dense
+    columns are all constant).
+    """
+    fold = np.arange(len(y)) % folds
+    trains = [eqs.total(np.arange(folds) != f) for f in range(folds)]
+    mses = []
+    for lam in grid:
+        errs = []
+        for f, train in enumerate(trains):
+            test = fold == f
+            beta_a, beta_c = train.solve(lam)
+            pred = np.einsum("ri,i->r", dense[test], beta_a) + beta_c[cells[test]]
+            errs.append(float(np.mean((y[test] - pred) ** 2)))
+        mses.append(float(np.mean(errs)))
+    band = min(mses) + TIE_RTOL * float(np.mean(y * y))
+    return float(min(lam for lam, mse in zip(grid, mses) if mse <= band))
+
+
 def retrain(
     corpus: HistoryCorpus,
     grid=DEFAULT_LAMBDA_GRID,
     folds: int = 5,
 ) -> RidgeModel:
-    """Fresh fit over the full corpus with cross-validated lambda.
+    """Fresh ridge fit over the full corpus with cross-validated lambda.
+
+    The model is fit_ridge on corpus_design's (X, y), with lambda chosen by
+    deterministic cross-validation: fold k holds the records whose index is
+    k modulo folds. X is never built: per-fold normal-equation blocks are
+    accumulated once and every fit solves an 11x11 system.
 
     Empty corpus falls back to the uniform 0.5 prior. Corpora smaller than
     the fold count skip CV and use lambda = 1.0.
     """
+    grid = list(grid)
+    if not grid or min(grid) <= 0:
+        # lambda = 0 is always singular: the weekday one-hot sums to the intercept
+        raise ConfigError("lambda grid must be nonempty and positive")
+    if folds < 2:
+        raise ConfigError("need at least 2 folds")
     if len(corpus) == 0:
         return uniform_model(corpus.n_cells)
-    x, y = corpus_design(corpus)
-    if len(y) < folds:
-        lam = 1.0
-    else:
-        lam = select_lambda(x, y, grid, folds)
-    return fit_ridge(x, y, lam, schema=feature_schema(corpus.n_cells))
+    cells, starts, trends, y = _corpus_columns(corpus)
+    cells = _checked_cells(cells, corpus.n_cells)
+    dense = _dense_columns(starts, trends, corpus.base_weekday)
+    eqs = _fold_equations(dense, cells, y, corpus.n_cells, folds)
+    lam = 1.0 if len(y) < folds else _select_lambda(eqs, dense, cells, y, grid, folds)
+    beta_a, beta_c = eqs.total(np.ones(folds, dtype=bool)).solve(lam)
+    coefficients = np.concatenate([beta_a[1:10], beta_c, beta_a[10:]])
+    return RidgeModel(coefficients, float(beta_a[0]), float(lam), feature_schema(corpus.n_cells))
 
 
 # --- persistence ---

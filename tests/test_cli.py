@@ -153,6 +153,18 @@ def test_validate_unknown_strategy(tmp_path, short_config, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("every", [0, 90])
+def test_validate_bad_retrain_every(tmp_path, short_config, capsys, every):
+    cfg = json.loads(short_config.read_text())
+    cfg["retrain_every"] = every
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: retrain_every must be a positive multiple of 60")
+    assert "Traceback" not in err
+
+
 def test_sweep_unknown_strategy_runs_no_cell(tmp_path, short_config, capsys):
     out = tmp_path / "sweep"
     code = main(["sweep", "--config", str(short_config), "--out", str(out),

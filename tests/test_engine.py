@@ -249,6 +249,18 @@ def test_config_validation():
         SimConfig(initial_occupancy=1.5)
 
 
+@pytest.mark.parametrize("every", [0, -60, 30, 90])
+def test_retrain_every_must_be_positive_multiple_of_bucket(every):
+    # 0 used to divide by zero mid-run; 90 quietly retrained every 180 min
+    with pytest.raises(ConfigError, match="retrain_every"):
+        SimConfig(retrain_every=every)
+
+
+def test_retrain_every_multiples_of_bucket_accepted():
+    for every in (60, 120, 360):
+        assert SimConfig(retrain_every=every).retrain_every == every
+
+
 def test_arrival_file_sniffing(tmp_path):
     grid, caps = make_grid(3, capacity=1)
     intensity = tmp_path / "intensity.csv"

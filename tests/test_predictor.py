@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import cv_mse, retrain_reference, select_lambda
 
+from curbsim.engine import Simulation, build_arrivals
 from curbsim.errors import ConfigError, SchemaError, SingularityError, ValidationError
+from curbsim.grid import make_grid
 from curbsim.predictor import (
+    BUCKET_MINUTES,
     HistoryCorpus,
     HistoryRecord,
     corpus_design,
@@ -15,10 +21,10 @@ from curbsim.predictor import (
     retrain,
     save_corpus,
     save_model,
-    select_lambda,
     uniform_model,
     update_history,
 )
+from perfbench.workloads import city22_config, lattice_capacity
 
 
 def ridge_oracle(x, y, lam):
@@ -200,6 +206,16 @@ def test_corpus_trend_window_matches_contract():
     assert vec[2] == pytest.approx(0.5)  # nothing observed: default
 
 
+def test_retrain_rejects_bad_grid_and_folds():
+    corpus = HistoryCorpus(4)
+    update_history(corpus, {(0, 0): (3, 2)})
+    for grid in ([], [0.0, 1.0], [-1.0]):
+        with pytest.raises(ConfigError):
+            retrain(corpus, grid=grid)
+    with pytest.raises(ConfigError):
+        retrain(corpus, folds=1)
+
+
 def test_retrain_returns_fresh_model():
     corpus = HistoryCorpus(4)
     update_history(corpus, {(0, 0): (3, 2)})
@@ -225,3 +241,56 @@ def test_corpus_and_model_roundtrip(tmp_path):
     loaded = load_model(mpath)
     assert loaded.lam == model.lam
     assert np.allclose(loaded.coefficients, model.coefficients)
+
+
+def assert_matches_reference(corpus, rtol=1e-9):
+    """retrain agrees with the dense route: the same lambda, and coefficients
+    within rtol of the largest one. Where the dense route picked another
+    lambda, the two must tie in its own mean fold MSE (rounding broke an
+    exact tie), and the coefficients are compared at retrain's lambda."""
+    got = retrain(corpus)
+    want = retrain_reference(corpus)
+    if got.lam != want.lam:
+        x, y = corpus_design(corpus)
+        gap = abs(cv_mse(x, y, got.lam, 5) - cv_mse(x, y, want.lam, 5))
+        assert gap <= rtol * np.mean(y * y), (got.lam, want.lam, gap)
+        want = fit_ridge(x, y, got.lam, want.schema)
+    g = np.concatenate([[got.intercept], got.coefficients])
+    w = np.concatenate([[want.intercept], want.coefficients])
+    assert got.schema == want.schema
+    assert np.max(np.abs(g - w)) <= rtol * np.max(np.abs(w))
+
+
+@st.composite
+def corpora(draw):
+    """Small corpora: empty and one-record cells, fewer records than folds,
+    repeated rows, several weekdays."""
+    n_cells = draw(st.integers(1, 30))
+    row = st.tuples(st.integers(0, n_cells - 1), st.integers(0, 71), st.integers(0, 4))
+    rows = draw(st.lists(row, max_size=100))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=100))
+    rows = draw(st.permutations(rows))
+    corpus = HistoryCorpus(n_cells, draw(st.integers(0, 6)))
+    for cell, hour, wins in rows:
+        corpus.records.append(HistoryRecord(cell, hour * BUCKET_MINUTES, wins / 4, 4))
+    return corpus
+
+
+@settings(deadline=None, max_examples=150)
+@given(corpora())
+def test_retrain_matches_dense_reference(corpus):
+    assert_matches_reference(corpus)
+
+
+def test_retrain_matches_dense_reference_on_city_day():
+    """Every hourly corpus of one cold-start day of the 22x22 city."""
+    cfg = city22_config("cord-approx", 7)
+    grid, _ = make_grid(22, capacity=1, zones=3)
+    sim = Simulation(grid, lattice_capacity(22), build_arrivals(cfg, grid, cfg.seed), cfg, cfg.seed)
+    sim.run()
+    records = sim.corpus.records
+    assert len(records) > 1000
+    for hour in range(1, cfg.horizon // BUCKET_MINUTES + 1):
+        seen = [r for r in records if r.bucket_start < hour * BUCKET_MINUTES]
+        assert_matches_reference(HistoryCorpus(sim.corpus.n_cells, sim.corpus.base_weekday, seen))
