@@ -7,6 +7,7 @@ file equivalent; flags win. Exit codes: 0 success, 1 partial sweep failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -25,10 +26,15 @@ from .strategies import StrategyKind, parse_strategy
 def load_config(path) -> SimConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(SimConfig)})
+    if unknown:
+        raise ConfigError(f"unknown config field: {', '.join(unknown)}")
     try:
         return SimConfig(**raw)
     except TypeError as exc:
-        raise ConfigError(f"unknown config field: {exc}") from None
+        raise ConfigError(f"bad config value: {exc}") from None
 
 
 def _apply_overrides(cfg: SimConfig, args) -> SimConfig:

@@ -16,7 +16,7 @@ byte for byte and changing the strategy never perturbs arrivals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +105,12 @@ class SimConfig:
             raise ConfigError("runs must be >= 1")
         if not (0.0 <= self.initial_occupancy <= 1.0):
             raise ConfigError("initial_occupancy must be in [0, 1]")
+        if self.t_max < 1:
+            raise ConfigError(f"t_max must be >= 1, got {self.t_max}")
+        if not (0 <= self.weekday <= 6):
+            raise ConfigError(f"weekday must be in 0..6, got {self.weekday}")
+        if self.history_groups not in ("participants", "both"):
+            raise ConfigError(f"history_groups must be 'participants' or 'both', got {self.history_groups!r}")
         # the engine retrains only at bucket ends
         if self.retrain_every <= 0 or self.retrain_every % BUCKET_MINUTES:
             raise ConfigError(
@@ -239,7 +245,7 @@ class Simulation:
             if self.corpus is None:
                 self.corpus = HistoryCorpus(self.n * self.n, cfg.weekday)
             if len(self.corpus):
-                self.minute0 = (max(r.bucket_start for r in self.corpus.records) // 1440 + 1) * 1440
+                self.minute0 = (int(self.corpus.starts.max()) // 1440 + 1) * 1440
             self.model = retrain(self.corpus) if len(self.corpus) else uniform_model(self.n * self.n)
             self._trend = self.corpus.trend_vector(self.minute0)
             self._attempts = np.zeros(self.n * self.n, np.int64)
@@ -552,11 +558,7 @@ class Simulation:
         # learn
         if cfg.strategy is StrategyKind.CORD_APPROX and (t + 1) % BUCKET_MINUTES == 0:
             bucket_start = self.minute0 + t + 1 - BUCKET_MINUTES
-            obs = {}
-            for k in np.flatnonzero(self._attempts):
-                obs[(int(k), bucket_start)] = (int(self._attempts[k]), int(self._successes[k]))
-            if obs:
-                update_history(self.corpus, obs)
+            update_history(self.corpus, bucket_start, self._attempts, self._successes)
             self._attempts[:] = 0
             self._successes[:] = 0
             self._trend = self.corpus.trend_vector(self.minute0 + t + 1)
@@ -668,16 +670,8 @@ def run_simulation(
             name = "events.ndjson" if cfg.runs == 1 else f"events_r{run_idx}.ndjson"
             events_path = out_path / name
             sink = open(events_path, "w", encoding="utf-8")
-        corpus = None
-        if cfg.strategy is StrategyKind.CORD_APPROX:
-            if corpus_template is not None:
-                corpus = HistoryCorpus(
-                    corpus_template.n_cells,
-                    corpus_template.base_weekday,
-                    list(corpus_template.records),
-                )
-            else:
-                corpus = HistoryCorpus(grid.n * grid.n, cfg.weekday)
+        # runs share the template's columns: update_history rebinds them, never writes
+        corpus = replace(corpus_template) if corpus_template is not None else None
         sim = Simulation(grid, capacity, series, cfg, run_seed, sink, corpus)
         try:
             outcomes = sim.run()

@@ -55,12 +55,6 @@ class GridSpec:
             if missing:
                 raise ValidationError(f"zone_map does not cover cells {sorted(missing)[:5]}...")
 
-    def cell_of(self, k: int) -> CellCoord:
-        return CellCoord(k // self.n, k % self.n)
-
-    def index_of(self, c: CellCoord) -> int:
-        return c[0] * self.n + c[1]
-
     @property
     def label_to_cell(self) -> dict[str, int]:
         return {lab: k for k, lab in enumerate(self.cell_labels)}
@@ -108,9 +102,6 @@ class OccupancyState:
             raise CapacityError(
                 f"cell {bad}: occupied={self.occupied[bad]} outside [0, {self.capacity[bad]}]"
             )
-
-    def snapshot(self) -> "OccupancyState":
-        return OccupancyState(self.n, self.capacity.copy(), self.occupied.copy(), self.tick)
 
 
 def free_spots(state: OccupancyState) -> list[tuple[CellCoord, int]]:

@@ -8,7 +8,7 @@ regularization, and serves predictions clamped to [0.01, 1].
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,45 +26,58 @@ TIE_RTOL = 1e-10
 
 
 @dataclass
-class HistoryRecord:
-    cell: int
-    bucket_start: int  # absolute minutes from corpus epoch
-    rho: float
-    attempts: int = 0
-
-
-@dataclass
 class HistoryCorpus:
-    """Observed success ratios per (cell, hour bucket)."""
+    """Observed success ratios per (cell, hour bucket), one row per
+    observation, stored as columns. Columns are rebound, never written in
+    place, so copies made with dataclasses.replace share them safely."""
 
     n_cells: int
     base_weekday: int = 0
-    records: list[HistoryRecord] = field(default_factory=list)
+    cells: np.ndarray = ()  # int64
+    starts: np.ndarray = ()  # int64 bucket start, minutes from corpus epoch
+    rho: np.ndarray = ()  # float64 successes / attempts
+    attempts: np.ndarray = ()  # int64
+
+    def __post_init__(self):
+        self.cells = np.asarray(self.cells, dtype=np.int64)
+        self.starts = np.asarray(self.starts, dtype=np.int64)
+        self.rho = np.asarray(self.rho, dtype=np.float64)
+        self.attempts = np.asarray(self.attempts, dtype=np.int64)
+        if not len(self.cells) == len(self.starts) == len(self.rho) == len(self.attempts):
+            raise ValidationError("history columns must have equal lengths")
 
     def __len__(self):
-        return len(self.records)
-
-    def trend(self, cell: int, bucket_start: int) -> float:
-        """Mean rho of the cell over the trailing TREND_BUCKETS buckets
-        strictly before bucket_start; TREND_DEFAULT when nothing is there."""
-        lo = bucket_start - TREND_BUCKETS * BUCKET_MINUTES
-        vals = [r.rho for r in self.records
-                if r.cell == cell and lo <= r.bucket_start < bucket_start]
-        return float(np.mean(vals)) if vals else TREND_DEFAULT
+        return len(self.cells)
 
     def trend_vector(self, bucket_start: int) -> np.ndarray:
-        """Per-cell trailing trend for one bucket, vectorized over cells."""
-        lo = bucket_start - TREND_BUCKETS * BUCKET_MINUTES
-        sums = np.zeros(self.n_cells)
-        counts = np.zeros(self.n_cells)
-        for r in self.records:
-            if lo <= r.bucket_start < bucket_start:
-                sums[r.cell] += r.rho
-                counts[r.cell] += 1
-        out = np.full(self.n_cells, TREND_DEFAULT)
-        hit = counts > 0
-        out[hit] = sums[hit] / counts[hit]
-        return out
+        """Per-cell trailing trend for one bucket."""
+        return trailing_trend(self, np.arange(self.n_cells), np.full(self.n_cells, bucket_start))
+
+
+def trailing_trend(corpus: HistoryCorpus, cells: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per query, the mean rho of the cell over the TREND_BUCKETS buckets
+    strictly before the start: rows with start - TREND_BUCKETS*BUCKET_MINUTES
+    <= row start < start. TREND_DEFAULT where no row falls in the window.
+
+    Rows are sorted once on a combined (cell, start rank) key; each window
+    is then a key range, found by two searchsorted calls, whose sum is a
+    difference of the cumulative rho.
+    """
+    # ranks of the distinct row starts keep the combined key small
+    levels = np.unique(corpus.starts)
+    width = len(levels) + 1
+    keys = corpus.cells * width + np.searchsorted(levels, corpus.starts)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    csum = np.concatenate([[0.0], np.cumsum(corpus.rho[order])])
+    span = TREND_BUCKETS * BUCKET_MINUTES
+    lo = np.searchsorted(keys, cells * width + np.searchsorted(levels, starts - span))
+    hi = np.searchsorted(keys, cells * width + np.searchsorted(levels, starts))
+    count = hi - lo
+    out = np.full(len(cells), TREND_DEFAULT)
+    hit = count > 0
+    out[hit] = (csum[hi[hit]] - csum[lo[hit]]) / count[hit]
+    return out
 
 
 @dataclass
@@ -91,7 +104,6 @@ def feature_dim(n_cells: int) -> int:
 def _dense_columns(bucket_starts: np.ndarray, trends: np.ndarray, base_weekday: int = 0) -> np.ndarray:
     """The 11 non-cell design columns: intercept, cyclical time of day,
     weekday one-hot, trend."""
-    bucket_starts = np.asarray(bucket_starts, dtype=np.int64)
     m = len(bucket_starts)
     d = np.zeros((m, 11))
     d[:, 0] = 1.0
@@ -104,70 +116,11 @@ def _dense_columns(bucket_starts: np.ndarray, trends: np.ndarray, base_weekday: 
     return d
 
 
-def build_features(
-    cells: np.ndarray,
-    bucket_starts: np.ndarray,
-    trends: np.ndarray,
-    n_cells: int,
-    base_weekday: int = 0,
-) -> np.ndarray:
-    """Feature rows: cyclical time of day, weekday one-hot, cell one-hot, trend."""
-    cells = _checked_cells(cells, n_cells)
-    dense = _dense_columns(bucket_starts, trends, base_weekday)
-    m = len(cells)
-    x = np.zeros((m, feature_dim(n_cells)))
-    x[:, :9] = dense[:, 1:10]
-    x[np.arange(m), 9 + cells] = 1.0
-    x[:, -1] = dense[:, 10]
-    return x
-
-
 def _checked_cells(cells, n_cells: int) -> np.ndarray:
     cells = np.asarray(cells, dtype=np.int64)
     if (cells < 0).any() or (cells >= n_cells).any():
         raise SchemaError(f"cell index outside schema range 0..{n_cells - 1}")
     return cells
-
-
-def _corpus_columns(corpus: HistoryCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(cells, bucket starts, trends, rho) per record, trend computed per record.
-
-    Trends use a per-cell sliding window over bucket-sorted records, so this
-    stays linear in corpus size (corpus.trend is the per-record contract).
-    """
-    recs = corpus.records
-    cells = np.array([r.cell for r in recs], dtype=np.int64)
-    starts = np.array([r.bucket_start for r in recs], dtype=np.int64)
-    y = np.array([r.rho for r in recs], dtype=np.float64)
-    trends = np.full(len(recs), TREND_DEFAULT)
-    order = np.lexsort((starts, cells))
-    span = TREND_BUCKETS * BUCKET_MINUTES
-    i = 0
-    while i < len(order):
-        j = i
-        cell = cells[order[i]]
-        while j < len(order) and cells[order[j]] == cell:
-            j += 1
-        w_lo = w_hi = i
-        ssum = 0.0
-        for p in range(i, j):
-            b = starts[order[p]]
-            while w_hi < p and starts[order[w_hi]] < b:
-                ssum += y[order[w_hi]]
-                w_hi += 1
-            while w_lo < w_hi and starts[order[w_lo]] < b - span:
-                ssum -= y[order[w_lo]]
-                w_lo += 1
-            if w_hi > w_lo:
-                trends[order[p]] = ssum / (w_hi - w_lo)
-        i = j
-    return cells, starts, trends, y
-
-
-def corpus_design(corpus: HistoryCorpus) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (X, y) over the whole corpus; retrain never builds it."""
-    cells, starts, trends, y = _corpus_columns(corpus)
-    return build_features(cells, starts, trends, corpus.n_cells, corpus.base_weekday), y
 
 
 def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float, schema: str = "raw") -> RidgeModel:
@@ -200,26 +153,21 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float, schema: str = "raw") -> 
     return RidgeModel(beta[1:], float(beta[0]), float(lam), schema)
 
 
-def predict_availability(model: RidgeModel, cell: int, tick: int, corpus: HistoryCorpus) -> float:
-    """Clamped availability probability for one cell at one tick."""
-    if model.schema != feature_schema(corpus.n_cells):
-        raise SchemaError(f"model schema {model.schema!r} does not cover this corpus")
-    bucket = (tick // BUCKET_MINUTES) * BUCKET_MINUTES
-    trend = corpus.trend(cell, bucket)
-    x = build_features([cell], [bucket], [trend], corpus.n_cells, corpus.base_weekday)
-    raw = float(model.intercept + x[0] @ model.coefficients)
-    return float(min(1.0, max(CLAMP_LO, raw)))
-
-
 def predict_many(model: RidgeModel, cells: np.ndarray, tick: int, trend_vec: np.ndarray,
                  n_cells: int, base_weekday: int = 0) -> np.ndarray:
-    """Vectorized clamped predictions for several cells at one tick."""
-    cells = np.asarray(cells, dtype=np.int64)
-    if len(cells) and (cells.min() < 0 or cells.max() >= n_cells):
-        raise SchemaError(f"cell index outside schema range 0..{n_cells - 1}")
+    """Clamped availability predictions for several cells at one tick.
+
+    The cell one-hot is applied as a gather of the cell coefficients, so no
+    cells x feature_dim matrix is built.
+    """
+    if model.schema != feature_schema(n_cells):
+        raise SchemaError(f"model schema {model.schema!r} does not cover {n_cells} cells")
+    cells = _checked_cells(cells, n_cells)
     bucket = (tick // BUCKET_MINUTES) * BUCKET_MINUTES
-    x = build_features(cells, np.full(len(cells), bucket), trend_vec[cells], n_cells, base_weekday)
-    raw = model.intercept + x @ model.coefficients
+    dense = _dense_columns(np.full(len(cells), bucket), trend_vec[cells], base_weekday)
+    beta = model.coefficients
+    raw = (model.intercept + np.einsum("ri,i->r", dense[:, 1:10], beta[:9])
+           + beta[9:-1][cells] + dense[:, 10] * beta[-1])
     return np.clip(raw, CLAMP_LO, 1.0)
 
 
@@ -228,18 +176,23 @@ def uniform_model(n_cells: int, p: float = 0.5) -> RidgeModel:
     return RidgeModel(np.zeros(feature_dim(n_cells)), p, 1.0, feature_schema(n_cells))
 
 
-def update_history(corpus: HistoryCorpus, observations: dict[tuple[int, int], tuple[int, int]]) -> HistoryCorpus:
-    """Append rho = successes/attempts per (cell, bucket_start); zero-attempt
-    buckets are skipped."""
-    for (cell, bucket_start) in sorted(observations):
-        attempts, successes = observations[(cell, bucket_start)]
-        if attempts < 0 or successes < 0:
-            raise ValidationError("counts must be non-negative")
-        if successes > attempts:
-            raise ValidationError(f"successes {successes} > attempts {attempts}")
-        if attempts == 0:
-            continue
-        corpus.records.append(HistoryRecord(cell, bucket_start, successes / attempts, attempts))
+def update_history(corpus: HistoryCorpus, bucket_start: int, attempts: np.ndarray,
+                   successes: np.ndarray) -> HistoryCorpus:
+    """Append one bucket's rows, rho = successes/attempts, from per-cell
+    count arrays, in cell order; zero-attempt cells are skipped."""
+    attempts = np.asarray(attempts, dtype=np.int64)
+    successes = np.asarray(successes, dtype=np.int64)
+    if attempts.shape != (corpus.n_cells,) or successes.shape != (corpus.n_cells,):
+        raise ValidationError(f"counts must have one entry per cell ({corpus.n_cells})")
+    if (attempts < 0).any() or (successes < 0).any():
+        raise ValidationError("counts must be non-negative")
+    if (successes > attempts).any():
+        raise ValidationError("successes must not exceed attempts")
+    hit = np.flatnonzero(attempts)
+    corpus.cells = np.concatenate([corpus.cells, hit])
+    corpus.starts = np.concatenate([corpus.starts, np.full(len(hit), bucket_start, np.int64)])
+    corpus.rho = np.concatenate([corpus.rho, successes[hit] / attempts[hit]])
+    corpus.attempts = np.concatenate([corpus.attempts, attempts[hit]])
     return corpus
 
 
@@ -329,10 +282,11 @@ def retrain(
 ) -> RidgeModel:
     """Fresh ridge fit over the full corpus with cross-validated lambda.
 
-    The model is fit_ridge on corpus_design's (X, y), with lambda chosen by
-    deterministic cross-validation: fold k holds the records whose index is
-    k modulo folds. X is never built: per-fold normal-equation blocks are
-    accumulated once and every fit solves an 11x11 system.
+    The model is fit_ridge of rho on the feature_schema design, with lambda
+    chosen by deterministic cross-validation: fold k holds the records whose
+    index is k modulo folds. The design is never built: per-fold
+    normal-equation blocks are accumulated once and every fit solves an
+    11x11 system.
 
     Empty corpus falls back to the uniform 0.5 prior. Corpora smaller than
     the fold count skip CV and use lambda = 1.0.
@@ -345,9 +299,10 @@ def retrain(
         raise ConfigError("need at least 2 folds")
     if len(corpus) == 0:
         return uniform_model(corpus.n_cells)
-    cells, starts, trends, y = _corpus_columns(corpus)
-    cells = _checked_cells(cells, corpus.n_cells)
-    dense = _dense_columns(starts, trends, corpus.base_weekday)
+    cells = _checked_cells(corpus.cells, corpus.n_cells)
+    y = corpus.rho
+    trends = trailing_trend(corpus, cells, corpus.starts)
+    dense = _dense_columns(corpus.starts, trends, corpus.base_weekday)
     eqs = _fold_equations(dense, cells, y, corpus.n_cells, folds)
     lam = 1.0 if len(y) < folds else _select_lambda(eqs, dense, cells, y, grid, folds)
     beta_a, beta_c = eqs.total(np.ones(folds, dtype=bool)).solve(lam)
@@ -358,10 +313,11 @@ def retrain(
 # --- persistence ---
 
 def save_corpus(path, corpus: HistoryCorpus):
+    columns = (corpus.cells, corpus.starts, corpus.rho, corpus.attempts)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("k,bucket_start,rho,attempts\n")
-        for r in corpus.records:
-            fh.write(f"{r.cell},{r.bucket_start},{r.rho!r},{r.attempts}\n")
+        for cell, start, rho, attempts in zip(*(col.tolist() for col in columns)):
+            fh.write(f"{cell},{start},{rho!r},{attempts}\n")
 
 
 def load_corpus(source, n_cells: int, base_weekday: int = 0) -> HistoryCorpus:
@@ -372,7 +328,7 @@ def load_corpus(source, n_cells: int, base_weekday: int = 0) -> HistoryCorpus:
             lines = fh.read().splitlines()
     if not lines or lines[0].strip() != "k,bucket_start,rho,attempts":
         raise ValidationError("history file must start with header k,bucket_start,rho,attempts")
-    corpus = HistoryCorpus(n_cells, base_weekday)
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -382,10 +338,13 @@ def load_corpus(source, n_cells: int, base_weekday: int = 0) -> HistoryCorpus:
         cell, bucket, rho, attempts = int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])
         if not (0.0 <= rho <= 1.0):
             raise ValidationError(f"line {lineno}: rho {rho} outside [0, 1]")
-        if cell >= n_cells:
+        if not (0 <= cell < n_cells):
             raise SchemaError(f"line {lineno}: cell {cell} outside grid with {n_cells} cells")
-        corpus.records.append(HistoryRecord(cell, bucket, rho, attempts))
-    return corpus
+        if attempts < 0:
+            raise ValidationError(f"line {lineno}: attempts {attempts} is negative")
+        rows.append((cell, bucket, rho, attempts))
+    cells, starts, rhos, attempts = zip(*rows) if rows else ((), (), (), ())
+    return HistoryCorpus(n_cells, base_weekday, cells, starts, rhos, attempts)
 
 
 def save_model(path, model: RidgeModel):

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from curbsim.cli import main
-from curbsim.predictor import HistoryCorpus, save_corpus, update_history
+from curbsim.predictor import HistoryCorpus, save_corpus
 
 REPO = Path(__file__).resolve().parents[1]
 EXAMPLE_CONFIG = REPO / "configs" / "example.json"
@@ -119,8 +119,7 @@ def test_sweep_four_by_three(tmp_path, short_config):
 
 
 def test_train_writes_model(tmp_path, short_config):
-    corpus = HistoryCorpus(100)
-    update_history(corpus, {(0, 0): (5, 3), (4, 60): (4, 4), (44, 120): (6, 1)})
+    corpus = HistoryCorpus(100, 0, [0, 4, 44], [0, 60, 120], [3 / 5, 4 / 4, 1 / 6], [5, 4, 6])
     hist = tmp_path / "hist.csv"
     save_corpus(hist, corpus)
     model_path = tmp_path / "model.json"
@@ -172,3 +171,37 @@ def test_sweep_unknown_strategy_runs_no_cell(tmp_path, short_config, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: unknown strategy 'cord-aprox'")
     assert not out.exists()
+
+
+def _validate(tmp_path, short_config, **fields):
+    cfg = json.loads(short_config.read_text())
+    cfg.update(fields)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    return main(["validate", "--config", str(bad)])
+
+
+def test_validate_unknown_field(tmp_path, short_config, capsys):
+    assert _validate(tmp_path, short_config, bogus=1) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unknown config field: bogus\n"
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([{"seed": 1}]))
+    assert main(["validate", "--config", str(listed)]) == 2
+    assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
+
+def test_validate_wrong_typed_value(tmp_path, short_config, capsys):
+    assert _validate(tmp_path, short_config, retrain_every="60") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config value:")
+    assert "unknown config field" not in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [("history_groups", "bth"), ("weekday", 9), ("t_max", 0)])
+def test_validate_out_of_range_field(tmp_path, short_config, capsys, field, value):
+    assert _validate(tmp_path, short_config, **{field: value}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be")
+    assert "Traceback" not in err

@@ -261,6 +261,19 @@ def test_retrain_every_multiples_of_bucket_accepted():
         assert SimConfig(retrain_every=every).retrain_every == every
 
 
+@pytest.mark.parametrize("field, value", [
+    ("history_groups", "bth"), ("weekday", 9), ("weekday", -1), ("t_max", 0),
+])
+def test_config_rejects_out_of_range_fields(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SimConfig(**{field: value})
+
+
+def test_config_accepts_field_bounds():
+    for kwargs in ({"history_groups": "both"}, {"weekday": 0}, {"weekday": 6}, {"t_max": 1}):
+        SimConfig(**kwargs)
+
+
 def test_arrival_file_sniffing(tmp_path):
     grid, caps = make_grid(3, capacity=1)
     intensity = tmp_path / "intensity.csv"

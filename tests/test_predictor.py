@@ -1,8 +1,19 @@
+import io
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import cv_mse, retrain_reference, select_lambda
+from reference import (
+    corpus_design,
+    cv_mse,
+    predict_availability,
+    retrain_reference,
+    select_lambda,
+    trend,
+)
 
 from curbsim.engine import Simulation, build_arrivals
 from curbsim.errors import ConfigError, SchemaError, SingularityError, ValidationError
@@ -10,21 +21,43 @@ from curbsim.grid import make_grid
 from curbsim.predictor import (
     BUCKET_MINUTES,
     HistoryCorpus,
-    HistoryRecord,
-    corpus_design,
+    RidgeModel,
+    feature_dim,
     feature_schema,
     fit_ridge,
     load_corpus,
     load_model,
-    predict_availability,
     predict_many,
     retrain,
     save_corpus,
     save_model,
+    trailing_trend,
     uniform_model,
     update_history,
 )
 from perfbench.workloads import city22_config, lattice_capacity
+
+
+def observe(corpus, bucket_start, counts):
+    """update_history with {cell: (attempts, successes)} for one bucket."""
+    attempts = np.zeros(corpus.n_cells, np.int64)
+    successes = np.zeros(corpus.n_cells, np.int64)
+    for cell, (a, s) in counts.items():
+        attempts[cell], successes[cell] = a, s
+    return update_history(corpus, bucket_start, attempts, successes)
+
+
+def take(corpus, rows):
+    """The corpus restricted to the given row indices, in that order."""
+    return replace(corpus, cells=corpus.cells[rows], starts=corpus.starts[rows], rho=corpus.rho[rows],
+                   attempts=corpus.attempts[rows])
+
+
+def predict(model, cell, tick, corpus):
+    """predict_many for one cell, with the trend vector of the tick's bucket."""
+    bucket = (tick // BUCKET_MINUTES) * BUCKET_MINUTES
+    return float(predict_many(model, np.array([cell]), tick, corpus.trend_vector(bucket),
+                              corpus.n_cells, corpus.base_weekday)[0])
 
 
 def ridge_oracle(x, y, lam):
@@ -114,43 +147,60 @@ def test_select_lambda_fold_guard():
 def test_predict_clamps():
     corpus = HistoryCorpus(4)
     model = uniform_model(4, 0.7)
-    assert predict_availability(model, 0, 30, corpus) == pytest.approx(0.7)
+    assert predict(model, 0, 30, corpus) == pytest.approx(0.7)
     low = uniform_model(4, -0.3)
-    assert predict_availability(low, 0, 30, corpus) == 0.01
+    assert predict(low, 0, 30, corpus) == 0.01
     high = uniform_model(4, 1.8)
-    assert predict_availability(high, 0, 30, corpus) == 1.0
+    assert predict(high, 0, 30, corpus) == 1.0
 
 
 def test_predict_unknown_cell():
     corpus = HistoryCorpus(4)
     model = uniform_model(9)
     with pytest.raises(SchemaError):
-        predict_availability(model, 0, 0, corpus)
+        predict(model, 0, 0, corpus)
     with pytest.raises(SchemaError):
         predict_many(uniform_model(4), np.array([7]), 0, np.full(4, 0.5), 4)
 
 
 def test_update_history():
     corpus = HistoryCorpus(4)
-    update_history(corpus, {(2, 0): (4, 3)})
-    assert corpus.records[-1].rho == pytest.approx(0.75)
-    update_history(corpus, {(1, 60): (0, 0)})
+    observe(corpus, 0, {2: (4, 3)})
+    assert corpus.rho[-1] == pytest.approx(0.75)
+    observe(corpus, 60, {1: (0, 0)})
     assert len(corpus) == 1
     with pytest.raises(ValidationError):
-        update_history(corpus, {(1, 60): (2, 3)})
+        observe(corpus, 60, {1: (2, 3)})
+    with pytest.raises(ValidationError):
+        observe(corpus, 60, {1: (-1, 0)})
+    with pytest.raises(ValidationError):
+        update_history(corpus, 60, np.ones(3, np.int64), np.zeros(3, np.int64))
+    observe(corpus, 60, {3: (5, 1), 0: (2, 2)})
+    assert corpus.cells.tolist() == [2, 0, 3]
+    assert corpus.starts.tolist() == [0, 60, 60]
+    assert corpus.attempts.tolist() == [4, 2, 5]
+
+
+def test_update_history_rebinds_columns():
+    corpus = HistoryCorpus(4)
+    observe(corpus, 0, {2: (4, 3)})
+    copy = replace(corpus)
+    observe(copy, 60, {1: (2, 1)})
+    assert len(corpus) == 1 and len(copy) == 2
+    assert corpus.cells.tolist() == [2]
 
 
 def test_retrain_single_record_constant():
     corpus = HistoryCorpus(4)
-    update_history(corpus, {(2, 0): (4, 3)})
+    observe(corpus, 0, {2: (4, 3)})
     model = retrain(corpus)
     for cell in range(4):
-        assert predict_availability(model, cell, 700, corpus) == pytest.approx(0.75, abs=1e-6)
+        assert predict(model, cell, 700, corpus) == pytest.approx(0.75, abs=1e-6)
 
 
 def test_retrain_empty_uniform_prior():
     model = retrain(HistoryCorpus(4))
-    assert predict_availability(model, 1, 0, HistoryCorpus(4)) == pytest.approx(0.5)
+    assert predict(model, 1, 0, HistoryCorpus(4)) == pytest.approx(0.5)
 
 
 def test_retrain_mse_decreases_on_stationary_field():
@@ -166,11 +216,11 @@ def test_retrain_mse_decreases_on_stationary_field():
             for k in range(n_cells):
                 attempts = 6
                 wins = int(rng.binomial(attempts, truth[k]))
-                obs[(k, bucket)] = (attempts, wins)
-            update_history(corpus, obs)
+                obs[k] = (attempts, wins)
+            observe(corpus, bucket, obs)
             bucket += 60
         model = retrain(corpus)
-        preds = np.array([predict_availability(model, k, bucket, corpus) for k in range(n_cells)])
+        preds = np.array([predict(model, k, bucket, corpus) for k in range(n_cells)])
         mses.append(float(np.mean((preds - truth) ** 2)))
     assert mses[1] <= mses[0] * 1.1
     assert mses[2] <= mses[1] * 1.1
@@ -180,27 +230,22 @@ def test_predictions_invariant_to_row_order():
     rng = np.random.default_rng(5)
     corpus = HistoryCorpus(6)
     for _ in range(40):
-        update_history(
-            corpus,
-            {(int(rng.integers(0, 6)), 60 * int(rng.integers(0, 24))): (5, int(rng.integers(0, 6)))},
-        )
-    shuffled = HistoryCorpus(6, records=list(corpus.records))
-    rng.shuffle(shuffled.records)
+        observe(corpus, 60 * int(rng.integers(0, 24)), {int(rng.integers(0, 6)): (5, int(rng.integers(0, 6)))})
+    shuffled = take(corpus, rng.permutation(len(corpus)))
     m1, m2 = retrain(corpus), retrain(shuffled)
     for k in range(6):
-        a = predict_availability(m1, k, 500, corpus)
-        b = predict_availability(m2, k, 500, shuffled)
+        a = predict(m1, k, 500, corpus)
+        b = predict(m2, k, 500, shuffled)
         assert a == pytest.approx(b, abs=1e-9)
 
 
 def test_corpus_trend_window_matches_contract():
-    corpus = HistoryCorpus(3)
     rows = [(0, 0, 0.2), (0, 60, 0.4), (0, 120, 0.6), (0, 300, 0.9), (1, 60, 0.3)]
-    for c, b, rho in rows:
-        corpus.records.append(HistoryRecord(c, b, rho))
-    x, _ = corpus_design(corpus)
-    for idx, rec in enumerate(corpus.records):
-        assert x[idx, -1] == pytest.approx(corpus.trend(rec.cell, rec.bucket_start))
+    cells, starts, rho = zip(*rows)
+    corpus = HistoryCorpus(3, 0, cells, starts, rho, [1] * len(rows))
+    trends = trailing_trend(corpus, corpus.cells, corpus.starts)
+    for idx, (c, b, _) in enumerate(rows):
+        assert trends[idx] == pytest.approx(trend(corpus, c, b))
     vec = corpus.trend_vector(180)
     assert vec[0] == pytest.approx(np.mean([0.2, 0.4, 0.6]))
     assert vec[2] == pytest.approx(0.5)  # nothing observed: default
@@ -208,7 +253,7 @@ def test_corpus_trend_window_matches_contract():
 
 def test_retrain_rejects_bad_grid_and_folds():
     corpus = HistoryCorpus(4)
-    update_history(corpus, {(0, 0): (3, 2)})
+    observe(corpus, 0, {0: (3, 2)})
     for grid in ([], [0.0, 1.0], [-1.0]):
         with pytest.raises(ConfigError):
             retrain(corpus, grid=grid)
@@ -218,9 +263,9 @@ def test_retrain_rejects_bad_grid_and_folds():
 
 def test_retrain_returns_fresh_model():
     corpus = HistoryCorpus(4)
-    update_history(corpus, {(0, 0): (3, 2)})
+    observe(corpus, 0, {0: (3, 2)})
     m1 = retrain(corpus)
-    update_history(corpus, {(1, 60): (3, 1)})
+    observe(corpus, 60, {1: (3, 1)})
     m2 = retrain(corpus)
     assert m1 is not m2
     assert m1.schema == m2.schema == feature_schema(4)
@@ -228,19 +273,82 @@ def test_retrain_returns_fresh_model():
 
 def test_corpus_and_model_roundtrip(tmp_path):
     corpus = HistoryCorpus(4)
-    update_history(corpus, {(0, 0): (4, 2), (3, 60): (2, 2)})
+    observe(corpus, 0, {0: (4, 2)})
+    observe(corpus, 60, {3: (2, 2)})
     cpath = tmp_path / "hist.csv"
     save_corpus(cpath, corpus)
     back = load_corpus(cpath, 4)
-    assert [(r.cell, r.bucket_start, r.rho) for r in back.records] == [
-        (r.cell, r.bucket_start, r.rho) for r in corpus.records
-    ]
+    for name in ("cells", "starts", "rho", "attempts"):
+        assert getattr(back, name).tolist() == getattr(corpus, name).tolist()
     model = retrain(corpus)
     mpath = tmp_path / "model.json"
     save_model(mpath, model)
     loaded = load_model(mpath)
     assert loaded.lam == model.lam
     assert np.allclose(loaded.coefficients, model.coefficients)
+
+
+def test_load_corpus_rejects_negative_cell_and_attempts():
+    header = "k,bucket_start,rho,attempts\n"
+    with pytest.raises(SchemaError, match="line 3"):
+        load_corpus(io.StringIO(header + "0,0,0.5,2\n-1,0,0.5,2\n"), 4)
+    with pytest.raises(ValidationError, match="line 2"):
+        load_corpus(io.StringIO(header + "1,0,0.5,-2\n"), 4)
+
+
+def test_history_file_roundtrip_is_byte_identical(bootstrap_history, tmp_path):
+    original = Path(bootstrap_history).read_bytes()
+    corpus = load_corpus(bootstrap_history, 100)
+    assert len(corpus) > 100
+    out = tmp_path / "again.csv"
+    save_corpus(out, corpus)
+    assert out.read_bytes() == original
+
+
+@st.composite
+def trend_cases(draw):
+    """Corpora with duplicate rows and starts off the hour (negative ones
+    too), plus query starts for trend_vector."""
+    n_cells = draw(st.integers(1, 8))
+    row = st.tuples(st.integers(0, n_cells - 1), st.integers(-600, 600), st.floats(0.0, 1.0))
+    rows = draw(st.lists(row, max_size=60))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=30))
+    rows = draw(st.permutations(rows))
+    cells, starts, rho = zip(*rows) if rows else ((), (), ())
+    corpus = HistoryCorpus(n_cells, draw(st.integers(0, 6)), cells, starts, rho, [1] * len(rows))
+    queries = draw(st.lists(st.integers(-700, 800), min_size=1, max_size=4))
+    if rows:
+        queries += draw(st.lists(st.sampled_from(starts), max_size=3))
+    return corpus, queries
+
+
+@settings(deadline=None, max_examples=200)
+@given(trend_cases())
+def test_trend_window_matches_scalar_reference(case):
+    corpus, queries = case
+    got = trailing_trend(corpus, corpus.cells, corpus.starts)
+    want = [trend(corpus, c, s) for c, s in zip(corpus.cells.tolist(), corpus.starts.tolist())]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for start in queries:
+        want = [trend(corpus, k, start) for k in range(corpus.n_cells)]
+        np.testing.assert_allclose(corpus.trend_vector(start), want, rtol=0, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=200)
+@given(trend_cases(), st.data())
+def test_predict_many_matches_dense_reference(case, data):
+    corpus, _ = case
+    n = corpus.n_cells
+    coef = st.floats(-0.3, 0.3)
+    model = RidgeModel(data.draw(st.lists(coef, min_size=feature_dim(n), max_size=feature_dim(n))),
+                       data.draw(st.floats(-0.2, 1.2)), 1.0, feature_schema(n))
+    cells = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=np.int64)
+    tick = data.draw(st.integers(0, 3 * 1440))
+    bucket = (tick // BUCKET_MINUTES) * BUCKET_MINUTES
+    got = predict_many(model, cells, tick, corpus.trend_vector(bucket), n, corpus.base_weekday)
+    want = [predict_availability(model, int(k), tick, corpus) for k in cells]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def assert_matches_reference(corpus, rtol=1e-9):
@@ -271,10 +379,9 @@ def corpora(draw):
     if rows:
         rows += draw(st.lists(st.sampled_from(rows), max_size=100))
     rows = draw(st.permutations(rows))
-    corpus = HistoryCorpus(n_cells, draw(st.integers(0, 6)))
-    for cell, hour, wins in rows:
-        corpus.records.append(HistoryRecord(cell, hour * BUCKET_MINUTES, wins / 4, 4))
-    return corpus
+    cells, starts, rho = ([cell for cell, _, _ in rows], [hour * BUCKET_MINUTES for _, hour, _ in rows],
+                          [wins / 4 for _, _, wins in rows])
+    return HistoryCorpus(n_cells, draw(st.integers(0, 6)), cells, starts, rho, [4] * len(rows))
 
 
 @settings(deadline=None, max_examples=150)
@@ -289,8 +396,7 @@ def test_retrain_matches_dense_reference_on_city_day():
     grid, _ = make_grid(22, capacity=1, zones=3)
     sim = Simulation(grid, lattice_capacity(22), build_arrivals(cfg, grid, cfg.seed), cfg, cfg.seed)
     sim.run()
-    records = sim.corpus.records
-    assert len(records) > 1000
+    corpus = sim.corpus
+    assert len(corpus) > 1000
     for hour in range(1, cfg.horizon // BUCKET_MINUTES + 1):
-        seen = [r for r in records if r.bucket_start < hour * BUCKET_MINUTES]
-        assert_matches_reference(HistoryCorpus(sim.corpus.n_cells, sim.corpus.base_weekday, seen))
+        assert_matches_reference(take(corpus, np.flatnonzero(corpus.starts < hour * BUCKET_MINUTES)))

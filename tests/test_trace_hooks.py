@@ -1,0 +1,34 @@
+"""The benchmark's tracer wraps curbsim functions by name from outside the
+package; a rename in src/ must fail here, not only under --trace."""
+from dataclasses import replace
+
+from curbsim.engine import Simulation, build_arrivals
+from curbsim.grid import make_grid
+from perfbench.tracing import SPANS, Tracer
+from perfbench.workloads import city22_config, lattice_capacity
+
+
+def test_every_span_target_is_bound_where_it_is_patched():
+    for owner, attr, name in SPANS:
+        assert attr in owner.__dict__, f"{name}: {owner.__name__}.{attr} is gone"
+
+
+def test_tracer_sees_the_predictor_on_a_cord_approx_run():
+    cfg = replace(city22_config("cord-approx", 7), horizon=120)
+    grid, _ = make_grid(22, capacity=1, zones=3)
+    originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _ in SPANS]
+    tracer = Tracer()
+    tracer.install()
+    try:
+        sim = Simulation(grid, lattice_capacity(22), build_arrivals(cfg, grid, cfg.seed), cfg, cfg.seed)
+        sim.run()
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in originals:
+        assert owner.__dict__[attr] is original
+    layers = tracer.layer_metrics(days=1)
+    for span in ("predictor.retrain", "predictor.predict", "predictor.trend", "predictor.update"):
+        assert layers[f"{span}_s"] > 0, span
+    assert layers["predictor.retrains"] == 2
+    assert layers["predictor.corpus_records"] > 0
+    assert layers["engine.ticks"] == 120
