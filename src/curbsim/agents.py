@@ -1,14 +1,10 @@
-"""Agent state and movement policies.
+"""Agent movement and dwell sampling, vectorized over all searchers.
 
 Participants walk toward their dispatched target, one cell per tick.
 Competitors random-walk until a free spot comes within their visibility
-radius, then head for the nearest one and grab it when co-located. Arrival
-ties are broken uniformly at random.
-
-Scalar functions below are the per-agent contracts; the *_batch variants are
-the vectorized forms the engine runs each tick. Both draw one uniform per
-decision, so a batch call and an agent-ordered scalar loop are statistically
-identical (draw order differs, distributions do not).
+radius, then head for the nearest one and grab it when co-located. Every
+function draws one uniform per decision; the per-agent scalar contracts they
+implement live with the tests (tests/reference.py).
 """
 from __future__ import annotations
 
@@ -18,30 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import CellCoord, OccupancyState, manhattan, manhattan_matrix
-
-SEARCHING = "searching"
-PARKED = "parked"
-FAILED = "failed"
-
-
-@dataclass
-class Participant:
-    id: int
-    pos: CellCoord
-    spawn_tick: int
-    target: CellCoord | None = None
-    status: str = SEARCHING
-    dwell_remaining: int | None = None
-
-
-@dataclass
-class Competitor:
-    id: int
-    pos: CellCoord
-    spawn_tick: int
-    status: str = SEARCHING
-    dwell_remaining: int | None = None
+from .grid import manhattan_matrix
 
 
 @dataclass
@@ -60,69 +33,6 @@ class DwellSpec:
             raise ConfigError("dwell parameters out of range")
 
 
-def visible_spots(c: Competitor, state: OccupancyState, r: int) -> set[CellCoord]:
-    """Cells with a free spot within Manhattan distance r of the competitor."""
-    free = state.free()
-    out = set()
-    for k in np.flatnonzero(free > 0):
-        cell = CellCoord(int(k) // state.n, int(k) % state.n)
-        if manhattan(c.pos, cell) <= r:
-            out.add(cell)
-    return out
-
-
-def _step_toward(pos: CellCoord, target: CellCoord, u: float) -> CellCoord:
-    """One step reducing distance to target by exactly 1; u breaks axis ties."""
-    di = target[0] - pos[0]
-    dj = target[1] - pos[1]
-    if di == 0 and dj == 0:
-        return pos
-    if di != 0 and dj != 0:
-        move_i = u < 0.5
-    else:
-        move_i = di != 0
-    if move_i:
-        return CellCoord(pos[0] + (1 if di > 0 else -1), pos[1])
-    return CellCoord(pos[0], pos[1] + (1 if dj > 0 else -1))
-
-
-def step_participant(d: Participant, target: CellCoord, rng: np.random.Generator) -> CellCoord:
-    return _step_toward(d.pos, target, rng.random())
-
-
-def step_competitor(c: Competitor, visible: set[CellCoord], rng: np.random.Generator, n: int) -> CellCoord:
-    """Head for the nearest visible spot cell, else take a uniform random
-    in-bounds step (von Neumann neighborhood, boundary-clipped)."""
-    if visible:
-        dists = sorted((manhattan(c.pos, cell), cell) for cell in visible)
-        best = dists[0][0]
-        choices = [cell for dist, cell in dists if dist == best]
-        cell = choices[int(rng.random() * len(choices))] if len(choices) > 1 else choices[0]
-        return _step_toward(c.pos, cell, rng.random())
-    i, j = c.pos
-    neighbors = [(i + di, j + dj) for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1))
-                 if 0 <= i + di < n and 0 <= j + dj < n]
-    return CellCoord(*neighbors[int(rng.random() * len(neighbors))])
-
-
-def resolve_parking(claimants: list[int], free_count: int, rng: np.random.Generator) -> set[int]:
-    """Uniform draw of min(free_count, len(claimants)) winners, no replacement."""
-    if free_count <= 0 or not claimants:
-        return set()
-    order = sorted(claimants)
-    if free_count >= len(order):
-        return set(order)
-    picks = rng.permutation(len(order))[:free_count]
-    return {order[int(p)] for p in picks}
-
-
-def sample_dwell(spec: DwellSpec, rng: np.random.Generator) -> int:
-    if spec.kind == "fixed":
-        return max(spec.floor, int(round(spec.minutes)))
-    draw = rng.lognormal(mean=math.log(spec.minutes), sigma=spec.sigma)
-    return max(spec.floor, int(round(draw)))
-
-
 def sample_dwell_batch(spec: DwellSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     if count == 0:
         return np.zeros(0, dtype=np.int64)
@@ -132,10 +42,9 @@ def sample_dwell_batch(spec: DwellSpec, count: int, rng: np.random.Generator) ->
     return np.maximum(spec.floor, np.round(draws)).astype(np.int64)
 
 
-# --- vectorized engine paths ---
-
 def step_toward_batch(pos: np.ndarray, target: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized _step_toward for (m,2) position/target arrays."""
+    """One step of each (m,2) position toward its target (none once there);
+    one uniform per agent breaks the axis tie."""
     m = len(pos)
     if m == 0:
         return pos

@@ -1,12 +1,21 @@
 """Rolling-horizon simulation loop.
 
-Tick order is fixed: (1) spawn the minute's arrivals, (2) decrement dwell and
-depart finished vehicles, (3) compute competitor captures and sample
-availability, (4) dispatch per strategy, (5) step all searching agents,
-(6) resolve parking claims per cell with uniform tie-breaks, (7) fail agents
-over the search budget, then merge outcomes into the predictor history on
-hour boundaries (cord-approx only). Departures run before dispatch so freed
-spots are assignable the same minute.
+`Simulation.tick` runs one minute as a fixed sequence of phases:
+
+1. `_spawn`: the minute's arrivals join the searching pools;
+2. `_depart`: parked stays count down and finished ones free their spots;
+3. `_dispatch`: sample availability, then assign targets per strategy (the
+   oracle first allocates competitor captures);
+4. `_move`: every active searcher takes one step;
+5. `_resolve`: claims per cell with uniform tie-breaks, parking, and the
+   cord-approx observations;
+6. `_expire`: agents over the search budget fail;
+7. `_learn`: on bucket ends, merge the observations into the predictor
+   history and retrain on schedule (cord-approx only).
+
+Departures run before dispatch so freed spots are assignable the same minute.
+Every phase is array-wide; `_emit` writes one event line per agent, and
+only when an event sink is attached.
 
 Determinism: every stochastic concern draws from its own seeded stream
 (demand, strategy ties, movement, parking ties, dwell), in a fixed order
@@ -46,6 +55,9 @@ GROUP_NAMES = ("participant", "competitor")
 STATUS_PARKED = 0
 STATUS_FAILED = 1
 STATUS_CENSORED = 2
+
+_NO_ROWS = np.zeros(0, np.int64)
+_NO_CELLS = np.zeros((0, 2), np.int64)
 
 
 @dataclass
@@ -109,6 +121,16 @@ class SimConfig:
             raise ConfigError(f"t_max must be >= 1, got {self.t_max}")
         if not (0 <= self.weekday <= 6):
             raise ConfigError(f"weekday must be in 0..6, got {self.weekday}")
+        if self.arrivals.kind not in ("synth", "file"):
+            raise ConfigError(f"arrivals.kind must be 'synth' or 'file', got {self.arrivals.kind!r}")
+        if self.arrivals.magnitude < 0:
+            raise ConfigError(f"arrivals.magnitude must be >= 0, got {self.arrivals.magnitude}")
+        if self.demand_scale < 0:
+            raise ConfigError(f"demand_scale must be >= 0, got {self.demand_scale}")
+        if len(self.shares) != 2 or min(self.shares) < 0 or sum(self.shares) > 1:
+            raise ConfigError(f"shares must be two fractions >= 0 with a sum <= 1, got {list(self.shares)}")
+        if len(self.peak_window) != 2 or not 0 <= self.peak_window[0] < self.peak_window[1]:
+            raise ConfigError(f"peak_window must be [start, end] with 0 <= start < end, got {list(self.peak_window)}")
         if self.history_groups not in ("participants", "both"):
             raise ConfigError(f"history_groups must be 'participants' or 'both', got {self.history_groups!r}")
         # the engine retrains only at bucket ends
@@ -135,11 +157,7 @@ class RunOutcomes:
 
     @staticmethod
     def from_lists(rows: list[tuple[int, int, int, int, int]]) -> "RunOutcomes":
-        if rows:
-            arr = np.array(rows, dtype=np.int64)
-        else:
-            arr = np.zeros((0, 5), dtype=np.int64)
-        return RunOutcomes(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4])
+        return RunOutcomes(*np.array(rows, dtype=np.int64).reshape(-1, 5).T)
 
 
 @dataclass
@@ -151,31 +169,49 @@ class RunResult:
     events_path: str | None = None
 
 
-class _Agents:
-    """Struct-of-arrays store for one searching group."""
+class _Columns:
+    """Struct-of-arrays store: equal-length columns appended and filtered together."""
 
-    def __init__(self, with_target: bool):
-        self.ids = np.zeros(0, np.int64)
-        self.pos = np.zeros((0, 2), np.int64)
-        self.spawn = np.zeros(0, np.int64)
-        self.target = np.full((0, 2), -1, np.int64) if with_target else None
+    columns: tuple[str, ...] = ()
 
     def __len__(self):
         return len(self.ids)
 
-    def append(self, ids, pos, spawn):
-        self.ids = np.concatenate([self.ids, ids])
-        self.pos = np.vstack([self.pos, pos])
-        self.spawn = np.concatenate([self.spawn, spawn])
-        if self.target is not None:
-            self.target = np.vstack([self.target, np.full((len(ids), 2), -1, np.int64)])
+    def append(self, *cols):
+        for name, col in zip(self.columns, cols):
+            setattr(self, name, np.concatenate([getattr(self, name), col]))
 
     def keep(self, mask: np.ndarray):
-        self.ids = self.ids[mask]
-        self.pos = self.pos[mask]
-        self.spawn = self.spawn[mask]
-        if self.target is not None:
-            self.target = self.target[mask]
+        for name in self.columns:
+            setattr(self, name, getattr(self, name)[mask])
+
+
+class _Agents(_Columns):
+    """One searching group; participants also carry their dispatched target
+    ((-1, -1) until the first assignment)."""
+
+    def __init__(self, group: int):
+        self.group = group
+        self.ids = np.zeros(0, np.int64)
+        self.pos = np.zeros((0, 2), np.int64)
+        self.spawn = np.zeros(0, np.int64)
+        self.columns = ("ids", "pos", "spawn")
+        if group == GROUP_PARTICIPANT:
+            self.target = np.full((0, 2), -1, np.int64)
+            self.columns += ("target",)
+
+    def append(self, ids, pos, spawn):
+        super().append(ids, pos, spawn, np.full((len(ids), 2), -1, np.int64))
+
+
+class _Parked(_Columns):
+    """Occupied spots: agent id (-1 for phantoms), group, cell, dwell left."""
+
+    columns = ("ids", "group", "cell", "dwell")
+
+    def __init__(self):
+        for name in self.columns:
+            setattr(self, name, np.zeros(0, np.int64))
 
 
 class _SeriesIndex:
@@ -183,18 +219,11 @@ class _SeriesIndex:
 
     def __init__(self, series: ArrivalSeries, group: str):
         src = series.participants if group == "participant" else series.competitors
-        items = sorted(src.items())
-        self.minutes = np.array([m for ((_, m), _) in items], dtype=np.int64)
-        self.cells = np.array([c for ((c, _), _) in items], dtype=np.int64)
-        self.counts = np.array([v for (_, v) in items], dtype=np.int64)
-        order = np.argsort(self.minutes, kind="stable")
-        self.minutes = self.minutes[order]
-        self.cells = self.cells[order]
-        self.counts = self.counts[order]
+        rows = np.array(sorted((m, c, v) for (c, m), v in src.items()), dtype=np.int64).reshape(-1, 3)
+        self.minutes, self.cells, self.counts = rows.T.copy()
 
     def at(self, minute: int) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.searchsorted(self.minutes, minute, side="left")
-        hi = np.searchsorted(self.minutes, minute, side="right")
+        lo, hi = np.searchsorted(self.minutes, (minute, minute + 1))
         return self.cells[lo:hi], self.counts[lo:hi]
 
 
@@ -220,19 +249,15 @@ class Simulation:
         self.sink = event_sink
         self.p_idx = _SeriesIndex(series, "participant")
         self.c_idx = _SeriesIndex(series, "competitor")
-        self.participants = _Agents(with_target=True)
-        self.competitors = _Agents(with_target=False)
-        self.parked_ids = np.zeros(0, np.int64)
-        self.parked_group = np.zeros(0, np.int64)
-        self.parked_cell = np.zeros(0, np.int64)
-        self.parked_dwell = np.zeros(0, np.int64)
+        self.participants = _Agents(GROUP_PARTICIPANT)
+        self.competitors = _Agents(GROUP_COMPETITOR)
+        self.parked = _Parked()
         self.availability = np.zeros(cfg.horizon)
-        self.outcome_rows: list[tuple[int, int, int, int, int]] = []
+        self._outcomes: list[np.ndarray] = []
         self.next_id = 0
         self.spawned = [0, 0]
         self.parked_count = [0, 0]
         self.failed_count = [0, 0]
-        self.departed_count = [0, 0]
         self._p_table = None
         if cfg.strategy is StrategyKind.CORD_ORACLE:
             self._p_table = capture_prob_table(cfg.r, 2 * (self.n - 1))
@@ -254,14 +279,53 @@ class Simulation:
         if cfg.initial_occupancy > 0:
             self._place_phantoms()
 
+    def tick(self):
+        """One simulated minute: the phases in the module docstring's order."""
+        t = self.occ.tick
+        self._spawn(t)
+        self._depart(t)
+        act_p = self._active(self.participants, t)
+        act_c = self._active(self.competitors, t)
+        free_cells = self._dispatch(t, act_p, act_c)
+        self._move(t, act_p, act_c, free_cells)
+        self._resolve(t, act_p, act_c)
+        self._expire(t)
+        if self.cfg.checks:
+            self._check_conservation()
+        self.occ.tick = t + 1
+        self._learn(t + 1)
+
     # --- helpers ---
 
-    def _emit(self, tick, agent_id, group, event, cell_k):
-        if self.sink is not None:
-            self.sink.write(
-                f'{{"tick": {tick}, "agent_id": {agent_id}, "group": "{group}", '
-                f'"event": "{event}", "cell": {cell_k}}}\n'
-            )
+    def _emit(self, t, event, ids, groups, cells):
+        """One event line per agent; groups is one code or one per agent."""
+        if self.sink is None:
+            return
+        write = self.sink.write
+        groups = [groups] * len(ids) if isinstance(groups, int) else groups.tolist()
+        for aid, g, k in zip(ids.tolist(), groups, cells.tolist()):
+            write(f'{{"tick": {t}, "agent_id": {aid}, "group": "{GROUP_NAMES[g]}", '
+                  f'"event": "{event}", "cell": {k}}}\n')
+
+    def _record(self, groups, spawn, status, t, cells):
+        """One outcome row (group, spawn, status, terminal tick, cell) per agent."""
+        rows = np.empty((len(spawn), 5), np.int64)
+        for j, col in enumerate((groups, spawn, status, t, cells)):
+            rows[:, j] = col
+        self._outcomes.append(rows)
+
+    def _coords(self, k: np.ndarray) -> np.ndarray:
+        return np.stack([k // self.n, k % self.n], axis=1)
+
+    def _cells(self, pos: np.ndarray) -> np.ndarray:
+        return pos[:, 0] * self.n + pos[:, 1]
+
+    def _active(self, agents: _Agents, t: int) -> np.ndarray:
+        """Spawned before this tick and within the search budget, so a
+        distance-d target costs exactly d minutes of search time; over-budget
+        agents are inert in their final tick and fail in _expire."""
+        age = t - agents.spawn
+        return (age > 0) & (age <= self.cfg.t_max)
 
     def _place_phantoms(self):
         """Background occupants so a run can start inside a target availability
@@ -285,50 +349,9 @@ class Simulation:
         dwell = sample_dwell_batch(self.cfg.dwell, len(cells), rng)
         dwell = np.maximum(1, np.ceil(dwell * rng.random(len(cells))).astype(np.int64))
         self.occ.occupied += np.bincount(cells, minlength=len(caps))
-        self.parked_ids = np.concatenate([self.parked_ids, np.full(len(cells), -1, np.int64)])
-        self.parked_group = np.concatenate([self.parked_group, np.full(len(cells), GROUP_PHANTOM, np.int64)])
-        self.parked_cell = np.concatenate([self.parked_cell, cells])
-        self.parked_dwell = np.concatenate([self.parked_dwell, dwell])
+        no_id = np.full(len(cells), -1, np.int64)
+        self.parked.append(no_id, np.full(len(cells), GROUP_PHANTOM, np.int64), cells, dwell)
         self.occ.check()
-
-    def _spawn(self, t):
-        for group, idx, agents in (
-            (GROUP_PARTICIPANT, self.p_idx, self.participants),
-            (GROUP_COMPETITOR, self.c_idx, self.competitors),
-        ):
-            cells, counts = idx.at(t)
-            total = int(counts.sum())
-            if total == 0:
-                continue
-            ks = np.repeat(cells, counts)
-            ids = np.arange(self.next_id, self.next_id + total, dtype=np.int64)
-            self.next_id += total
-            pos = np.stack([ks // self.n, ks % self.n], axis=1)
-            agents.append(ids, pos, np.full(total, t, np.int64))
-            self.spawned[group] += total
-            name = GROUP_NAMES[group]
-            for aid, k in zip(ids, ks):
-                self._emit(t, int(aid), name, "spawn", int(k))
-
-    def _depart(self, t):
-        if len(self.parked_dwell) == 0:
-            return
-        self.parked_dwell -= 1
-        done = self.parked_dwell <= 0
-        if done.any():
-            freed = np.bincount(self.parked_cell[done], minlength=self.n * self.n)
-            self.occ.occupied -= freed
-            for gi, aid, k in zip(self.parked_group[done], self.parked_ids[done], self.parked_cell[done]):
-                if gi != GROUP_PHANTOM:
-                    self.departed_count[int(gi)] += 1
-                    self._emit(t, int(aid), GROUP_NAMES[int(gi)], "depart", int(k))
-            keep = ~done
-            self.parked_ids = self.parked_ids[keep]
-            self.parked_group = self.parked_group[keep]
-            self.parked_cell = self.parked_cell[keep]
-            self.parked_dwell = self.parked_dwell[keep]
-            if self.cfg.checks:
-                self.occ.check()
 
     def _capture_allocation(self, free_cells, free_counts, c_pos):
         """Capacity-aware capture estimate for the oracle's offer.
@@ -357,232 +380,203 @@ class Simulation:
             unallocated = ~sees
         return blockers, unallocated
 
-    def tick(self):
-        t = self.occ.tick
-        cfg = self.cfg
-        self._spawn(t)
-        self._depart(t)
+    # --- phases, in tick order ---
 
-        # active = spawned before this tick and within the search budget, so a
-        # distance-d target costs exactly d minutes of search time; over-budget
-        # agents are inert in their final tick and fail at step 7
-        age_p = t - self.participants.spawn
-        age_c = t - self.competitors.spawn
-        act_p = (age_p > 0) & (age_p <= cfg.t_max)
-        act_c = (age_c > 0) & (age_c <= cfg.t_max)
-        d_pos = self.participants.pos[act_p]
-        c_pos = self.competitors.pos[act_c]
+    def _spawn(self, t):
+        for agents, idx in ((self.participants, self.p_idx), (self.competitors, self.c_idx)):
+            cells, counts = idx.at(t)
+            total = int(counts.sum())
+            if total == 0:
+                continue
+            ks = np.repeat(cells, counts)
+            ids = np.arange(self.next_id, self.next_id + total, dtype=np.int64)
+            self.next_id += total
+            agents.append(ids, self._coords(ks), np.full(total, t, np.int64))
+            self.spawned[agents.group] += total
+            self._emit(t, "spawn", ids, agents.group, ks)
 
-        free = self.occ.free()
-        free_k = np.flatnonzero(free > 0)
-        free_cells = np.stack([free_k // self.n, free_k % self.n], axis=1) if len(free_k) else np.zeros((0, 2), np.int64)
-        b = self.occ.total_capacity
-        self.availability[t] = free.sum() / b if b else 0.0
-
-        # dispatch; captured units are withheld only from the oracle, which is
-        # the one strategy entitled to know competitor positions (for the
-        # others Eq. 1 plays out physically at resolution time)
-        if len(d_pos):
-            srng = self.streams.stream("strategy")
-            offered = free_cells
-            counts = free[free_k]
-            kwargs = {}
-            if cfg.strategy is StrategyKind.CORD_ORACLE:
-                blockers, unallocated = self._capture_allocation(free_cells, counts, c_pos)
-                kwargs["ctx"] = OracleContext(c_pos[unallocated], cfg.r)
-                kwargs["p_table"] = self._p_table
-                kwargs["unit_block_dist"] = blockers
-            elif cfg.strategy is StrategyKind.CORD_APPROX:
-                kwargs["p_hat"] = predict_many(
-                    self.model, free_k, self.minute0 + t, self._trend,
-                    self.n * self.n, cfg.weekday,
-                )
-            targets = dispatch(cfg.strategy, d_pos, offered, counts, srng, **kwargs)
-            if targets:
-                rows = np.flatnonzero(act_p)
-                for local, cell in targets.items():
-                    gi = rows[local]
-                    old = self.participants.target[gi]
-                    if old[0] != cell[0] or old[1] != cell[1]:
-                        self.participants.target[gi, 0] = cell[0]
-                        self.participants.target[gi, 1] = cell[1]
-                        self._emit(t, int(self.participants.ids[gi]), "participant", "assign",
-                                   int(cell[0] * self.n + cell[1]))
-
-        # move; never-dispatched participants cruise like blind searchers so a
-        # tick without an assignment is repositioning, not a lost minute
-        mrng = self.streams.stream("movement")
-        if len(self.participants):
-            has_tgt = act_p & (self.participants.target[:, 0] >= 0)
-            if has_tgt.any():
-                old_pos = self.participants.pos[has_tgt]
-                new_pos = step_toward_batch(old_pos, self.participants.target[has_tgt], mrng)
-                self.participants.pos[has_tgt] = new_pos
-                if cfg.log_moves and self.sink is not None:
-                    moved = (old_pos != new_pos).any(axis=1)
-                    ids = self.participants.ids[has_tgt]
-                    for aid, p in zip(ids[moved], new_pos[moved]):
-                        self._emit(t, int(aid), "participant", "move", int(p[0] * self.n + p[1]))
-            adrift = act_p & (self.participants.target[:, 0] < 0)
-            if adrift.any():
-                new_pos = step_competitors_batch(
-                    self.participants.pos[adrift], np.zeros((0, 2), np.int64), cfg.r, self.n, mrng
-                )
-                self.participants.pos[adrift] = new_pos
-                if cfg.log_moves and self.sink is not None:
-                    for aid, p in zip(self.participants.ids[adrift], new_pos):
-                        self._emit(t, int(aid), "participant", "move", int(p[0] * self.n + p[1]))
-        if act_c.any():
-            old_pos = self.competitors.pos[act_c]
-            new_pos = step_competitors_batch(old_pos, free_cells, cfg.r, self.n, mrng)
-            self.competitors.pos[act_c] = new_pos
-            if cfg.log_moves and self.sink is not None:
-                moved = (old_pos != new_pos).any(axis=1)
-                ids = self.competitors.ids[act_c]
-                for aid, p in zip(ids[moved], new_pos[moved]):
-                    self._emit(t, int(aid), "competitor", "move", int(p[0] * self.n + p[1]))
-
-        # resolve claims, cell by cell, uniform winners; a participant claims
-        # at its assigned cell, or wherever it stands while unassigned
-        free = self.occ.free()
-        has_target = self.participants.target[:, 0] >= 0
-        at_target = has_target & (self.participants.pos == self.participants.target).all(axis=1)
-        p_claim = act_p & (at_target | ~has_target)
-        p_k = self.participants.pos[:, 0] * self.n + self.participants.pos[:, 1]
-        c_k = self.competitors.pos[:, 0] * self.n + self.competitors.pos[:, 1]
-        p_claim &= free[p_k] > 0
-        c_claim = act_c & (free[c_k] > 0)
-
-        p_arrived = act_p & at_target
-
-        trng = self.streams.stream("ties")
-        winners_p: list[int] = []
-        winners_c: list[int] = []
-        if p_claim.any() or c_claim.any():
-            claim_cells = np.concatenate([p_k[p_claim], c_k[c_claim]])
-            claim_group = np.concatenate([
-                np.zeros(int(p_claim.sum()), np.int64),
-                np.ones(int(c_claim.sum()), np.int64),
-            ])
-            claim_row = np.concatenate([np.flatnonzero(p_claim), np.flatnonzero(c_claim)])
-            order = np.lexsort((claim_group, claim_row, claim_cells))
-            claim_cells = claim_cells[order]
-            claim_group = claim_group[order]
-            claim_row = claim_row[order]
-            start = 0
-            while start < len(claim_cells):
-                end = start
-                k = claim_cells[start]
-                while end < len(claim_cells) and claim_cells[end] == k:
-                    end += 1
-                m = end - start
-                take = min(int(free[k]), m)
-                if take == m:
-                    picks = np.arange(m)
-                else:
-                    picks = trng.permutation(m)[:take]
-                for p in np.sort(picks):
-                    gi = int(claim_row[start + p])
-                    if claim_group[start + p] == GROUP_PARTICIPANT:
-                        winners_p.append(gi)
-                    else:
-                        winners_c.append(gi)
-                start = end
-
-        n_winners = len(winners_p) + len(winners_c)
-        if n_winners:
-            drng = self.streams.stream("dwell")
-            dwell = sample_dwell_batch(cfg.dwell, n_winners, drng)
-            w_rows = []
-            for gi in winners_p:
-                w_rows.append((GROUP_PARTICIPANT, gi))
-            for gi in winners_c:
-                w_rows.append((GROUP_COMPETITOR, gi))
-            new_ids, new_groups, new_cells = [], [], []
-            for (grp, gi), dw in zip(w_rows, dwell):
-                agents = self.participants if grp == GROUP_PARTICIPANT else self.competitors
-                k = int(agents.pos[gi, 0] * self.n + agents.pos[gi, 1])
-                self.occ.occupied[k] += 1
-                new_ids.append(int(agents.ids[gi]))
-                new_groups.append(grp)
-                new_cells.append(k)
-                self.parked_count[grp] += 1
-                self.outcome_rows.append((grp, int(agents.spawn[gi]), STATUS_PARKED, t, k))
-                self._emit(t, int(agents.ids[gi]), GROUP_NAMES[grp], "park", k)
-            self.parked_ids = np.concatenate([self.parked_ids, np.array(new_ids, np.int64)])
-            self.parked_group = np.concatenate([self.parked_group, np.array(new_groups, np.int64)])
-            self.parked_cell = np.concatenate([self.parked_cell, np.array(new_cells, np.int64)])
-            self.parked_dwell = np.concatenate([self.parked_dwell, np.asarray(dwell, np.int64)])
-            if cfg.checks:
+    def _depart(self, t):
+        parked = self.parked
+        if len(parked) == 0:
+            return
+        parked.dwell -= 1
+        done = parked.dwell <= 0
+        if done.any():
+            self.occ.occupied -= np.bincount(parked.cell[done], minlength=self.n * self.n)
+            seen = done & (parked.group != GROUP_PHANTOM)
+            self._emit(t, "depart", parked.ids[seen], parked.group[seen], parked.cell[seen])
+            parked.keep(~done)
+            if self.cfg.checks:
                 self.occ.check()
 
-        # predictor observations: participant attempt = arrival at target,
-        # competitor attempt = co-located claim
-        if cfg.strategy is StrategyKind.CORD_APPROX:
-            won_p = np.zeros(len(self.participants), dtype=bool)
-            won_p[winners_p] = True
-            np.add.at(self._attempts, p_k[p_arrived], 1)
-            np.add.at(self._successes, p_k[p_arrived & won_p], 1)
-            if cfg.history_groups == "both":
-                won_c = np.zeros(len(self.competitors), dtype=bool)
-                won_c[winners_c] = True
-                np.add.at(self._attempts, c_k[c_claim], 1)
-                np.add.at(self._successes, c_k[c_claim & won_c], 1)
+    def _dispatch(self, t, act_p, act_c) -> np.ndarray:
+        """Sample availability, then dispatch the active participants; returns
+        the cells holding a free spot. Captured units are withheld only from
+        the oracle, the one strategy entitled to know competitor positions
+        (for the others Eq. 1 plays out physically at resolution time)."""
+        cfg = self.cfg
+        free = self.occ.free()
+        free_k = np.flatnonzero(free > 0)
+        free_cells = self._coords(free_k)
+        b = self.occ.total_capacity
+        self.availability[t] = free.sum() / b if b else 0.0
+        p = self.participants
+        d_pos = p.pos[act_p]
+        if len(d_pos) == 0:
+            return free_cells
+        counts = free[free_k]
+        kwargs = {}
+        if cfg.strategy is StrategyKind.CORD_ORACLE:
+            c_pos = self.competitors.pos[act_c]
+            blockers, unallocated = self._capture_allocation(free_cells, counts, c_pos)
+            kwargs = dict(ctx=OracleContext(c_pos[unallocated], cfg.r), p_table=self._p_table,
+                          unit_block_dist=blockers)
+        elif cfg.strategy is StrategyKind.CORD_APPROX:
+            kwargs["p_hat"] = predict_many(
+                self.model, free_k, self.minute0 + t, self._trend, self.n * self.n, cfg.weekday,
+            )
+        targets = dispatch(cfg.strategy, d_pos, free_cells, counts, self.streams.stream("strategy"), **kwargs)
+        if targets:
+            # assign events follow the strategy's own order
+            rows = np.flatnonzero(act_p)[list(targets)]
+            cells = np.array(list(targets.values()), np.int64)
+            changed = (p.target[rows] != cells).any(axis=1)
+            rows, cells = rows[changed], cells[changed]
+            p.target[rows] = cells
+            self._emit(t, "assign", p.ids[rows], GROUP_PARTICIPANT, self._cells(cells))
+        return free_cells
 
-        # remove parked agents from the searching pools
-        for grp, agents, winners in (
-            (GROUP_PARTICIPANT, self.participants, winners_p),
-            (GROUP_COMPETITOR, self.competitors, winners_c),
-        ):
-            if winners:
+    def _move(self, t, act_p, act_c, free_cells):
+        """Step every active searcher. Never-dispatched participants cruise
+        like blind searchers, so a tick without an assignment is
+        repositioning, not a lost minute."""
+        cfg = self.cfg
+        mrng = self.streams.stream("movement")
+        p, c = self.participants, self.competitors
+        if len(p):
+            assigned = p.target[:, 0] >= 0
+            sel = act_p & assigned
+            if sel.any():
+                self._relocate(t, p, sel, step_toward_batch(p.pos[sel], p.target[sel], mrng))
+            sel = act_p & ~assigned
+            if sel.any():
+                self._relocate(t, p, sel, step_competitors_batch(p.pos[sel], _NO_CELLS, cfg.r, self.n, mrng))
+        if act_c.any():
+            self._relocate(t, c, act_c, step_competitors_batch(c.pos[act_c], free_cells, cfg.r, self.n, mrng))
+
+    def _relocate(self, t, agents: _Agents, sel, new_pos):
+        if self.cfg.log_moves and self.sink is not None:
+            moved = (agents.pos[sel] != new_pos).any(axis=1)
+            self._emit(t, "move", agents.ids[sel][moved], agents.group, self._cells(new_pos[moved]))
+        agents.pos[sel] = new_pos
+
+    def _resolve(self, t, act_p, act_c):
+        """Claims, parking and the cord-approx observations. A participant
+        claims at its assigned cell, or wherever it stands while unassigned;
+        a competitor claims wherever it stands."""
+        cfg = self.cfg
+        p, c = self.participants, self.competitors
+        free = self.occ.free()
+        assigned = p.target[:, 0] >= 0
+        at_target = assigned & (p.pos == p.target).all(axis=1)
+        p_k = self._cells(p.pos)
+        c_k = self._cells(c.pos)
+        p_claim = act_p & (at_target | ~assigned) & (free[p_k] > 0)
+        c_claim = act_c & (free[c_k] > 0)
+        won_p = won_c = _NO_ROWS
+        if p_claim.any() or c_claim.any():
+            won_p, won_c = self._claim_winners(free, np.flatnonzero(p_claim), p_k, np.flatnonzero(c_claim), c_k)
+            self._park(t, won_p, won_c, p_k, c_k)
+        if cfg.strategy is StrategyKind.CORD_APPROX:
+            # participant attempt = arrival at target, competitor attempt = co-located claim
+            n_cells = len(free)
+            self._attempts += np.bincount(p_k[act_p & at_target], minlength=n_cells)
+            self._successes += np.bincount(p_k[won_p[at_target[won_p]]], minlength=n_cells)
+            if cfg.history_groups == "both":
+                self._attempts += np.bincount(c_k[c_claim], minlength=n_cells)
+                self._successes += np.bincount(c_k[won_c], minlength=n_cells)
+        for agents, won in ((p, won_p), (c, won_c)):
+            if len(won):
                 keep = np.ones(len(agents), dtype=bool)
-                keep[winners] = False
+                keep[won] = False
                 agents.keep(keep)
 
-        # expire
-        for grp, agents in ((GROUP_PARTICIPANT, self.participants), (GROUP_COMPETITOR, self.competitors)):
-            over = (t - agents.spawn) > cfg.t_max
+    def _claim_winners(self, free, p_rows, p_k, c_rows, c_k):
+        """Winning participant and competitor rows, in (cell, row) order. A
+        cell with more claims than free spots draws its winners uniformly
+        from the "ties" stream, one permutation per such cell, cells
+        ascending."""
+        rows = np.concatenate([p_rows, c_rows])
+        cells = np.concatenate([p_k[p_rows], c_k[c_rows]])
+        group = np.repeat([GROUP_PARTICIPANT, GROUP_COMPETITOR], [len(p_rows), len(c_rows)])
+        order = np.lexsort((group, rows, cells))
+        rows, group = rows[order], group[order]
+        won = np.ones(len(rows), dtype=bool)
+        size = np.bincount(cells, minlength=len(free))
+        contested = np.flatnonzero(size > free)
+        if len(contested):
+            start = np.cumsum(size) - size  # each cell's first claim in sorted order
+            trng = self.streams.stream("ties")
+            for k in contested.tolist():
+                won[start[k] + trng.permutation(int(size[k]))[free[k]:]] = False
+        return rows[won & (group == GROUP_PARTICIPANT)], rows[won & (group == GROUP_COMPETITOR)]
+
+    def _park(self, t, won_p, won_c, p_k, c_k):
+        """Occupy one spot per winner, participants first, with sampled dwell."""
+        p, c = self.participants, self.competitors
+        ids = np.concatenate([p.ids[won_p], c.ids[won_c]])
+        groups = np.repeat([GROUP_PARTICIPANT, GROUP_COMPETITOR], [len(won_p), len(won_c)])
+        cells = np.concatenate([p_k[won_p], c_k[won_c]])
+        dwell = sample_dwell_batch(self.cfg.dwell, len(ids), self.streams.stream("dwell"))
+        self.occ.occupied += np.bincount(cells, minlength=self.n * self.n)
+        self.parked.append(ids, groups, cells, dwell)
+        self.parked_count[GROUP_PARTICIPANT] += len(won_p)
+        self.parked_count[GROUP_COMPETITOR] += len(won_c)
+        self._record(groups, np.concatenate([p.spawn[won_p], c.spawn[won_c]]), STATUS_PARKED, t, cells)
+        self._emit(t, "park", ids, groups, cells)
+        if self.cfg.checks:
+            self.occ.check()
+
+    def _expire(self, t):
+        for agents in (self.participants, self.competitors):
+            over = (t - agents.spawn) > self.cfg.t_max
             if over.any():
-                for aid, spawn, pos in zip(agents.ids[over], agents.spawn[over], agents.pos[over]):
-                    k = int(pos[0] * self.n + pos[1])
-                    self.failed_count[grp] += 1
-                    self.outcome_rows.append((grp, int(spawn), STATUS_FAILED, t, -1))
-                    self._emit(t, int(aid), GROUP_NAMES[grp], "fail", k)
+                self.failed_count[agents.group] += int(over.sum())
+                self._record(agents.group, agents.spawn[over], STATUS_FAILED, t, -1)
+                self._emit(t, "fail", agents.ids[over], agents.group, self._cells(agents.pos[over]))
                 agents.keep(~over)
 
-        if cfg.checks:
-            self._check_conservation()
-
-        self.occ.tick = t + 1
-
-        # learn
-        if cfg.strategy is StrategyKind.CORD_APPROX and (t + 1) % BUCKET_MINUTES == 0:
-            bucket_start = self.minute0 + t + 1 - BUCKET_MINUTES
-            update_history(self.corpus, bucket_start, self._attempts, self._successes)
-            self._attempts[:] = 0
-            self._successes[:] = 0
-            self._trend = self.corpus.trend_vector(self.minute0 + t + 1)
-            if (t + 1) % self.cfg.retrain_every == 0 and len(self.corpus):
-                self.model = retrain(self.corpus)
+    def _learn(self, end):
+        """At each bucket end (cord-approx only): merge the bucket's outcomes
+        into the history, refresh the trend, and retrain on schedule."""
+        if self.cfg.strategy is not StrategyKind.CORD_APPROX or end % BUCKET_MINUTES:
+            return
+        update_history(self.corpus, self.minute0 + end - BUCKET_MINUTES, self._attempts, self._successes)
+        self._attempts[:] = 0
+        self._successes[:] = 0
+        self._trend = self.corpus.trend_vector(self.minute0 + end)
+        if end % self.cfg.retrain_every == 0 and len(self.corpus):
+            self.model = retrain(self.corpus)
 
     def _check_conservation(self):
-        for grp, agents in ((GROUP_PARTICIPANT, self.participants), (GROUP_COMPETITOR, self.competitors)):
-            total = len(agents) + self.parked_count[grp] + self.failed_count[grp]
+        for agents in (self.participants, self.competitors):
+            grp = agents.group
             # parked_count is cumulative: departures stay inside it
+            total = len(agents) + self.parked_count[grp] + self.failed_count[grp]
             if total != self.spawned[grp]:
                 raise ValidationError(
                     f"agent conservation broken for {GROUP_NAMES[grp]}: "
                     f"{self.spawned[grp]} spawned vs {total} accounted"
                 )
-        if int(self.occ.occupied.sum()) != len(self.parked_cell):
+        if int(self.occ.occupied.sum()) != len(self.parked):
             raise ValidationError("occupancy does not match the parked registry")
 
     def finish(self) -> RunOutcomes:
         """Censor agents still searching at horizon end."""
-        for grp, agents in ((GROUP_PARTICIPANT, self.participants), (GROUP_COMPETITOR, self.competitors)):
-            for spawn in agents.spawn:
-                self.outcome_rows.append((grp, int(spawn), STATUS_CENSORED, -1, -1))
-        return RunOutcomes.from_lists(self.outcome_rows)
+        for agents in (self.participants, self.competitors):
+            self._record(agents.group, agents.spawn, STATUS_CENSORED, -1, -1)
+        rows = np.concatenate(self._outcomes)
+        return RunOutcomes(*rows.T)
 
     def run(self) -> RunOutcomes:
         for _ in range(self.cfg.horizon):
@@ -611,7 +605,7 @@ def build_arrivals(cfg: SimConfig, grid: GridSpec, master_seed: int) -> ArrivalS
             rotate_every=a.rotate_every,
         )
         series = synth_demand(spec)
-    elif a.kind == "file":
+    else:  # "file"; SimConfig admits no other kind
         if not a.path:
             raise ConfigError("arrivals.kind=file requires arrivals.path")
         with open(a.path, "r", encoding="utf-8") as fh:
@@ -627,8 +621,6 @@ def build_arrivals(cfg: SimConfig, grid: GridSpec, master_seed: int) -> ArrivalS
                     f"arrival series spans {series.horizon} minutes, beyond horizon {cfg.horizon}"
                 )
             series.horizon = cfg.horizon
-    else:
-        raise ConfigError(f"unknown arrivals kind {a.kind!r}")
     if cfg.demand_scale != 1.0:
         series = scale_series(series, cfg.demand_scale)
     return series

@@ -24,7 +24,7 @@ class ValidationError(CurbsimError):
 
 
 class CapacityError(CurbsimError):
-    """Occupancy bookkeeping breach: occupy on a full cell or release on an empty one."""
+    """Occupancy bookkeeping breach: a cell's occupied count leaves [0, capacity]."""
 
 
 class SchemaError(CurbsimError):

@@ -104,33 +104,6 @@ class OccupancyState:
             )
 
 
-def free_spots(state: OccupancyState) -> list[tuple[CellCoord, int]]:
-    """Every cell with at least one free spot, with its free count."""
-    free = state.free()
-    out = []
-    for k in np.flatnonzero(free > 0):
-        out.append((CellCoord(int(k) // state.n, int(k) % state.n), int(free[k])))
-    return out
-
-
-def occupy(state: OccupancyState, z: CellCoord) -> OccupancyState:
-    """Take one spot in cell z. Errors on a full cell (an engine ordering bug)."""
-    k = z[0] * state.n + z[1]
-    if state.occupied[k] >= state.capacity[k]:
-        raise CapacityError(f"occupy on full cell {tuple(z)} (capacity {state.capacity[k]})")
-    state.occupied[k] += 1
-    return state
-
-
-def release(state: OccupancyState, z: CellCoord) -> OccupancyState:
-    """Free one spot in cell z. Errors on an empty cell."""
-    k = z[0] * state.n + z[1]
-    if state.occupied[k] <= 0:
-        raise CapacityError(f"release on empty cell {tuple(z)}")
-    state.occupied[k] -= 1
-    return state
-
-
 # --- grid definition file: columns k, geohash7, i, j, capacity[, zone_id] ---
 
 _REQUIRED_COLS = ("k", "geohash7", "i", "j", "capacity")

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError, SingularityError, ValidationError
+from .errors import ConfigError, ParseError, SchemaError, SingularityError, ValidationError
 
 BUCKET_MINUTES = 60
 CLAMP_LO = 0.01
@@ -335,7 +335,10 @@ def load_corpus(source, n_cells: int, base_weekday: int = 0) -> HistoryCorpus:
         parts = line.split(",")
         if len(parts) != 4:
             raise ValidationError(f"line {lineno}: expected 4 fields")
-        cell, bucket, rho, attempts = int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])
+        try:
+            cell, bucket, rho, attempts = int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])
+        except ValueError as exc:
+            raise ParseError(f"bad history row: {exc}", line=lineno) from None
         if not (0.0 <= rho <= 1.0):
             raise ValidationError(f"line {lineno}: rho {rho} outside [0, 1]")
         if not (0 <= cell < n_cells):

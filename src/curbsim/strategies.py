@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import CellCoord, manhattan, manhattan_matrix
-from .matching import INFEASIBLE, CostMatrix, hungarian_assign
+from .matching import CostMatrix, hungarian_assign
 
 
 class StrategyKind(enum.Enum):
@@ -143,35 +143,6 @@ def cord_agn_matrix(d_pos: np.ndarray, cells: np.ndarray) -> np.ndarray:
     if len(d_pos) == 0 or len(cells) == 0:
         return np.zeros((len(d_pos), len(cells)))
     return manhattan_matrix(d_pos, cells).astype(np.float64)
-
-
-def oracle_cost(d_pos: CellCoord, s: CellCoord, ctx: OracleContext, clip_to: int | None = None) -> float:
-    """Scalar competitor-aware cost for one (participant, spot) pair."""
-    tau = manhattan(d_pos, s)
-    comp = ctx.competitor_positions
-    if len(comp) == 0:
-        return float(tau)
-    taus_c = np.abs(comp[:, 0] - s[0]) + np.abs(comp[:, 1] - s[1])
-    min_c = int(taus_c.min())
-    if tau < min_c:
-        return float(tau)
-    if min_c <= ctx.r and min_c < tau:
-        return INFEASIBLE
-    total = float(tau)
-    starred = (taus_c > ctx.r) & (taus_c < tau)
-    if starred.any():
-        t_c = t_budget(tau, ctx.r)
-        for idx in np.flatnonzero(starred):
-            c = CellCoord(int(comp[idx, 0]), int(comp[idx, 1]))
-            total += tau * capture_probability(c, s, ctx.r, t_c, clip_to)
-    return total
-
-
-def approx_cost(tau: float, p_hat: float) -> float:
-    """Effective distance: travel time divided by predicted availability."""
-    if p_hat <= 0:
-        raise ValueError("p_hat must be positive (clamping happens in the predictor)")
-    return tau / p_hat
 
 
 def oracle_cost_matrix(d_pos, cells, comp_pos, r, p_table):

@@ -1,10 +1,18 @@
 """Dense and scalar reference implementations that tests compare the
-library against."""
+library against: the per-agent movement, parking and dwell contracts, the
+per-cell occupancy operations, the scalar strategy costs, and the dense
+predictor."""
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from curbsim.errors import ConfigError, SchemaError
+from curbsim.agents import DwellSpec
+from curbsim.errors import CapacityError, ConfigError, SchemaError
+from curbsim.grid import CellCoord, OccupancyState, manhattan
+from curbsim.matching import INFEASIBLE
 from curbsim.predictor import (
     BUCKET_MINUTES,
     CLAMP_LO,
@@ -17,6 +25,159 @@ from curbsim.predictor import (
     fit_ridge,
     uniform_model,
 )
+from curbsim.strategies import OracleContext, capture_probability, t_budget
+
+# --- agents ---
+
+SEARCHING = "searching"
+PARKED = "parked"
+FAILED = "failed"
+
+
+@dataclass
+class Participant:
+    id: int
+    pos: CellCoord
+    spawn_tick: int
+    target: CellCoord | None = None
+    status: str = SEARCHING
+    dwell_remaining: int | None = None
+
+
+@dataclass
+class Competitor:
+    id: int
+    pos: CellCoord
+    spawn_tick: int
+    status: str = SEARCHING
+    dwell_remaining: int | None = None
+
+
+def visible_spots(c: Competitor, state: OccupancyState, r: int) -> set[CellCoord]:
+    """Cells with a free spot within Manhattan distance r of the competitor."""
+    free = state.free()
+    out = set()
+    for k in np.flatnonzero(free > 0):
+        cell = CellCoord(int(k) // state.n, int(k) % state.n)
+        if manhattan(c.pos, cell) <= r:
+            out.add(cell)
+    return out
+
+
+def _step_toward(pos: CellCoord, target: CellCoord, u: float) -> CellCoord:
+    """One step reducing distance to target by exactly 1; u breaks axis ties."""
+    di = target[0] - pos[0]
+    dj = target[1] - pos[1]
+    if di == 0 and dj == 0:
+        return pos
+    if di != 0 and dj != 0:
+        move_i = u < 0.5
+    else:
+        move_i = di != 0
+    if move_i:
+        return CellCoord(pos[0] + (1 if di > 0 else -1), pos[1])
+    return CellCoord(pos[0], pos[1] + (1 if dj > 0 else -1))
+
+
+def step_participant(d: Participant, target: CellCoord, rng: np.random.Generator) -> CellCoord:
+    return _step_toward(d.pos, target, rng.random())
+
+
+def step_competitor(c: Competitor, visible: set[CellCoord], rng: np.random.Generator, n: int) -> CellCoord:
+    """Head for the nearest visible spot cell, else take a uniform random
+    in-bounds step (von Neumann neighborhood, boundary-clipped)."""
+    if visible:
+        dists = sorted((manhattan(c.pos, cell), cell) for cell in visible)
+        best = dists[0][0]
+        choices = [cell for dist, cell in dists if dist == best]
+        cell = choices[int(rng.random() * len(choices))] if len(choices) > 1 else choices[0]
+        return _step_toward(c.pos, cell, rng.random())
+    i, j = c.pos
+    neighbors = [(i + di, j + dj) for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1))
+                 if 0 <= i + di < n and 0 <= j + dj < n]
+    return CellCoord(*neighbors[int(rng.random() * len(neighbors))])
+
+
+def resolve_parking(claimants: list[int], free_count: int, rng: np.random.Generator) -> set[int]:
+    """Uniform draw of min(free_count, len(claimants)) winners, no replacement."""
+    if free_count <= 0 or not claimants:
+        return set()
+    order = sorted(claimants)
+    if free_count >= len(order):
+        return set(order)
+    picks = rng.permutation(len(order))[:free_count]
+    return {order[int(p)] for p in picks}
+
+
+def sample_dwell(spec: DwellSpec, rng: np.random.Generator) -> int:
+    if spec.kind == "fixed":
+        return max(spec.floor, int(round(spec.minutes)))
+    draw = rng.lognormal(mean=math.log(spec.minutes), sigma=spec.sigma)
+    return max(spec.floor, int(round(draw)))
+
+
+# --- occupancy ---
+
+def free_spots(state: OccupancyState) -> list[tuple[CellCoord, int]]:
+    """Every cell with at least one free spot, with its free count."""
+    free = state.free()
+    out = []
+    for k in np.flatnonzero(free > 0):
+        out.append((CellCoord(int(k) // state.n, int(k) % state.n), int(free[k])))
+    return out
+
+
+def occupy(state: OccupancyState, z: CellCoord) -> OccupancyState:
+    """Take one spot in cell z. Errors on a full cell (an engine ordering bug)."""
+    k = z[0] * state.n + z[1]
+    if state.occupied[k] >= state.capacity[k]:
+        raise CapacityError(f"occupy on full cell {tuple(z)} (capacity {state.capacity[k]})")
+    state.occupied[k] += 1
+    return state
+
+
+def release(state: OccupancyState, z: CellCoord) -> OccupancyState:
+    """Free one spot in cell z. Errors on an empty cell."""
+    k = z[0] * state.n + z[1]
+    if state.occupied[k] <= 0:
+        raise CapacityError(f"release on empty cell {tuple(z)}")
+    state.occupied[k] -= 1
+    return state
+
+
+# --- strategy costs ---
+
+def oracle_cost(d_pos: CellCoord, s: CellCoord, ctx: OracleContext, clip_to: int | None = None) -> float:
+    """Scalar competitor-aware cost for one (participant, spot) pair."""
+    tau = manhattan(d_pos, s)
+    comp = ctx.competitor_positions
+    if len(comp) == 0:
+        return float(tau)
+    taus_c = np.abs(comp[:, 0] - s[0]) + np.abs(comp[:, 1] - s[1])
+    min_c = int(taus_c.min())
+    if tau < min_c:
+        return float(tau)
+    if min_c <= ctx.r and min_c < tau:
+        return INFEASIBLE
+    total = float(tau)
+    starred = (taus_c > ctx.r) & (taus_c < tau)
+    if starred.any():
+        t_c = t_budget(tau, ctx.r)
+        for idx in np.flatnonzero(starred):
+            c = CellCoord(int(comp[idx, 0]), int(comp[idx, 1]))
+            total += tau * capture_probability(c, s, ctx.r, t_c, clip_to)
+    return total
+
+
+def approx_cost(tau: float, p_hat: float) -> float:
+    """Effective distance: travel time divided by predicted availability."""
+    if p_hat <= 0:
+        raise ValueError("p_hat must be positive (clamping happens in the predictor)")
+    return tau / p_hat
+
+
+# --- predictor ---
+
 
 
 def trend(corpus, cell: int, bucket_start: int) -> float:

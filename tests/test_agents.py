@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from curbsim.agents import (
+from reference import (
     Competitor,
-    DwellSpec,
     Participant,
     resolve_parking,
     sample_dwell,
-    sample_dwell_batch,
     step_competitor,
-    step_competitors_batch,
     step_participant,
-    step_toward_batch,
     visible_spots,
 )
+
+from curbsim.agents import DwellSpec, sample_dwell_batch, step_competitors_batch, step_toward_batch
 from curbsim.errors import ConfigError
 from curbsim.grid import CellCoord, OccupancyState
 

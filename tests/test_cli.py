@@ -174,8 +174,15 @@ def test_sweep_unknown_strategy_runs_no_cell(tmp_path, short_config, capsys):
 
 
 def _validate(tmp_path, short_config, **fields):
+    """Validate the short config with fields replaced; a dotted name such as
+    ``arrivals.kind`` replaces a nested field."""
     cfg = json.loads(short_config.read_text())
-    cfg.update(fields)
+    for name, value in fields.items():
+        *parents, leaf = name.split(".")
+        target = cfg
+        for parent in parents:
+            target = target[parent]
+        target[leaf] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
     return main(["validate", "--config", str(bad)])
@@ -199,9 +206,25 @@ def test_validate_wrong_typed_value(tmp_path, short_config, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("field, value", [("history_groups", "bth"), ("weekday", 9), ("t_max", 0)])
+@pytest.mark.parametrize("field, value", [
+    ("history_groups", "bth"), ("weekday", 9), ("t_max", 0),
+    ("shares", [-0.1, 0.5]), ("shares", [0.6, 0.5]), ("peak_window", [600, 600]),
+    ("peak_window", [-1, 60]), ("arrivals.magnitude", -0.2), ("demand_scale", -1.0),
+    ("arrivals.kind", "synthetic"),
+])
 def test_validate_out_of_range_field(tmp_path, short_config, capsys, field, value):
     assert _validate(tmp_path, short_config, **{field: value}) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} must be")
+    assert "Traceback" not in err
+
+
+def test_train_non_numeric_history_field(tmp_path, short_config, capsys):
+    hist = tmp_path / "hist.csv"
+    hist.write_text("k,bucket_start,rho,attempts\nx,0,0.5,2\n")
+    code = main(["train", "--config", str(short_config), "--history", str(hist),
+                 "--out", str(tmp_path / "model.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ")
     assert "Traceback" not in err

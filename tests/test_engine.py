@@ -1,9 +1,15 @@
 import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bench_config
+from reference import resolve_parking
 
 from curbsim.demand import ArrivalSeries
 from curbsim.engine import (
@@ -15,6 +21,8 @@ from curbsim.engine import (
 )
 from curbsim.errors import ConfigError
 from curbsim.grid import CellCoord, make_grid, manhattan_matrix
+from curbsim.metrics import STATUS_PARKED, fold_events, hourly_series
+from curbsim.rng import RngStreams, derive_seed
 
 
 def empty_series(horizon=10):
@@ -263,6 +271,9 @@ def test_retrain_every_multiples_of_bucket_accepted():
 
 @pytest.mark.parametrize("field, value", [
     ("history_groups", "bth"), ("weekday", 9), ("weekday", -1), ("t_max", 0),
+    ("shares", (-0.1, 0.5)), ("shares", (0.6, 0.5)), ("shares", (0.1,)),
+    ("peak_window", (600, 600)), ("peak_window", (700, 600)), ("peak_window", (-1, 60)),
+    ("arrivals", {"magnitude": -0.2}), ("arrivals", {"kind": "synthetic"}), ("demand_scale", -1.0),
 ])
 def test_config_rejects_out_of_range_fields(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -270,7 +281,9 @@ def test_config_rejects_out_of_range_fields(field, value):
 
 
 def test_config_accepts_field_bounds():
-    for kwargs in ({"history_groups": "both"}, {"weekday": 0}, {"weekday": 6}, {"t_max": 1}):
+    for kwargs in ({"history_groups": "both"}, {"weekday": 0}, {"weekday": 6}, {"t_max": 1},
+                   {"shares": (0.0, 1.0)}, {"shares": (0.5, 0.5)}, {"peak_window": (0, 1)},
+                   {"arrivals": {"kind": "file", "magnitude": 0.0}}, {"demand_scale": 0.0}):
         SimConfig(**kwargs)
 
 
@@ -292,3 +305,102 @@ def test_arrival_file_sniffing(tmp_path):
     cfg2 = base_cfg(horizon=15, arrivals=ArrivalsConfig(kind="file", path=str(direct)))
     series2 = build_arrivals(cfg2, grid, 0)
     assert series2.participants == series.participants
+
+
+def test_resolve_matches_per_cell_scalar_draws():
+    """The array-wide claim resolution picks the same winners as a per-cell
+    loop over the scalar contract fed by a "ties" stream with the same seed:
+    claimants keyed by (row, group), cells ascending."""
+    contested_multi = 0
+    for trial in range(300):
+        rng = np.random.default_rng(trial)
+        n = 3
+        grid, _ = make_grid(n, capacity=0)
+        caps = rng.integers(0, 5, n * n)
+        sim = sim_with(grid, caps, empty_series(), base_cfg(strategy="unc-agn"), seed=trial)
+        sim.occ.occupied = rng.integers(0, caps // 2 + 1)
+        t = sim.occ.tick = 1
+        n_p, n_c = rng.integers(0, 16, 2)
+        # spawn 1 is not yet active at tick 1 and must never claim
+        sim.participants.append(np.arange(n_p), rng.integers(0, n, (n_p, 2)), rng.integers(0, 2, n_p))
+        sim.competitors.append(np.arange(n_c) + 100, rng.integers(0, n, (n_c, 2)), rng.integers(0, 2, n_c))
+        # targets: at the agent (claims), elsewhere (does not) or none (claims where it stands)
+        p = sim.participants
+        kind = rng.integers(0, 3, n_p)
+        p.target[kind == 0] = p.pos[kind == 0]
+        p.target[kind == 1] = (p.pos[kind == 1] + 1) % n
+
+        free = sim.occ.free()
+        claims: dict[int, list[tuple[int, int]]] = {}
+        for group, agents in ((0, p), (1, sim.competitors)):
+            for row in range(len(agents)):
+                k = int(agents.pos[row, 0] * n + agents.pos[row, 1])
+                claiming = group == 1 or kind[row] != 1
+                if agents.spawn[row] == 0 and claiming and free[k] > 0:
+                    claims.setdefault(k, []).append((row, group))
+        ties = RngStreams(trial).stream("ties")
+        want: set[tuple[int, int]] = set()
+        for k in sorted(claims):
+            want |= resolve_parking(claims[k], int(free[k]), ties)
+            contested_multi += 2 <= free[k] < len(claims[k])
+
+        ids = {(row, 0): aid for row, aid in enumerate(p.ids.tolist())}
+        ids.update({(row, 1): aid for row, aid in enumerate(sim.competitors.ids.tolist())})
+        sim._resolve(t, sim._active(p, t), sim._active(sim.competitors, t))
+        assert set(sim.parked.ids.tolist()) == {ids[key] for key in want}
+        assert sim.parked_count == [sum(g == 0 for _, g in want), sum(g == 1 for _, g in want)]
+        assert (sim.occ.occupied <= caps).all()
+    # multi-spot cells with more claims than spots: 39 over these seeds
+    assert contested_multi >= 30
+
+
+@st.composite
+def small_configs(draw):
+    n = draw(st.integers(2, 6))
+    horizon = draw(st.integers(1, 120))
+    caps = np.array(draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)), np.int64)
+    share_p = draw(st.floats(0.0, 0.5))
+    cfg = SimConfig(
+        arrivals=ArrivalsConfig(kind="synth", pattern=draw(st.sampled_from(["uniform", "hotspot"])),
+                                magnitude=draw(st.floats(0.0, 0.3)), seed=draw(st.integers(0, 99))),
+        strategy=draw(st.sampled_from(["unc-agn", "cord-agn", "cord-oracle", "cord-approx"])),
+        r=draw(st.integers(0, 2)), t_max=draw(st.integers(1, 30)),
+        shares=(share_p, draw(st.floats(0.0, 1.0 - share_p))),
+        dwell={"kind": "lognormal", "minutes": draw(st.floats(1.0, 30.0)), "sigma": 0.5},
+        horizon=horizon, seed=draw(st.integers(0, 2**32)), runs=1, peak_window=(0, horizon),
+        initial_occupancy=draw(st.sampled_from([0.0, 0.3, 0.8, 1.0])),
+        history_groups=draw(st.sampled_from(["participants", "both"])),
+    )
+    grid, _ = make_grid(n, capacity=0)
+    return cfg, grid, caps
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_configs())
+def test_engine_invariants_on_random_small_configs(case):
+    cfg, grid, caps = case
+    buf = io.StringIO()
+    sim = Simulation(grid, caps, build_arrivals(cfg, grid, cfg.seed), cfg, derive_seed(cfg.seed, 1, 0), buf)
+    for _ in range(cfg.horizon):
+        sim.tick()
+        assert ((0 <= sim.occ.occupied) & (sim.occ.occupied <= caps)).all()
+        for code, agents in enumerate((sim.participants, sim.competitors)):
+            assert len(agents) + sim.parked_count[code] + sim.failed_count[code] == sim.spawned[code]
+    out = sim.finish()
+    for code in (0, 1):
+        assert (out.group == code).sum() == sim.spawned[code]
+    parked = out.status == STATUS_PARKED
+    assert (out.terminal[parked] - out.spawn[parked] <= cfg.t_max).all()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        run_simulation(cfg, out_dir=tmp, grid=grid, capacity=caps)
+        events = Path(tmp) / "events.ndjson"
+        assert events.read_text(encoding="utf-8") == buf.getvalue()
+        stored = json.loads((Path(tmp) / "report.json").read_text())
+        folded = fold_events(events, cfg.t_max, cfg.horizon)
+        assert hourly_series(folded, cfg.horizon) == stored["runs"][0]["hourly"]
+
+    def rows(o):
+        return sorted(zip(*(col.tolist() for col in (o.group, o.spawn, o.status, o.terminal, o.park_cell))))
+
+    assert rows(folded) == rows(out)

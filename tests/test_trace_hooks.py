@@ -1,5 +1,6 @@
 """The benchmark's tracer wraps curbsim functions by name from outside the
 package; a rename in src/ must fail here, not only under --trace."""
+import io
 from dataclasses import replace
 
 from curbsim.engine import Simulation, build_arrivals
@@ -32,3 +33,21 @@ def test_tracer_sees_the_predictor_on_a_cord_approx_run():
     assert layers["predictor.retrains"] == 2
     assert layers["predictor.corpus_records"] > 0
     assert layers["engine.ticks"] == 120
+
+
+def test_tracer_counts_every_event_line_and_byte():
+    """The benchmark's per-layer event counters wrap sink.write and count one
+    event per call, so the engine must write each event line on its own."""
+    cfg = replace(city22_config("cord-oracle", 7), horizon=30, log_moves=True)
+    grid, _ = make_grid(22, capacity=1, zones=3)
+    sink = io.StringIO()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        Simulation(grid, lattice_capacity(22), build_arrivals(cfg, grid, cfg.seed), cfg, cfg.seed, sink).run()
+    finally:
+        tracer.uninstall()
+    log = sink.getvalue()
+    layers = tracer.layer_metrics(days=1)
+    assert layers["engine.events"] == log.count("\n") > 0
+    assert layers["engine.event_bytes"] == len(log.encode("utf-8"))
