@@ -115,5 +115,6 @@ def step_competitors_batch(
         # map the uniform index into the surviving neighbor slots
         order = np.cumsum(ok, axis=1) - 1
         sel = np.argmax(order == idx[:, None], axis=1)
-        out[blind] = cand[np.arange(nb), sel]
+        # a 1x1 grid leaves no neighbour in bounds: the walker stays put
+        out[blind] = cand[np.arange(nb), sel] if n > 1 else pos[blind]
     return out

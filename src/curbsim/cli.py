@@ -7,7 +7,6 @@ file equivalent; flags win. Exit codes: 0 success, 1 partial sweep failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -15,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import SimConfig, run_simulation
+from .engine import SimConfig, build_arrivals, run_simulation
 from .errors import CurbsimError, ConfigError
 from .grid import load_grid
 from .metrics import GROUPS, export_report, fold_events, hourly_series
@@ -25,16 +24,7 @@ from .strategies import StrategyKind, parse_strategy
 
 def load_config(path) -> SimConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(SimConfig)})
-    if unknown:
-        raise ConfigError(f"unknown config field: {', '.join(unknown)}")
-    try:
-        return SimConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
+        return SimConfig.from_dict(json.load(fh))
 
 
 def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
@@ -68,7 +58,7 @@ def cmd_run(args) -> int:
 
 def _sweep_cell(payload):
     cfg_dict, strategy, seed, scale, out_dir = payload
-    cfg = SimConfig(**cfg_dict)
+    cfg = SimConfig.from_dict(cfg_dict)
     cfg.strategy = StrategyKind(strategy)
     cfg.seed = seed
     cfg.demand_scale = scale
@@ -166,7 +156,7 @@ def cmd_report(args) -> int:
     try:
         with open(report_path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
-        cfg = SimConfig(**report["config"])
+        cfg = SimConfig.from_dict(report.get("config"))
         grid, _ = load_grid(cfg.grid_file)
         event_files = sorted(log_dir.glob("events*.ndjson"))
         if event_files:
@@ -189,14 +179,18 @@ def cmd_report(args) -> int:
 def cmd_validate(args) -> int:
     try:
         cfg = load_config(args.config)
+        grid = None
         if cfg.grid_file:
             if not Path(cfg.grid_file).exists():
                 print(f"error: grid file not found: {cfg.grid_file}", file=sys.stderr)
                 return 2
-            load_grid(cfg.grid_file)
-        if cfg.arrivals.kind == "file" and not Path(cfg.arrivals.path or "").exists():
-            print(f"error: arrivals file not found: {cfg.arrivals.path}", file=sys.stderr)
-            return 2
+            grid, _ = load_grid(cfg.grid_file)
+        if cfg.arrivals.kind == "file":
+            if not Path(cfg.arrivals.path or "").exists():
+                print(f"error: arrivals file not found: {cfg.arrivals.path}", file=sys.stderr)
+                return 2
+            if grid is not None:
+                build_arrivals(cfg, grid, cfg.seed)  # parses and range-checks every row
     except (CurbsimError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

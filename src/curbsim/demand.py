@@ -4,14 +4,20 @@ Pipeline: 15-minute traffic-intensity records -> per-cell minute bins
 (largest-remainder apportionment) -> participant/competitor arrival series
 (error-diffusion share split). synth_demand generates desk-scale series
 directly from documented closed-form intensities.
+
+Every per-(cell, minute) table is one `MinuteCounts`: three int64 columns
+`cells`, `minutes`, `counts`, rows sorted by (minute, cell), no repeated
+(cell, minute) pair and no zero count. `ArrivalSeries` holds one per driver
+group; `ArrivalSeries.at` slices a minute with one `searchsorted`.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,17 +36,47 @@ class IntensityRecord:
     overlap_fraction: float
 
 
+class MinuteCounts(NamedTuple):
+    """Counts per (cell, minute) as columns, kept as the module docstring says."""
+
+    cells: np.ndarray
+    minutes: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, rows) -> MinuteCounts:
+        """Canonical columns from (cell, minute, count) rows in any order:
+        repeated (cell, minute) rows are summed, zero counts dropped."""
+        cells, minutes, counts = np.array(rows, np.int64).reshape(-1, 3).T
+        keys, row_key = np.unique(np.stack([minutes, cells], axis=1), axis=0, return_inverse=True)
+        summed = np.zeros(len(keys), np.int64)
+        np.add.at(summed, row_key.reshape(-1), counts)
+        keep = summed != 0
+        return cls(keys[keep, 1], keys[keep, 0], summed[keep])
+
+
+NO_ARRIVALS = MinuteCounts(*(np.zeros(0, np.int64),) * 3)
+
+
 @dataclass
 class ArrivalSeries:
     """Integer arrivals per (cell, minute) for each driver group."""
 
     horizon: int
-    participants: dict[tuple[int, int], int] = field(default_factory=dict)
-    competitors: dict[tuple[int, int], int] = field(default_factory=dict)
+    participants: MinuteCounts = NO_ARRIVALS
+    competitors: MinuteCounts = NO_ARRIVALS
+
+    def group(self, group: str) -> MinuteCounts:
+        return self.participants if group == "participant" else self.competitors
 
     def total(self, group: str) -> int:
-        src = self.participants if group == "participant" else self.competitors
-        return sum(src.values())
+        return int(self.group(group).counts.sum())
+
+    def at(self, group: str, minute: int) -> tuple[np.ndarray, np.ndarray]:
+        """The group's (cells, counts) at `minute`, cells ascending."""
+        rows = self.group(group)
+        lo, hi = np.searchsorted(rows.minutes, (minute, minute + 1))
+        return rows.cells[lo:hi], rows.counts[lo:hi]
 
 
 def parse_intensity(source, label_to_cell=None, strict: bool = True) -> list[IntensityRecord]:
@@ -119,20 +155,18 @@ def largest_remainder(total: int, slots: int) -> list[int]:
     return [base + 1 if s < rem else base for s in range(slots)]
 
 
-def disaggregate(records: list[IntensityRecord], origin: datetime | None = None) -> dict[tuple[int, int], int]:
+def disaggregate(records: list[IntensityRecord], origin: datetime | None = None) -> MinuteCounts:
     """Minute-level counts per cell.
 
     Each record contributes round(count * overlap_fraction) vehicles, split
-    uniformly over its 15 one-minute bins by largest-remainder apportionment.
-    Minute indices are offsets from `origin` (default: midnight of the
-    earliest record's day).
+    uniformly over its 15 one-minute bins by largest-remainder apportionment;
+    records that share a (cell, minute) add up. Minute indices are offsets
+    from `origin` (default: midnight of the earliest record's day).
     """
-    out: dict[tuple[int, int], int] = {}
-    if not records:
-        return out
-    if origin is None:
+    if origin is None and records:
         first = min(r.interval_start for r in records)
         origin = first.replace(hour=0, minute=0, second=0, microsecond=0)
+    rows = []
     for rec in records:
         target = _round_half_up(rec.count * rec.overlap_fraction)
         if target == 0:
@@ -140,56 +174,46 @@ def disaggregate(records: list[IntensityRecord], origin: datetime | None = None)
         start_min = int((rec.interval_start - origin).total_seconds() // 60)
         if start_min < 0:
             raise ValidationError(f"record at {rec.interval_start} precedes origin {origin}")
-        for offset, c in enumerate(largest_remainder(target, 15)):
-            if c:
-                key = (rec.cell, start_min + offset)
-                out[key] = out.get(key, 0) + c
-    return out
+        rows += [(rec.cell, start_min + offset, c) for offset, c in enumerate(largest_remainder(target, 15))]
+    return MinuteCounts.of(rows)
 
 
-def split_demand(
-    minute_counts: dict[tuple[int, int], int],
-    participant_share: float,
-    competitor_share: float,
-    horizon: int | None = None,
-) -> ArrivalSeries:
-    """Split per-minute vehicle counts into the two searching groups.
+def _diffuse(rows: MinuteCounts, factor: float) -> MinuteCounts:
+    """Integer counts tracking count * factor, error-diffused per cell over
+    ascending minutes (x = count * factor + carry, n = floor(x + 1e-9), carry
+    = x - n), so each cell's total stays within one vehicle of its scaled one."""
+    cells, minutes, counts = rows
+    ids, slot = np.unique(cells, return_inverse=True)
+    carry = np.zeros(len(ids))
+    out = np.empty_like(counts)
+    edges = np.flatnonzero(np.diff(minutes)) + 1
+    for lo, hi in zip([0, *edges], [*edges, len(cells)]):
+        s = slot[lo:hi]
+        x = counts[lo:hi] * factor + carry[s]
+        n = np.floor(x + 1e-9)  # guard exact products against float dust
+        carry[s] = x - n
+        out[lo:hi] = n
+    keep = out != 0
+    return MinuteCounts(cells[keep], minutes[keep], out[keep])
 
-    Fractional per-tick arrivals are carried forward per cell (error
-    diffusion), so realized totals track the configured share within one
-    vehicle per cell over the horizon.
-    """
+
+def split_demand(minute_counts: MinuteCounts, participant_share: float, competitor_share: float,
+                 horizon: int | None = None) -> ArrivalSeries:
+    """Split per-minute vehicle counts into the two searching groups, each
+    share error-diffused per cell (`_diffuse`), so realized totals track the
+    configured share within one vehicle per cell over the horizon."""
     if participant_share < 0 or competitor_share < 0:
         raise ConfigError("shares must be non-negative")
     if participant_share + competitor_share > 1.0 + 1e-12:
         raise ConfigError("participant + competitor share must not exceed 1")
+    minutes = minute_counts.minutes
     if horizon is None:
-        horizon = max((m for (_, m) in minute_counts), default=-1) + 1
-    series = ArrivalSeries(horizon)
-    if not minute_counts or (participant_share == 0 and competitor_share == 0):
-        return series
-
-    by_cell: dict[int, list[tuple[int, int]]] = {}
-    for (cell, minute), count in minute_counts.items():
-        if minute >= horizon:
-            raise ValidationError(f"minute {minute} outside horizon {horizon}")
-        by_cell.setdefault(cell, []).append((minute, count))
-
-    for cell in sorted(by_cell):
-        for share, dest in (
-            (participant_share, series.participants),
-            (competitor_share, series.competitors),
-        ):
-            if share == 0:
-                continue
-            carry = 0.0
-            for minute, count in sorted(by_cell[cell]):
-                x = count * share + carry
-                n = int(math.floor(x + 1e-9))  # guard exact products against float dust
-                carry = x - n
-                if n:
-                    dest[(cell, minute)] = n
-    return series
+        horizon = int(minutes.max(initial=-1)) + 1
+    if not len(minutes) or (participant_share == 0 and competitor_share == 0):
+        return ArrivalSeries(horizon)
+    if minutes[-1] >= horizon:
+        raise ValidationError(f"minute {minutes[-1]} outside horizon {horizon}")
+    return ArrivalSeries(horizon, *(_diffuse(minute_counts, f) for f in (participant_share, competitor_share)))
 
 
 @dataclass
@@ -268,21 +292,23 @@ def synth_demand(spec: SynthSpec) -> ArrivalSeries:
     if total_share <= 0:
         return ArrivalSeries(spec.horizon)
     p_frac = spec.participant_share / total_share
-    series = ArrivalSeries(spec.horizon)
-    for cell in range(rates.shape[0]):
-        row = rates[cell]
-        if row.sum() <= 0:
-            continue
-        cum_total = np.floor(np.cumsum(row) + 1e-9).astype(np.int64)
-        totals = np.diff(cum_total, prepend=0)
-        cum_p = np.floor(cum_total * p_frac + 1e-9).astype(np.int64)
-        parts = np.diff(cum_p, prepend=0)
-        comps = totals - parts
-        for m in np.flatnonzero(parts):
-            series.participants[(cell, int(m))] = int(parts[m])
-        for m in np.flatnonzero(comps):
-            series.competitors[(cell, int(m))] = int(comps[m])
-    return series
+    rates[rates.sum(axis=1) <= 0] = 0.0  # cells without demand spawn nothing
+    # cumulative (cells, minutes) tables, in place: exact integers in float64
+    cum = np.floor(np.cumsum(rates, axis=1, out=rates) + 1e-9, out=rates)
+    cum_p = cum * p_frac + 1e-9
+    np.floor(cum_p, out=cum_p)
+    cum -= cum_p  # competitors take the rest
+    return ArrivalSeries(spec.horizon, _increments(cum_p), _increments(cum))
+
+
+def _increments(cum: np.ndarray) -> MinuteCounts:
+    """The nonzero per-minute steps of a (cells, minutes) cumulative table."""
+    moved = np.empty(cum.shape, dtype=bool)  # a bool table keeps the peak memory low
+    np.not_equal(cum[:, :1], 0, out=moved[:, :1])
+    np.not_equal(cum[:, 1:], cum[:, :-1], out=moved[:, 1:])
+    minutes, cells = np.nonzero(moved.T)
+    before = np.where(minutes > 0, cum[cells, minutes - 1], 0.0)
+    return MinuteCounts(cells, minutes, (cum[cells, minutes] - before).astype(np.int64))
 
 
 def scale_series(series: ArrivalSeries, scale: float) -> ArrivalSeries:
@@ -292,36 +318,24 @@ def scale_series(series: ArrivalSeries, scale: float) -> ArrivalSeries:
         raise ConfigError("demand scale must be >= 0")
     if scale == 1.0:
         return series
-    out = ArrivalSeries(series.horizon)
-    for src, dest in (
-        (series.participants, out.participants),
-        (series.competitors, out.competitors),
-    ):
-        by_cell: dict[int, list[tuple[int, int]]] = {}
-        for (cell, minute), count in src.items():
-            by_cell.setdefault(cell, []).append((minute, count))
-        for cell in sorted(by_cell):
-            carry = 0.0
-            for minute, count in sorted(by_cell[cell]):
-                x = count * scale + carry
-                n = int(math.floor(x + 1e-9))
-                carry = x - n
-                if n:
-                    dest[(cell, minute)] = n
-    return out
+    return ArrivalSeries(series.horizon, _diffuse(series.participants, scale), _diffuse(series.competitors, scale))
 
 
 def save_series(path, series: ArrivalSeries):
-    """Serialize as (cell, minute, group, count) rows."""
+    """Serialize as (cell, minute, group, count) rows: participants, then
+    competitors, each ordered by (cell, minute)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SERIES_COLS)
-        for group, src in (("participant", series.participants), ("competitor", series.competitors)):
-            for (cell, minute) in sorted(src):
-                writer.writerow([cell, minute, group, src[(cell, minute)]])
+        for group in ("participant", "competitor"):
+            for k, m, c in sorted(zip(*(col.tolist() for col in series.group(group)))):
+                writer.writerow([k, m, group, c])
 
 
-def load_series(source) -> ArrivalSeries:
+def load_series(source, n_cells: int) -> ArrivalSeries:
+    """Read a `save_series` file for a grid of `n_cells` cells; repeated rows
+    add up. A cell outside [0, n_cells), a minute or count outside [0, 2**40)
+    (the columns are int64), or an unknown group is reported with its line."""
     if hasattr(source, "read"):
         text = source.read()
     else:
@@ -331,20 +345,22 @@ def load_series(source) -> ArrivalSeries:
     for col in SERIES_COLS:
         if col not in (reader.fieldnames or []):
             raise ParseError(f"series file missing column {col!r}")
-    series = ArrivalSeries(0)
+    rows = {"participant": [], "competitor": []}
     horizon = 0
     for lineno, row in enumerate(reader, start=2):
         try:
             cell, minute, count = int(row["cell"]), int(row["minute"]), int(row["count"])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad series row: {exc}", line=lineno) from None
-        if count < 0:
-            raise ValidationError(f"line {lineno}: negative count")
+        if not 0 <= count < 2**40:
+            raise ValidationError(f"line {lineno}: count {count} outside 0..2**40")
+        if not 0 <= cell < n_cells:
+            raise ValidationError(f"line {lineno}: cell {cell} outside the grid's cells 0..{n_cells - 1}")
+        if not 0 <= minute < 2**40:
+            raise ValidationError(f"line {lineno}: minute {minute} outside 0..2**40")
         group = row["group"]
-        if group not in ("participant", "competitor"):
+        if group not in rows:
             raise ValidationError(f"line {lineno}: unknown group {group!r}")
-        dest = series.participants if group == "participant" else series.competitors
-        dest[(cell, minute)] = dest.get((cell, minute), 0) + count
+        rows[group].append((cell, minute, count))
         horizon = max(horizon, minute + 1)
-    series.horizon = horizon
-    return series
+    return ArrivalSeries(horizon, MinuteCounts.of(rows["participant"]), MinuteCounts.of(rows["competitor"]))

@@ -24,6 +24,7 @@ byte for byte and changing the strategy never perturbs arrivals.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -31,10 +32,12 @@ from pathlib import Path
 import numpy as np
 
 from . import demand as demand_mod
+from . import metrics as metrics_mod
 from .agents import DwellSpec, sample_dwell_batch, step_competitors_batch, step_toward_batch
 from .demand import ArrivalSeries, SynthSpec, scale_series, synth_demand
 from .errors import ConfigError, ValidationError
 from .grid import GridSpec, OccupancyState, load_grid, manhattan_matrix
+from .metrics import GROUPS, STATUS_CENSORED, STATUS_FAILED, STATUS_PARKED
 from .predictor import (
     BUCKET_MINUTES,
     HistoryCorpus,
@@ -50,11 +53,6 @@ from .strategies import OracleContext, StrategyKind, capture_prob_table, dispatc
 GROUP_PARTICIPANT = 0
 GROUP_COMPETITOR = 1
 GROUP_PHANTOM = 2
-GROUP_NAMES = ("participant", "competitor")
-
-STATUS_PARKED = 0
-STATUS_FAILED = 1
-STATUS_CENSORED = 2
 
 _NO_ROWS = np.zeros(0, np.int64)
 _NO_CELLS = np.zeros((0, 2), np.int64)
@@ -87,7 +85,6 @@ class SimConfig:
     horizon: int = 1440
     seed: int = 0
     runs: int = 3
-    clip_reachable: bool = False
     history_file: str | None = None
     retrain_every: int = 60
     peak_window: tuple[int, int] = (540, 1020)
@@ -138,6 +135,19 @@ class SimConfig:
             raise ConfigError(
                 f"retrain_every must be a positive multiple of {BUCKET_MINUTES} minutes, got {self.retrain_every}"
             )
+
+    @classmethod
+    def from_dict(cls, raw) -> SimConfig:
+        """Checked construction from parsed JSON: ConfigError on anything else."""
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown config field: {', '.join(unknown)}")
+        try:
+            return cls(**raw)
+        except TypeError as exc:
+            raise ConfigError(f"bad config value: {exc}") from None
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -214,19 +224,6 @@ class _Parked(_Columns):
             setattr(self, name, np.zeros(0, np.int64))
 
 
-class _SeriesIndex:
-    """Per-minute slices of an arrival series, cells in ascending order."""
-
-    def __init__(self, series: ArrivalSeries, group: str):
-        src = series.participants if group == "participant" else series.competitors
-        rows = np.array(sorted((m, c, v) for (c, m), v in src.items()), dtype=np.int64).reshape(-1, 3)
-        self.minutes, self.cells, self.counts = rows.T.copy()
-
-    def at(self, minute: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = np.searchsorted(self.minutes, (minute, minute + 1))
-        return self.cells[lo:hi], self.counts[lo:hi]
-
-
 class Simulation:
     """One seeded run over one day."""
 
@@ -247,8 +244,7 @@ class Simulation:
         self.occ = OccupancyState(self.n, np.asarray(capacity, dtype=np.int64).copy())
         self.streams = RngStreams(seed)
         self.sink = event_sink
-        self.p_idx = _SeriesIndex(series, "participant")
-        self.c_idx = _SeriesIndex(series, "competitor")
+        self.series = series
         self.participants = _Agents(GROUP_PARTICIPANT)
         self.competitors = _Agents(GROUP_COMPETITOR)
         self.parked = _Parked()
@@ -304,7 +300,7 @@ class Simulation:
         write = self.sink.write
         groups = [groups] * len(ids) if isinstance(groups, int) else groups.tolist()
         for aid, g, k in zip(ids.tolist(), groups, cells.tolist()):
-            write(f'{{"tick": {t}, "agent_id": {aid}, "group": "{GROUP_NAMES[g]}", '
+            write(f'{{"tick": {t}, "agent_id": {aid}, "group": "{GROUPS[g]}", '
                   f'"event": "{event}", "cell": {k}}}\n')
 
     def _record(self, groups, spawn, status, t, cells):
@@ -383,8 +379,8 @@ class Simulation:
     # --- phases, in tick order ---
 
     def _spawn(self, t):
-        for agents, idx in ((self.participants, self.p_idx), (self.competitors, self.c_idx)):
-            cells, counts = idx.at(t)
+        for agents in (self.participants, self.competitors):
+            cells, counts = self.series.at(GROUPS[agents.group], t)
             total = int(counts.sum())
             if total == 0:
                 continue
@@ -565,7 +561,7 @@ class Simulation:
             total = len(agents) + self.parked_count[grp] + self.failed_count[grp]
             if total != self.spawned[grp]:
                 raise ValidationError(
-                    f"agent conservation broken for {GROUP_NAMES[grp]}: "
+                    f"agent conservation broken for {GROUPS[grp]}: "
                     f"{self.spawned[grp]} spawned vs {total} accounted"
                 )
         if int(self.occ.occupied.sum()) != len(self.parked):
@@ -615,7 +611,7 @@ def build_arrivals(cfg: SimConfig, grid: GridSpec, master_seed: int) -> ArrivalS
             counts = demand_mod.disaggregate(records)
             series = demand_mod.split_demand(counts, cfg.shares[0], cfg.shares[1], horizon=cfg.horizon)
         else:
-            series = demand_mod.load_series(a.path)
+            series = demand_mod.load_series(a.path, grid.n * grid.n)
             if series.horizon > cfg.horizon:
                 raise ConfigError(
                     f"arrival series spans {series.horizon} minutes, beyond horizon {cfg.horizon}"
@@ -637,8 +633,6 @@ def run_simulation(
     When out_dir is given, writes events_r<i>.ndjson per run (plain
     events.ndjson for a single run) plus report.json and the CSV/SVG set.
     """
-    from . import metrics as metrics_mod
-
     if grid is None or capacity is None:
         if not cfg.grid_file:
             raise ConfigError("config needs grid_file (or pass grid and capacity)")

@@ -24,6 +24,7 @@ REGIME_BINS = (
     ("high", 0.40, 0.45),
 )
 
+# driver groups by code, and agent outcome codes; the engine writes both
 GROUPS = ("participant", "competitor")
 STATUS_PARKED, STATUS_FAILED, STATUS_CENSORED = 0, 1, 2
 
@@ -294,25 +295,15 @@ def export_heatmap_svg(report: dict, grid: GridSpec, path, group: str = "partici
         fh.write("\n".join(lines) + "\n")
 
 
-def export_report(report: dict, out_dir, grid: GridSpec, formats=("csv", "svg")):
+def export_report(report: dict, out_dir, grid: GridSpec):
+    """Write the CSV tables and one heatmap per group."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        export_series_csv(report, out / "series.csv")
-        export_regimes_csv(report, out / "regimes.csv")
-        export_zones_csv(report, out / "zones.csv")
-        written += ["series.csv", "regimes.csv", "zones.csv"]
-    if "json" in formats:
-        with open(out / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append("report.json")
-    if "svg" in formats:
-        for group in GROUPS:
-            export_heatmap_svg(report, grid, out / f"heatmap_{group}.svg", group)
-            written.append(f"heatmap_{group}.svg")
-    return written
+    export_series_csv(report, out / "series.csv")
+    export_regimes_csv(report, out / "regimes.csv")
+    export_zones_csv(report, out / "zones.csv")
+    for group in GROUPS:
+        export_heatmap_svg(report, grid, out / f"heatmap_{group}.svg", group)
 
 
 # --- event-log folding (report reconstruction from events.ndjson) ---
@@ -324,7 +315,7 @@ def fold_events(path, t_max: int, horizon: int):
 
     spawns: dict[int, tuple[int, int]] = {}
     terminal: dict[int, tuple[int, int, int]] = {}
-    groups = {"participant": 0, "competitor": 1}
+    groups = {name: code for code, name in enumerate(GROUPS)}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():

@@ -1,7 +1,7 @@
 """Dense and scalar reference implementations that tests compare the
 library against: the per-agent movement, parking and dwell contracts, the
-per-cell occupancy operations, the scalar strategy costs, and the dense
-predictor."""
+per-cell occupancy operations, the scalar strategy costs, the dense
+predictor, and the `{(cell, minute): count}` dict demand pipeline."""
 from __future__ import annotations
 
 import math
@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from curbsim.agents import DwellSpec
-from curbsim.errors import CapacityError, ConfigError, SchemaError
+from curbsim.demand import ArrivalSeries, MinuteCounts, _round_half_up, _synth_rates, largest_remainder
+from curbsim.errors import CapacityError, ConfigError, SchemaError, ValidationError
 from curbsim.grid import CellCoord, OccupancyState, manhattan
 from curbsim.matching import INFEASIBLE
 from curbsim.predictor import (
@@ -265,3 +266,119 @@ def retrain_reference(corpus, grid=DEFAULT_LAMBDA_GRID, folds: int = 5) -> Ridge
     x, y = corpus_design(corpus)
     lam = 1.0 if len(y) < folds else select_lambda(x, y, grid, folds)
     return fit_ridge(x, y, lam, schema=feature_schema(corpus.n_cells))
+
+
+# --- demand: {(cell, minute): count} dicts ---
+
+
+def counts_of(table: dict) -> MinuteCounts:
+    return MinuteCounts.of([(k, m, v) for (k, m), v in table.items()])
+
+
+def dict_of(rows: MinuteCounts) -> dict:
+    return {(k, m): v for k, m, v in zip(*(col.tolist() for col in rows))}
+
+
+@dataclass
+class DictSeries:
+    horizon: int
+    participants: dict
+    competitors: dict
+
+
+def dict_series(series: ArrivalSeries) -> DictSeries:
+    return DictSeries(series.horizon, dict_of(series.participants), dict_of(series.competitors))
+
+
+def series_of(horizon: int, participants=None, competitors=None) -> ArrivalSeries:
+    """An ArrivalSeries from {(cell, minute): count} dicts."""
+    return ArrivalSeries(horizon, counts_of(participants or {}), counts_of(competitors or {}))
+
+
+def disaggregate_dict(records, origin=None) -> dict:
+    out: dict[tuple[int, int], int] = {}
+    if not records:
+        return out
+    if origin is None:
+        first = min(r.interval_start for r in records)
+        origin = first.replace(hour=0, minute=0, second=0, microsecond=0)
+    for rec in records:
+        target = _round_half_up(rec.count * rec.overlap_fraction)
+        if target == 0:
+            continue
+        start_min = int((rec.interval_start - origin).total_seconds() // 60)
+        if start_min < 0:
+            raise ValidationError(f"record at {rec.interval_start} precedes origin {origin}")
+        for offset, c in enumerate(largest_remainder(target, 15)):
+            if c:
+                key = (rec.cell, start_min + offset)
+                out[key] = out.get(key, 0) + c
+    return out
+
+
+def _diffuse_dict(src: dict, factor: float, dest: dict):
+    """Per cell, minutes ascending: x = count*factor + carry, n = floor(x + 1e-9)."""
+    by_cell: dict[int, list[tuple[int, int]]] = {}
+    for (cell, minute), count in src.items():
+        by_cell.setdefault(cell, []).append((minute, count))
+    for cell in sorted(by_cell):
+        carry = 0.0
+        for minute, count in sorted(by_cell[cell]):
+            x = count * factor + carry
+            n = int(math.floor(x + 1e-9))
+            carry = x - n
+            if n:
+                dest[(cell, minute)] = n
+
+
+def split_demand_dict(minute_counts: dict, participant_share, competitor_share, horizon=None) -> DictSeries:
+    if participant_share < 0 or competitor_share < 0:
+        raise ConfigError("shares must be non-negative")
+    if participant_share + competitor_share > 1.0 + 1e-12:
+        raise ConfigError("participant + competitor share must not exceed 1")
+    if horizon is None:
+        horizon = max((m for (_, m) in minute_counts), default=-1) + 1
+    series = DictSeries(horizon, {}, {})
+    if not minute_counts or (participant_share == 0 and competitor_share == 0):
+        return series
+    for (_, minute) in minute_counts:
+        if minute >= horizon:
+            raise ValidationError(f"minute {minute} outside horizon {horizon}")
+    for share, dest in ((participant_share, series.participants), (competitor_share, series.competitors)):
+        if share:
+            _diffuse_dict(minute_counts, share, dest)
+    return series
+
+
+def synth_demand_dict(spec) -> DictSeries:
+    rates = _synth_rates(spec)
+    series = DictSeries(spec.horizon, {}, {})
+    total_share = spec.participant_share + spec.competitor_share
+    if total_share <= 0:
+        return series
+    p_frac = spec.participant_share / total_share
+    for cell in range(rates.shape[0]):
+        row = rates[cell]
+        if row.sum() <= 0:
+            continue
+        cum_total = np.floor(np.cumsum(row) + 1e-9).astype(np.int64)
+        totals = np.diff(cum_total, prepend=0)
+        cum_p = np.floor(cum_total * p_frac + 1e-9).astype(np.int64)
+        parts = np.diff(cum_p, prepend=0)
+        comps = totals - parts
+        for m in np.flatnonzero(parts):
+            series.participants[(cell, int(m))] = int(parts[m])
+        for m in np.flatnonzero(comps):
+            series.competitors[(cell, int(m))] = int(comps[m])
+    return series
+
+
+def scale_series_dict(series: DictSeries, scale: float) -> DictSeries:
+    if scale < 0:
+        raise ConfigError("demand scale must be >= 0")
+    if scale == 1.0:
+        return series
+    out = DictSeries(series.horizon, {}, {})
+    _diffuse_dict(series.participants, scale, out.participants)
+    _diffuse_dict(series.competitors, scale, out.competitors)
+    return out

@@ -228,3 +228,50 @@ def test_train_non_numeric_history_field(tmp_path, short_config, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: ")
     assert "Traceback" not in err
+
+
+def _arrival_file_config(tmp_path, short_config, row):
+    """The short config reading its arrivals from a series file that holds
+    one good row and then `row`."""
+    series = tmp_path / "series.csv"
+    series.write_text("cell,minute,group,count\n5,1,participant,1\n" + row + "\n")
+    cfg = json.loads(short_config.read_text())
+    cfg["arrivals"] = {"kind": "file", "path": str(series)}
+    path = tmp_path / "file_config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("row, what", [
+    ("150,3,participant,2", "cell 150"),  # used to die with an IndexError in the engine
+    ("-3,3,competitor,2", "cell -3"),     # used to spawn agents off the grid
+])
+def test_run_rejects_arrival_cell_off_the_grid(tmp_path, short_config, capsys, row, what):
+    cfg = _arrival_file_config(tmp_path, short_config, row)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 3: {what} outside")
+    assert not (tmp_path / "o" / "events.ndjson").exists()
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == err
+
+
+def test_run_reads_a_series_file(tmp_path, short_config):
+    cfg = _arrival_file_config(tmp_path, short_config, "7,2,competitor,2")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    spawns = [json.loads(line) for line in (out / "events.ndjson").read_text().splitlines()
+              if '"spawn"' in line]
+    assert [(e["tick"], e["group"], e["cell"]) for e in spawns] == [
+        (1, "participant", 5), (2, "competitor", 7), (2, "competitor", 7)]
+
+
+def test_report_rejects_unknown_config_key(tmp_path, short_config, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(short_config), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    report["config"]["bogus"] = 1
+    (out / "report.json").write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown config field: bogus\n"

@@ -1,10 +1,26 @@
 import io
 import math
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import (
+    DictSeries,
+    counts_of,
+    dict_of,
+    dict_series,
+    disaggregate_dict,
+    scale_series_dict,
+    split_demand_dict,
+    synth_demand_dict,
+)
 
 from curbsim.demand import (
+    ArrivalSeries,
+    IntensityRecord,
+    MinuteCounts,
     SynthSpec,
     disaggregate,
     largest_remainder,
@@ -62,7 +78,7 @@ def _records(count, fraction, when="2024-04-18T08:00:00"):
 
 
 def test_disaggregate_exact_division():
-    out = disaggregate(_records(30, 1.0))
+    out = dict_of(disaggregate(_records(30, 1.0)))
     bins = [out.get((3, 480 + m), 0) for m in range(15)]
     assert bins == [2] * 15
 
@@ -78,13 +94,13 @@ def test_disaggregate_largest_remainder_oracle():
         want = [base[i] + (1 if i < remainder else 0) for i in range(15)]
         assert got == want
         assert sum(got) == total
-    out = disaggregate(_records(10, 1.0))
+    out = dict_of(disaggregate(_records(10, 1.0)))
     bins = [out.get((3, 480 + m), 0) for m in range(15)]
     assert sum(bins) == 10 and set(bins) <= {0, 1}
 
 
 def test_disaggregate_zero_count():
-    assert disaggregate(_records(0, 1.0)) == {}
+    assert dict_of(disaggregate(_records(0, 1.0))) == {}
 
 
 def test_disaggregate_conservation_property():
@@ -92,14 +108,14 @@ def test_disaggregate_conservation_property():
     for _ in range(100):
         count = int(rng.integers(0, 300))
         frac = float(rng.uniform(0.05, 1.0))
-        out = disaggregate(_records(count, frac))
+        out = dict_of(disaggregate(_records(count, frac)))
         total = sum(v for (cell, _), v in out.items() if cell == 3)
         assert total == int(math.floor(count * frac + 0.5))
 
 
 def test_split_exact_products():
     counts = {(0, m): 200 for m in range(5)}
-    series = split_demand(counts, 0.015, 0.08)
+    series = dict_series(split_demand(counts_of(counts), 0.015, 0.08))
     assert all(series.participants[(0, m)] == 3 for m in range(5))
     assert all(series.competitors[(0, m)] == 16 for m in range(5))
 
@@ -107,7 +123,7 @@ def test_split_exact_products():
 def test_split_error_diffusion_oracle():
     # oracle: cumulative arrivals after m minutes equal floor(rate * m)
     counts = {(0, m): 10 for m in range(100)}
-    series = split_demand(counts, 0.015, 0.0)
+    series = dict_series(split_demand(counts_of(counts), 0.015, 0.0))
     cum = 0
     for m in range(100):
         cum += series.participants.get((0, m), 0)
@@ -116,17 +132,18 @@ def test_split_error_diffusion_oracle():
 
 
 def test_split_zero_shares_and_validation():
-    assert split_demand({(0, 0): 5}, 0.0, 0.0).participants == {}
+    five = counts_of({(0, 0): 5})
+    assert dict_series(split_demand(five, 0.0, 0.0)).participants == {}
     with pytest.raises(ConfigError):
-        split_demand({(0, 0): 5}, -0.1, 0.5)
+        split_demand(five, -0.1, 0.5)
     with pytest.raises(ConfigError):
-        split_demand({(0, 0): 5}, 0.6, 0.6)
+        split_demand(five, 0.6, 0.6)
 
 
 def test_split_share_accuracy_property():
     rng = np.random.default_rng(3)
     counts = {(c, m): int(rng.integers(0, 40)) for c in range(4) for m in range(200)}
-    series = split_demand(counts, 0.1, 0.3)
+    series = dict_series(split_demand(counts_of(counts), 0.1, 0.3))
     for cell in range(4):
         total = sum(v for (c, _), v in counts.items() if c == cell)
         got = sum(v for (c, _), v in series.participants.items() if c == cell)
@@ -142,14 +159,14 @@ def test_synth_uniform_total():
 
 def test_synth_determinism():
     spec = SynthSpec("hotspot", n=6, horizon=60, magnitude=0.4, seed=9)
-    a, b = synth_demand(spec), synth_demand(spec)
+    a, b = dict_series(synth_demand(spec)), dict_series(synth_demand(spec))
     assert a.participants == b.participants and a.competitors == b.competitors
 
 
 def test_synth_diurnal_matches_closed_form():
     spec = SynthSpec("diurnal", n=3, horizon=1440, magnitude=0.5, peak_minute=720,
                      participant_share=0.5, competitor_share=0.5)
-    series = synth_demand(spec)
+    series = dict_series(synth_demand(spec))
     # per-cell cumulative participant arrivals track half (their share) of the
     # documented sinusoid within rounding of the two nested floors
     for cell in range(9):
@@ -166,7 +183,7 @@ def test_synth_rotation_activates_one_center():
     spec = SynthSpec("hotspot", n=6, horizon=240, magnitude=1.0, decay=0.4,
                      centers=[(0, 0), (5, 5)], rotate_every=120,
                      participant_share=0.5, competitor_share=0.5)
-    series = synth_demand(spec)
+    series = dict_series(synth_demand(spec))
     near_a = sum(v for (c, m), v in series.participants.items() if c == 0 and m < 120)
     near_a_late = sum(v for (c, m), v in series.participants.items() if c == 0 and m >= 120)
     assert near_a > 10 * max(1, near_a_late)
@@ -190,6 +207,99 @@ def test_series_roundtrip(tmp_path):
     series = synth_demand(spec)
     path = tmp_path / "series.csv"
     save_series(path, series)
-    back = load_series(path)
+    back = dict_series(load_series(path, 16))
+    series = dict_series(series)
     assert back.participants == series.participants
     assert back.competitors == series.competitors
+
+
+# --- columnar pipeline against the dict oracles (tests/reference.py) ---
+
+cells_st = st.integers(0, 5)
+minutes_st = st.integers(0, 40)
+rows_st = st.lists(st.tuples(cells_st, minutes_st, st.integers(0, 30)), max_size=40)
+share_st = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
+
+
+def summed(rows) -> dict:
+    """The dict the old pipeline held for these rows: repeated (cell, minute)
+    rows add up, and no entry is zero (disaggregate skipped empty bins)."""
+    out: dict = {}
+    for k, m, v in rows:
+        out[(k, m)] = out.get((k, m), 0) + v
+    return {key: v for key, v in out.items() if v}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(cells_st, st.integers(0, 8), st.integers(0, 400), st.floats(0.01, 1.0)), max_size=12))
+def test_disaggregate_matches_dict_oracle(recs):
+    # repeated (cell, interval) records overlap in the same minute bins
+    base = datetime(2024, 4, 18, 6, 0)
+    records = [IntensityRecord("s", base + timedelta(minutes=15 * q), count, cell, frac)
+               for cell, q, count, frac in recs]
+    assert dict_of(disaggregate(records)) == disaggregate_dict(records)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_st, share_st, share_st, st.one_of(st.none(), st.integers(0, 50)))
+def test_split_demand_matches_dict_oracle(rows, p_share, c_share, horizon):
+    table = summed(rows)
+    try:
+        want = split_demand_dict(table, p_share, c_share, horizon)
+    except (ConfigError, ValidationError) as exc:
+        with pytest.raises(type(exc)):
+            split_demand(MinuteCounts.of(rows), p_share, c_share, horizon)
+        return
+    assert dict_series(split_demand(MinuteCounts.of(rows), p_share, c_share, horizon)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_st, rows_st, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 4.0)))
+def test_scale_series_matches_dict_oracle(p_rows, c_rows, scale):
+    series = ArrivalSeries(50, MinuteCounts.of(p_rows), MinuteCounts.of(c_rows))
+    want = scale_series_dict(DictSeries(50, summed(p_rows), summed(c_rows)), scale)
+    assert dict_series(scale_series(series, scale)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["uniform", "diurnal", "hotspot"]), st.integers(1, 4), st.integers(0, 90),
+    st.one_of(st.just(0.0), st.floats(0.0, 3.0)), share_st, share_st,
+    st.integers(0, 60), st.integers(0, 9),
+)
+def test_synth_demand_matches_dict_oracle(pattern, n, horizon, magnitude, p_share, c_share, rotate, seed):
+    spec = SynthSpec(pattern, n=n, horizon=horizon, magnitude=magnitude, peak_minute=horizon // 3,
+                     seed=seed, participant_share=p_share, competitor_share=c_share,
+                     rotate_every=rotate, decay=1.5)
+    assert dict_series(synth_demand(spec)) == synth_demand_dict(spec)
+
+
+def test_series_file_survives_load_save_byte_for_byte(tmp_path):
+    spec = SynthSpec("hotspot", n=5, horizon=120, magnitude=0.9, seed=3, rotate_every=30)
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_series(first, synth_demand(spec))
+    save_series(second, load_series(first, 25))
+    assert first.read_bytes() == second.read_bytes()
+    assert len(first.read_bytes().splitlines()) > 100
+
+
+def test_load_series_sums_repeated_rows():
+    text = "cell,minute,group,count\n3,4,participant,2\n3,4,participant,5\n3,4,competitor,0\n"
+    series = dict_series(load_series(io.StringIO(text), 9))
+    assert series.participants == {(3, 4): 7} and series.competitors == {}
+    assert series.horizon == 5
+
+
+@pytest.mark.parametrize("row, what", [
+    ("150,3,participant,2", "cell 150"),
+    ("100,3,participant,2", "cell 100"),
+    ("-3,3,competitor,2", "cell -3"),
+    ("4,-1,competitor,2", "minute -1"),
+    ("4,1099511627776,competitor,2", "minute 1099511627776"),  # would overflow the int64 columns
+    ("4,1,competitor,-2", "count -2"),
+    ("4,1,competitor,99999999999999999999", "count 99999999999999999999"),
+])
+def test_load_series_rejects_rows_off_the_grid_or_clock(row, what):
+    text = "cell,minute,group,count\n0,0,participant,1\n" + row + "\n"
+    with pytest.raises(ValidationError, match=f"line 3: .*{what}"):
+        load_series(io.StringIO(text), 100)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bench_config
-from reference import resolve_parking
+from reference import dict_series, resolve_parking, series_of
 
 from curbsim.demand import ArrivalSeries
 from curbsim.engine import (
@@ -104,7 +104,7 @@ def test_adjacent_participant_parks_next_tick():
     grid, caps = make_grid(4, capacity=0)
     caps = caps.copy()
     caps[5] = 1  # (1,1)
-    series = ArrivalSeries(10, participants={(6, 0): 1})  # spawn at (1,2), adjacent
+    series = series_of(10, participants={(6, 0): 1})  # spawn at (1,2), adjacent
     cfg = base_cfg()
     sim = sim_with(grid, caps, series, cfg)
     sim.tick()
@@ -119,7 +119,7 @@ def test_search_time_equals_initial_distance():
     grid, caps = make_grid(8, capacity=0)
     caps = caps.copy()
     caps[0] = 1  # spot at (0,0)
-    series = ArrivalSeries(20, participants={(7 * 8 + 7, 0): 1})  # spawn at (7,7), distance 14
+    series = series_of(20, participants={(7 * 8 + 7, 0): 1})  # spawn at (7,7), distance 14
     sim = sim_with(grid, caps, series, base_cfg(horizon=20))
     out = sim.run()
     assert out.status[0] == 0
@@ -132,7 +132,7 @@ def test_tie_break_frequency_micro():
     grid, caps = make_grid(4, capacity=0)
     caps = caps.copy()
     caps[5] = 1
-    series = ArrivalSeries(4, participants={(4, 0): 1}, competitors={(6, 0): 1})
+    series = series_of(4, participants={(4, 0): 1}, competitors={(6, 0): 1})
     wins = 0
     trials = 20_000
     for seed in range(trials):
@@ -147,7 +147,7 @@ def test_unassigned_keeps_stale_target():
     grid, caps = make_grid(6, capacity=0)
     caps = caps.copy()
     caps[0] = 1  # single spot at (0,0)
-    series = ArrivalSeries(10, participants={(5 * 6 + 5, 0): 1})
+    series = series_of(10, participants={(5 * 6 + 5, 0): 1})
     sim = sim_with(grid, caps, series, base_cfg(horizon=10, checks=False))
     sim.tick()
     sim.tick()
@@ -165,7 +165,7 @@ def test_unassigned_keeps_stale_target():
 
 def test_expiry_strictly_after_budget():
     grid, caps = make_grid(4, capacity=0)  # no spots anywhere
-    series = ArrivalSeries(40, participants={(5, 2): 1})
+    series = series_of(40, participants={(5, 2): 1})
     cfg = base_cfg(horizon=40, t_max=5)
     sim = sim_with(grid, caps, series, cfg)
     out = sim.run()
@@ -304,7 +304,7 @@ def test_arrival_file_sniffing(tmp_path):
     save_series(direct, series)
     cfg2 = base_cfg(horizon=15, arrivals=ArrivalsConfig(kind="file", path=str(direct)))
     series2 = build_arrivals(cfg2, grid, 0)
-    assert series2.participants == series.participants
+    assert dict_series(series2).participants == dict_series(series).participants
 
 
 def test_resolve_matches_per_cell_scalar_draws():
@@ -404,3 +404,17 @@ def test_engine_invariants_on_random_small_configs(case):
         return sorted(zip(*(col.tolist() for col in (o.group, o.spawn, o.status, o.terminal, o.park_cell))))
 
     assert rows(folded) == rows(out)
+
+
+def test_blind_walker_on_a_1x1_grid_stays_on_it():
+    # the lone cell has no in-bounds neighbour; the walker used to step to cell -1
+    grid, caps = make_grid(1, capacity=0)
+    cfg = base_cfg(horizon=5, shares=(0.0, 1.0),
+                   arrivals=ArrivalsConfig(kind="synth", pattern="uniform", magnitude=1.0))
+    buf = io.StringIO()
+    sim = Simulation(grid, caps, build_arrivals(cfg, grid, cfg.seed), cfg, 7, buf)
+    for _ in range(5):
+        sim.tick()
+    events = [json.loads(line) for line in buf.getvalue().splitlines()]
+    assert [e["event"] for e in events][:1] == ["spawn"]
+    assert {e["cell"] for e in events} == {0}
