@@ -8,6 +8,7 @@ implement live with the tests (tests/reference.py).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,6 +59,24 @@ def step_toward_batch(pos: np.ndarray, target: np.ndarray, rng: np.random.Genera
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _neighbour_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell k = i*n + j: its in-bounds von Neumann neighbours packed in
+    slot order up, down, left, right ((n*n, 4, 2); unused slots hold the
+    cell itself) and how many there are."""
+    i, j = np.divmod(np.arange(n * n), n)
+    cand = np.stack([np.stack([i - 1, j], 1), np.stack([i + 1, j], 1),
+                     np.stack([i, j - 1], 1), np.stack([i, j + 1], 1)], axis=1)
+    ok = ((cand >= 0) & (cand < n)).all(axis=2)
+    count = ok.sum(axis=1)
+    table = np.repeat(np.stack([i, j], 1)[:, None, :], 4, axis=1)
+    slot = np.cumsum(ok, axis=1) - 1
+    rows = np.nonzero(ok)[0]
+    table[rows, slot[ok]] = cand[ok]
+    table.flags.writeable = count.flags.writeable = False  # shared by every caller
+    return table, count
+
+
 def step_competitors_batch(
     pos: np.ndarray,
     free_cells: np.ndarray,
@@ -68,53 +87,29 @@ def step_competitors_batch(
     """One tick of competitor movement for all searchers at once.
 
     free_cells is the (nf,2) array of cells holding at least one free spot.
-    Draw order: one tie-break uniform per competitor for target choice, one
-    per competitor for the step (random walkers consume the step draw).
+    Draw order: one tie-break uniform per (competitor, free cell) for target
+    choice, one per competitor for the step (random walkers consume the step
+    draw). A walker with no in-bounds neighbour (a 1x1 grid) stays put.
     """
     m = len(pos)
     if m == 0:
         return pos
+    out = pos.copy()
     nf = len(free_cells)
+    sees = np.zeros(m, dtype=bool)
     if nf:
         dist = manhattan_matrix(pos, free_cells)
-        # dist + u*0.9 picks uniformly among minimal-distance cells
-        noisy = dist + rng.random((m, nf)) * 0.9
-        pick = np.argmin(noisy, axis=1)
-        best = dist[np.arange(m), pick]
-        sees = best <= r
-    else:
-        sees = np.zeros(m, dtype=bool)
-        pick = None
-
-    out = pos.copy()
-    if nf and sees.any():
-        tgt = free_cells[pick[sees]]
-        out[sees] = step_toward_batch(pos[sees], tgt, rng)
+        noise = rng.random((m, nf))
+        sees = dist.min(axis=1) <= r
+        if sees.any():
+            # dist + u*0.9 picks uniformly among minimal-distance cells
+            pick = np.argmin(dist[sees] + noise[sees] * 0.9, axis=1)
+            out[sees] = step_toward_batch(pos[sees], free_cells[pick], rng)
     blind = ~sees
     nb = int(blind.sum())
     if nb:
-        bi = pos[blind, 0]
-        bj = pos[blind, 1]
-        cand = np.stack(
-            [
-                np.stack([bi - 1, bj], axis=1),
-                np.stack([bi + 1, bj], axis=1),
-                np.stack([bi, bj - 1], axis=1),
-                np.stack([bi, bj + 1], axis=1),
-            ],
-            axis=1,
-        )  # (nb, 4, 2)
-        ok = (
-            (cand[:, :, 0] >= 0)
-            & (cand[:, :, 0] < n)
-            & (cand[:, :, 1] >= 0)
-            & (cand[:, :, 1] < n)
-        )
-        u = rng.random(nb)
-        idx = np.floor(u * ok.sum(axis=1)).astype(np.int64)
-        # map the uniform index into the surviving neighbor slots
-        order = np.cumsum(ok, axis=1) - 1
-        sel = np.argmax(order == idx[:, None], axis=1)
-        # a 1x1 grid leaves no neighbour in bounds: the walker stays put
-        out[blind] = cand[np.arange(nb), sel] if n > 1 else pos[blind]
+        table, count = _neighbour_table(n)
+        k = pos[blind, 0] * n + pos[blind, 1]
+        idx = np.floor(rng.random(nb) * count[k]).astype(np.int64)
+        out[blind] = table[k, idx]
     return out

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import SimConfig, build_arrivals, run_simulation
-from .errors import CurbsimError, ConfigError
+from .errors import ConfigError, CurbsimError, ValidationError
 from .grid import load_grid
 from .metrics import GROUPS, export_report, fold_events, hourly_series
 from .predictor import load_corpus, retrain, save_model
@@ -147,6 +147,21 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_report(report, n_logs: int):
+    """The report.json structure `report` reads: an object whose `runs`
+    list holds an `hourly` series per run, one run per event log at least."""
+    if not isinstance(report, dict):
+        raise ValidationError("report.json must hold a JSON object")
+    runs = report.get("runs")
+    if not isinstance(runs, list):
+        raise ValidationError("report.json has no runs list")
+    if len(runs) < n_logs:
+        raise ValidationError(f"report.json holds {len(runs)} run(s) for {n_logs} event log(s)")
+    for i, run in enumerate(runs):
+        if not isinstance(run, dict) or not isinstance(run.get("hourly"), list):
+            raise ValidationError(f"report.json runs[{i}] has no hourly series")
+
+
 def cmd_report(args) -> int:
     log_dir = Path(args.log_dir)
     report_path = log_dir / "report.json"
@@ -156,9 +171,10 @@ def cmd_report(args) -> int:
     try:
         with open(report_path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
+        event_files = sorted(log_dir.glob("events*.ndjson"))
+        _check_report(report, len(event_files))
         cfg = SimConfig.from_dict(report.get("config"))
         grid, _ = load_grid(cfg.grid_file)
-        event_files = sorted(log_dir.glob("events*.ndjson"))
         if event_files:
             # recount hourly series from the raw events as a cross-check
             for i, path in enumerate(event_files):

@@ -80,7 +80,9 @@ class ArrivalSeries:
 
 
 def parse_intensity(source, label_to_cell=None, strict: bool = True) -> list[IntensityRecord]:
-    """Materialize intensity rows; malformed rows are reported with line numbers.
+    """Materialize intensity rows; malformed rows are reported with line
+    numbers. A count must lie in [0, 2**40), the bound `load_series` uses,
+    so the minute bins fit their int64 columns.
 
     `label_to_cell` maps geohash labels to cell indices; when None, labels
     must already be integer cell indices. With strict=True the per-segment
@@ -115,8 +117,8 @@ def parse_intensity(source, label_to_cell=None, strict: bool = True) -> list[Int
             frac = float(row["overlap_fraction"])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad numeric field: {exc}", line=lineno) from None
-        if count < 0:
-            raise ValidationError(f"line {lineno}: negative count {count}")
+        if not 0 <= count < 2**40:
+            raise ValidationError(f"line {lineno}: count {count} outside 0..2**40")
         if not (0.0 < frac <= 1.0):
             raise ValidationError(f"line {lineno}: overlap_fraction {frac} outside (0, 1]")
         label = row["geohash7"]

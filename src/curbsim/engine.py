@@ -354,27 +354,31 @@ class Simulation:
 
         Each competitor that can see a free cell is allocated to its nearest
         one (a competitor parks at most one spot, so a lone competitor cannot
-        poison a whole multi-spot cell). Returns per-cell ascending capturer
-        distances (unit j of a cell is lost to a participant strictly farther
-        than the j-th capturer) and the mask of unallocated competitors;
-        allocated ones are committed this tick and leave the live context.
+        poison a whole multi-spot cell). Returns one distance limit per spot
+        unit, cells in order and units within a cell by ascending capturer
+        distance (unit j of a cell is lost to a participant strictly farther
+        than the j-th capturer; inf where the cell has fewer capturers), and
+        the mask of unallocated competitors; allocated ones are committed
+        this tick and leave the live context.
         """
-        nf = len(free_cells)
+        limit = np.full(int(free_counts.sum()), np.inf)
         nc = len(c_pos)
-        blockers = [np.zeros(0, np.int64) for _ in range(nf)]
-        unallocated = np.ones(nc, dtype=bool)
-        if nf == 0 or nc == 0:
-            return blockers, unallocated
+        if len(free_cells) == 0 or nc == 0:
+            return limit, np.ones(nc, dtype=bool)
         dc = manhattan_matrix(c_pos, free_cells)
         nearest = np.argmin(dc, axis=1)
         best = dc[np.arange(nc), nearest]
         sees = best <= self.cfg.r
-        if sees.any():
-            for f in np.unique(nearest[sees]):
-                dists = np.sort(best[sees & (nearest == f)])[: int(free_counts[f])]
-                blockers[int(f)] = dists
-            unallocated = ~sees
-        return blockers, unallocated
+        cell, dist = nearest[sees], best[sees]
+        order = np.lexsort((dist, cell))
+        cell, dist = cell[order], dist[order]
+        # rank of each capturer within its cell; a cell keeps free_counts of them
+        first = np.searchsorted(cell, cell)
+        rank = np.arange(len(cell)) - first
+        kept = rank < free_counts[cell]
+        unit_start = np.cumsum(free_counts) - free_counts
+        limit[unit_start[cell[kept]] + rank[kept]] = dist[kept]
+        return limit, ~sees
 
     # --- phases, in tick order ---
 
@@ -424,9 +428,9 @@ class Simulation:
         kwargs = {}
         if cfg.strategy is StrategyKind.CORD_ORACLE:
             c_pos = self.competitors.pos[act_c]
-            blockers, unallocated = self._capture_allocation(free_cells, counts, c_pos)
+            limit, unallocated = self._capture_allocation(free_cells, counts, c_pos)
             kwargs = dict(ctx=OracleContext(c_pos[unallocated], cfg.r), p_table=self._p_table,
-                          unit_block_dist=blockers)
+                          unit_block_dist=limit)
         elif cfg.strategy is StrategyKind.CORD_APPROX:
             kwargs["p_hat"] = predict_many(
                 self.model, free_k, self.minute0 + t, self._trend, self.n * self.n, cfg.weekday,

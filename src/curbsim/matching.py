@@ -7,8 +7,16 @@ larger than the sum of all finite entries, which makes the solver maximize
 feasible-match cardinality first and total cost second. Matches landing on
 the sentinel are stripped from the result.
 
-The kernel is numpy-vectorized; ties between equal-cost optima resolve by the
-fixed scan order, so identical inputs always yield identical assignments.
+Each row is augmented by a Dijkstra search over the columns, with the relax
+step vectorized over buffers allocated once per solve. A column's distance
+is final once it is scanned, so the dual update after an augmentation
+touches only the scanned columns (their v) and the rows matched to them
+(their u), in one fancy-indexed update each; a row whose nearest column is
+free moves only its own u. Every dual gets the same floating-point
+operations as in the textbook update over all rows and columns
+(tests/reference.py keeps that form), so ties between equal-cost optima
+resolve by the same fixed scan order and identical inputs always yield
+identical assignments.
 """
 from __future__ import annotations
 
@@ -51,51 +59,68 @@ class Assignment:
 def _sap_core(cost):
     """Min-cost perfect matching of all rows; requires nr <= nc, finite costs.
 
-    Returns col4row (row -> matched column). Dijkstra-style augmentation with
-    the column relax step vectorized.
+    Returns col4row (row -> matched column). During a search, `masked`
+    holds each open column's tentative distance and inf once it is scanned;
+    the scanned columns' distances are kept in scan order in `dists`.
     """
     nr, nc = cost.shape
+    rows = list(cost)
     u = np.zeros(nr, np.float64)
     v = np.zeros(nc, np.float64)
-    col4row = np.full(nr, -1, np.int64)
-    row4col = np.full(nc, -1, np.int64)
+    col4row = [-1] * nr
+    row4col = [-1] * nc
     inf = np.inf
+    masked = np.empty(nc, np.float64)
+    reduced = np.empty(nc, np.float64)
+    v_open = np.empty(nc, np.float64)
+    pred = np.empty(nc, np.int64)
+    better = np.empty(nc, np.bool_)
     for cur_row in range(nr):
-        shortest = np.full(nc, inf)
-        pred = np.full(nc, cur_row, np.int64)
-        done = np.zeros(nc, np.bool_)
-        min_val = 0.0
-        i = cur_row
-        sink = -1
-        while sink == -1:
-            reduced = min_val + cost[i] - u[i] - v
-            better = (~done) & (reduced < shortest)
-            shortest[better] = reduced[better]
-            pred[better] = i
-            masked = np.where(done, inf, shortest)
-            j = np.argmin(masked)
-            min_val = masked[j]
-            done[j] = True
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = row4col[j]
-        u[cur_row] += min_val
-        for r in range(nr):
-            jj = col4row[r]
-            if jj >= 0 and done[jj]:
-                u[r] += min_val - shortest[jj]
-        v -= np.where(done, min_val - shortest, 0.0)
-        j = sink
+        # first scan from cur_row: every column is open and at distance inf
+        np.add(rows[cur_row], 0.0, out=masked)
+        np.subtract(masked, u[cur_row], out=masked)
+        np.subtract(masked, v, out=masked)
+        j = int(masked.argmin())
+        min_val = masked[j]
+        if row4col[j] == -1:
+            # the nearest column is free: only this row's dual moves
+            u[cur_row] += min_val
+            row4col[j], col4row[cur_row] = cur_row, j
+            continue
+        # v_open is v on open columns and -inf on scanned ones, where the
+        # reduced cost becomes +inf and so never beats masked
+        np.copyto(v_open, v)
+        pred.fill(cur_row)
+        scanned, dists, via = [], [], []
         while True:
-            i = pred[j]
+            masked[j] = inf
+            v_open[j] = -inf
+            scanned.append(j)
+            dists.append(min_val)
+            i = row4col[j]
+            if i == -1:
+                break
+            via.append(i)
+            np.add(rows[i], min_val, out=reduced)
+            np.subtract(reduced, u[i], out=reduced)
+            np.subtract(reduced, v_open, out=reduced)
+            np.less(reduced, masked, out=better)
+            np.putmask(masked, better, reduced)
+            np.putmask(pred, better, i)
+            j = int(masked.argmin())
+            min_val = masked[j]
+        u[cur_row] += min_val
+        dists = np.array(dists)
+        u[via] += min_val - dists[:-1]
+        v[scanned] -= min_val - dists
+        j = scanned[-1]
+        while True:
+            i = int(pred[j])
             row4col[j] = i
-            j_next = col4row[i]
-            col4row[i] = j
+            j, col4row[i] = col4row[i], j
             if i == cur_row:
                 break
-            j = j_next
-    return col4row
+    return np.array(col4row, np.int64)
 
 
 def solve_dense(entries: np.ndarray) -> list[tuple[int, int]]:
@@ -113,17 +138,16 @@ def solve_dense(entries: np.ndarray) -> list[tuple[int, int]]:
         big = work[finite].sum() + 2.0
         filled = np.where(finite, work, big)
     col4row = _sap_core(np.ascontiguousarray(filled))
-    pairs = []
-    for r, c in enumerate(col4row):
-        c = int(c)
-        if not np.isfinite(work[r, c]):
-            continue  # sentinel match = unmatched
-        pairs.append((c, r) if transposed else (r, c))
-    return sorted(pairs)
+    row = np.flatnonzero(finite[np.arange(len(col4row)), col4row])  # sentinel match = unmatched
+    col = col4row[row]
+    if transposed:
+        row, col = col, row
+    return sorted(zip(row.tolist(), col.tolist()))
 
 
 def hungarian_assign(m: CostMatrix) -> Assignment:
     """Minimum-cost maximum-cardinality assignment restricted to finite entries."""
     pairs = solve_dense(m.entries)
-    total = float(sum(m.entries[r, c] for r, c in pairs))
+    rows, cols = np.array(pairs, np.int64).reshape(-1, 2).T
+    total = float(sum(m.entries[rows, cols].tolist()))  # summed in pair order
     return Assignment(set(pairs), total)

@@ -154,27 +154,26 @@ def oracle_cost_matrix(d_pos, cells, comp_pos, r, p_table):
     td = manhattan_matrix(d_pos, cells).astype(np.float64)
     if ncp == 0 or nd == 0 or nf == 0:
         return td
-    tc_mat = manhattan_matrix(comp_pos, cells)  # (ncp, nf)
-    min_c = tc_mat.min(axis=0)
-    cond2 = (min_c <= r)[None, :] & (min_c[None, :] < td)
-    max_d = int(max(td.max(), tc_mat.max()))
-    # bucket competitors by distance per cell, accumulate capture probability,
-    # then prefix-sum so sum_{tau_c < tau_d} is a single gather
     adx = np.abs(comp_pos[:, 0, None] - cells[None, :, 0])
     ady = np.abs(comp_pos[:, 1, None] - cells[None, :, 1])
+    tc_mat = adx + ady  # (ncp, nf)
+    min_c = tc_mat.min(axis=0)
+    cond2 = (min_c <= r)[None, :] & (min_c[None, :] < td)
+    width = int(max(td.max(), tc_mat.max())) + 2
+    # bucket far competitors by (cell, distance) with one flat bincount, in
+    # the C order of (competitor, cell) so each bucket sums in competitor
+    # order, then prefix-sum so sum_{tau_c < tau_d} is a single gather
     far = tc_mat > r
+    bucket = (np.arange(nf) * width + tc_mat)[far]
     td_int = td.astype(np.int64)
+    below = np.arange(nf) * width + np.maximum(td_int - 1, 0)
+    t_of = np.where(td_int >= r + 2, np.minimum(td_int - r - 1, r), 0)
     psum = np.zeros_like(td)
-    cols = np.broadcast_to(np.arange(nf), (ncp, nf))
     for t_c in range(1, r + 1):
-        pvals = p_table[t_c, adx, ady]
-        buckets = np.zeros((nf, max_d + 2))
-        np.add.at(buckets, (cols[far], tc_mat[far]), pvals[far])
-        cum = np.cumsum(buckets, axis=1)
-        gathered = cum[np.arange(nf)[None, :], np.maximum(td_int - 1, 0)]
-        tc_match = np.minimum(td_int - r - 1, r) == t_c
-        eligible = tc_match & (td_int >= r + 2)
-        psum = np.where(eligible, gathered, psum)
+        pvals = p_table[t_c, adx[far], ady[far]]
+        cum = np.cumsum(np.bincount(bucket, pvals, minlength=nf * width).reshape(nf, width), axis=1)
+        eligible = t_of == t_c
+        psum[eligible] = cum.ravel()[below[eligible]]
     out = td * (1.0 + psum)
     out[cond2] = np.inf
     return out
@@ -189,17 +188,16 @@ def dispatch(
     ctx: OracleContext | None = None,
     p_hat: np.ndarray | None = None,
     p_table: np.ndarray | None = None,
-    unit_block_dist: list | None = None,
+    unit_block_dist: np.ndarray | None = None,
 ) -> dict[int, CellCoord]:
     """Per-tick targets: participant row index -> spot cell.
 
     free_cells/free_counts describe the spot units offered to the strategy.
     A cell with f free spots contributes f identical columns, so each spot
     unit serves at most one participant. For the oracle, unit_block_dist
-    (one ascending array of capturing-competitor distances per cell) marks
-    unit j of a cell infeasible for participants strictly farther than the
-    j-th capturer; a single competitor can take only a single spot, so it
-    never poisons a whole multi-spot cell.
+    holds one distance per unit (inf for none): the unit is infeasible for
+    participants strictly farther from its cell, so a single competitor
+    can take only a single spot and never poisons a whole multi-spot cell.
     """
     d_pos = np.asarray(d_pos, dtype=np.int64).reshape(-1, 2)
     free_cells = np.asarray(free_cells, dtype=np.int64).reshape(-1, 2)
@@ -236,20 +234,11 @@ def dispatch(
     cost = cell_cost[:, unit_cell]
     if unit_block_dist is not None:
         tau = manhattan_matrix(d_pos, free_cells)
-        col = 0
-        for f, cnt in enumerate(free_counts):
-            blockers = unit_block_dist[f]
-            for j in range(int(cnt)):
-                if j < len(blockers):
-                    cost[tau[:, f] > blockers[j], col] = np.inf
-                col += 1
+        cost[tau[:, unit_cell] > unit_block_dist] = np.inf
     # randomize presentation so equal-cost optima do not bias by index order
     row_perm = rng.permutation(nd)
     col_perm = rng.permutation(len(unit_cell))
     assignment = hungarian_assign(CostMatrix(cost[np.ix_(row_perm, col_perm)]))
-    out: dict[int, CellCoord] = {}
-    for pr, pc in assignment.pairs:
-        d = int(row_perm[pr])
-        f = int(unit_cell[col_perm[pc]])
-        out[d] = CellCoord(int(free_cells[f, 0]), int(free_cells[f, 1]))
-    return out
+    rows = row_perm.tolist()
+    cells = free_cells[unit_cell[col_perm]].tolist()
+    return {rows[pr]: CellCoord(*cells[pc]) for pr, pc in assignment.pairs}

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from curbsim.engine import ArrivalsConfig, SimConfig, Simulation, build_arrivals
 from curbsim.grid import GridSpec, make_grid
@@ -133,3 +134,10 @@ def brute_force_assignment(entries) -> tuple[int, float]:
 
 def tiny_grid(n=4, capacity=1) -> tuple[GridSpec, np.ndarray]:
     return make_grid(n, capacity=capacity)
+
+
+def draw_cells(draw, n: int, **kw) -> np.ndarray:
+    """A Hypothesis-drawn (k, 2) int64 array of cells on an n x n grid;
+    kw goes to st.lists (max_size, unique)."""
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return np.array(draw(st.lists(cell, **kw)), np.int64).reshape(-1, 2)

@@ -1,7 +1,9 @@
 """Dense and scalar reference implementations that tests compare the
 library against: the per-agent movement, parking and dwell contracts, the
 per-cell occupancy operations, the scalar strategy costs, the dense
-predictor, and the `{(cell, minute): count}` dict demand pipeline."""
+predictor, the `{(cell, minute): count}` dict demand pipeline, and the
+unvectorized dispatch kernels: assignment, oracle cost matrix, capture
+blocking and competitor stepping."""
 from __future__ import annotations
 
 import math
@@ -9,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from curbsim.agents import DwellSpec
+from curbsim.agents import DwellSpec, step_toward_batch
 from curbsim.demand import ArrivalSeries, MinuteCounts, _round_half_up, _synth_rates, largest_remainder
 from curbsim.errors import CapacityError, ConfigError, SchemaError, ValidationError
-from curbsim.grid import CellCoord, OccupancyState, manhattan
+from curbsim.grid import CellCoord, OccupancyState, manhattan, manhattan_matrix
 from curbsim.matching import INFEASIBLE
 from curbsim.predictor import (
     BUCKET_MINUTES,
@@ -381,4 +383,189 @@ def scale_series_dict(series: DictSeries, scale: float) -> DictSeries:
     out = DictSeries(series.horizon, {}, {})
     _diffuse_dict(series.participants, scale, out.participants)
     _diffuse_dict(series.competitors, scale, out.competitors)
+    return out
+
+
+# --- dispatch kernels: the straightforward forms of the vectorized ones ---
+
+
+def sap_core(cost):
+    """Min-cost perfect matching of all rows (nr <= nc, finite costs):
+    Dijkstra-style augmentation, fresh buffers per row, a masked copy per
+    step and a per-row loop for the row duals."""
+    nr, nc = cost.shape
+    u = np.zeros(nr, np.float64)
+    v = np.zeros(nc, np.float64)
+    col4row = np.full(nr, -1, np.int64)
+    row4col = np.full(nc, -1, np.int64)
+    inf = np.inf
+    for cur_row in range(nr):
+        shortest = np.full(nc, inf)
+        pred = np.full(nc, cur_row, np.int64)
+        done = np.zeros(nc, np.bool_)
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            reduced = min_val + cost[i] - u[i] - v
+            better = (~done) & (reduced < shortest)
+            shortest[better] = reduced[better]
+            pred[better] = i
+            masked = np.where(done, inf, shortest)
+            j = np.argmin(masked)
+            min_val = masked[j]
+            done[j] = True
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+        u[cur_row] += min_val
+        for r in range(nr):
+            jj = col4row[r]
+            if jj >= 0 and done[jj]:
+                u[r] += min_val - shortest[jj]
+        v -= np.where(done, min_val - shortest, 0.0)
+        j = sink
+        while True:
+            i = pred[j]
+            row4col[j] = i
+            j_next = col4row[i]
+            col4row[i] = j
+            if i == cur_row:
+                break
+            j = j_next
+    return col4row
+
+
+def solve_dense(entries) -> list[tuple[int, int]]:
+    """matching.solve_dense over sap_core, pairs gathered row by row."""
+    entries = np.asarray(entries, dtype=np.float64)
+    nr, nc = entries.shape
+    if nr == 0 or nc == 0:
+        return []
+    transposed = nr > nc
+    work = entries.T if transposed else entries
+    finite = np.isfinite(work)
+    if finite.all():
+        filled = work
+    else:
+        big = work[finite].sum() + 2.0
+        filled = np.where(finite, work, big)
+    col4row = sap_core(np.ascontiguousarray(filled))
+    pairs = []
+    for r, c in enumerate(col4row):
+        c = int(c)
+        if not np.isfinite(work[r, c]):
+            continue  # sentinel match = unmatched
+        pairs.append((c, r) if transposed else (r, c))
+    return sorted(pairs)
+
+
+def oracle_cost_matrix(d_pos, cells, comp_pos, r, p_table):
+    """strategies.oracle_cost_matrix with np.add.at bucketing and a second
+    distance matrix."""
+    d_pos = np.ascontiguousarray(d_pos, dtype=np.int64).reshape(-1, 2)
+    cells = np.ascontiguousarray(cells, dtype=np.int64).reshape(-1, 2)
+    comp_pos = np.ascontiguousarray(comp_pos, dtype=np.int64).reshape(-1, 2)
+    nd, nf, ncp = len(d_pos), len(cells), len(comp_pos)
+    td = manhattan_matrix(d_pos, cells).astype(np.float64)
+    if ncp == 0 or nd == 0 or nf == 0:
+        return td
+    tc_mat = manhattan_matrix(comp_pos, cells)
+    min_c = tc_mat.min(axis=0)
+    cond2 = (min_c <= r)[None, :] & (min_c[None, :] < td)
+    max_d = int(max(td.max(), tc_mat.max()))
+    adx = np.abs(comp_pos[:, 0, None] - cells[None, :, 0])
+    ady = np.abs(comp_pos[:, 1, None] - cells[None, :, 1])
+    far = tc_mat > r
+    td_int = td.astype(np.int64)
+    psum = np.zeros_like(td)
+    cols = np.broadcast_to(np.arange(nf), (ncp, nf))
+    for t_c in range(1, r + 1):
+        pvals = p_table[t_c, adx, ady]
+        buckets = np.zeros((nf, max_d + 2))
+        np.add.at(buckets, (cols[far], tc_mat[far]), pvals[far])
+        cum = np.cumsum(buckets, axis=1)
+        gathered = cum[np.arange(nf)[None, :], np.maximum(td_int - 1, 0)]
+        tc_match = np.minimum(td_int - r - 1, r) == t_c
+        eligible = tc_match & (td_int >= r + 2)
+        psum = np.where(eligible, gathered, psum)
+    out = td * (1.0 + psum)
+    out[cond2] = np.inf
+    return out
+
+
+def capture_blockers(free_cells, free_counts, c_pos, r):
+    """Per free cell, the ascending distances of the competitors allocated
+    to it (each seeing competitor goes to its nearest free cell, at most
+    free_counts[f] per cell), plus the mask of unallocated competitors."""
+    nf = len(free_cells)
+    nc = len(c_pos)
+    blockers = [np.zeros(0, np.int64) for _ in range(nf)]
+    unallocated = np.ones(nc, dtype=bool)
+    if nf == 0 or nc == 0:
+        return blockers, unallocated
+    dc = manhattan_matrix(c_pos, free_cells)
+    nearest = np.argmin(dc, axis=1)
+    best = dc[np.arange(nc), nearest]
+    sees = best <= r
+    if sees.any():
+        for f in np.unique(nearest[sees]):
+            blockers[int(f)] = np.sort(best[sees & (nearest == f)])[: int(free_counts[f])]
+        unallocated = ~sees
+    return blockers, unallocated
+
+
+def block_units(cost, d_pos, free_cells, free_counts, blockers):
+    """Mark unit j of cell f infeasible, in place, for participants strictly
+    farther from f than the j-th blocker; one column per spot unit."""
+    tau = manhattan_matrix(d_pos, free_cells)
+    col = 0
+    for f, cnt in enumerate(free_counts):
+        for j in range(int(cnt)):
+            if j < len(blockers[f]):
+                cost[tau[:, f] > blockers[f][j], col] = np.inf
+            col += 1
+    return cost
+
+
+def step_competitors_batch(pos, free_cells, r, n, rng):
+    """agents.step_competitors_batch with a noisy argmin over every row and
+    the blind step mapped through per-call neighbour candidates."""
+    m = len(pos)
+    if m == 0:
+        return pos
+    nf = len(free_cells)
+    if nf:
+        dist = manhattan_matrix(pos, free_cells)
+        noisy = dist + rng.random((m, nf)) * 0.9
+        pick = np.argmin(noisy, axis=1)
+        best = dist[np.arange(m), pick]
+        sees = best <= r
+    else:
+        sees = np.zeros(m, dtype=bool)
+        pick = None
+    out = pos.copy()
+    if nf and sees.any():
+        out[sees] = step_toward_batch(pos[sees], free_cells[pick[sees]], rng)
+    blind = ~sees
+    nb = int(blind.sum())
+    if nb:
+        bi = pos[blind, 0]
+        bj = pos[blind, 1]
+        cand = np.stack(
+            [
+                np.stack([bi - 1, bj], axis=1),
+                np.stack([bi + 1, bj], axis=1),
+                np.stack([bi, bj - 1], axis=1),
+                np.stack([bi, bj + 1], axis=1),
+            ],
+            axis=1,
+        )
+        ok = (cand[:, :, 0] >= 0) & (cand[:, :, 0] < n) & (cand[:, :, 1] >= 0) & (cand[:, :, 1] < n)
+        u = rng.random(nb)
+        idx = np.floor(u * ok.sum(axis=1)).astype(np.int64)
+        order = np.cumsum(ok, axis=1) - 1
+        sel = np.argmax(order == idx[:, None], axis=1)
+        out[blind] = cand[np.arange(nb), sel] if n > 1 else pos[blind]
     return out

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
+from conftest import draw_cells
 from reference import (
     Competitor,
     Participant,
@@ -147,3 +151,35 @@ def test_batch_competitor_grabs_visible():
     # co-located with a free spot: stays put
     out2 = step_competitors_batch(np.array([[2, 3]]), free, 1, 6, rng)
     assert (out2 == [[2, 3]]).all()
+
+
+@st.composite
+def stepping_inputs(draw):
+    """Searchers and free cells (unique, possibly none) on an n x n grid,
+    n from 1, with R = 0, 1 or 2."""
+    n = draw(st.integers(1, 6))
+    return (draw_cells(draw, n, max_size=30), draw_cells(draw, n, max_size=8, unique=True),
+            draw(st.integers(0, 2)), n, draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(stepping_inputs())
+def test_batch_competitors_equal_the_reference_draw_for_draw(case):
+    """Same new positions and the same generator state after the call, so
+    the number and order of draws are pinned too."""
+    pos, free, r, n, seed = case
+    rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = step_competitors_batch(pos, free, r, n, rng)
+    assert np.array_equal(got, reference.step_competitors_batch(pos, free, r, n, want_rng))
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_batch_competitors_on_the_smallest_grids(n):
+    rng = np.random.default_rng(12)
+    pos = np.array([[i % n, i // 2 % n] for i in range(40)], np.int64)
+    out = step_competitors_batch(pos, np.zeros((0, 2), np.int64), 1, n, rng)
+    if n == 1:
+        assert (out == 0).all()  # no in-bounds neighbour: the walker stays put
+    else:
+        assert (np.abs(out - pos).sum(axis=1) == 1).all() and ((out >= 0) & (out < n)).all()

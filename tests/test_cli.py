@@ -275,3 +275,61 @@ def test_report_rejects_unknown_config_key(tmp_path, short_config, capsys):
     capsys.readouterr()
     assert main(["report", str(out)]) == 2
     assert capsys.readouterr().err == "error: unknown config field: bogus\n"
+
+
+def test_run_and_validate_reject_an_intensity_count_past_int64_columns(tmp_path, short_config, capsys):
+    # used to die with an OverflowError traceback once the count met an int64 column
+    intensity = tmp_path / "intensity.csv"
+    intensity.write_text("segment_id,interval_start,count,geohash7,overlap_fraction\n"
+                         f"s1,2024-04-18T08:00:00,{10**21},g000000,1.0\n")
+    cfg = json.loads(short_config.read_text())
+    cfg["arrivals"] = {"kind": "file", "path": str(intensity)}
+    path = tmp_path / "intensity_config.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line 2: count {10**21} outside 0..2**40\n"
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == err
+
+
+def _break_report(out, edit):
+    """Rewrite a finished run's report.json as edit(report) returns it."""
+    report = json.loads((out / "report.json").read_text())
+    (out / "report.json").write_text(json.dumps(edit(report)))
+
+
+def _drop_runs(report):
+    del report["runs"]
+    return report
+
+
+def _drop_hourly(report):
+    del report["runs"][0]["hourly"]
+    return report
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda report: [1], "report.json must hold a JSON object"),
+    (_drop_runs, "report.json has no runs list"),
+    (_drop_hourly, "report.json runs[0] has no hourly series"),
+])
+def test_report_rejects_a_malformed_report(tmp_path, short_config, capsys, edit, message):
+    # each used to end in an AttributeError or KeyError traceback
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(short_config), "--out", str(out)]) == 0
+    _break_report(out, edit)
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_report_rejects_more_event_logs_than_runs(tmp_path, short_config, capsys):
+    # used to end in an IndexError traceback on the second log
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(short_config), "--out", str(out)]) == 0
+    (out / "events_r1.ndjson").write_text((out / "events.ndjson").read_text())
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 2
+    assert capsys.readouterr().err == "error: report.json holds 1 run(s) for 2 event log(s)\n"

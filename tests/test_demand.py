@@ -50,6 +50,12 @@ def test_parse_negative_count():
         parse_intensity(io.StringIO(HEADER + "s1,2024-04-18T08:00:00,-1,7,1.0\n"))
 
 
+def test_parse_count_past_int64_columns():
+    with pytest.raises(ValidationError, match=r"^line 2: count 1099511627776 outside 0..2\*\*40$"):
+        parse_intensity(io.StringIO(HEADER + f"s1,2024-04-18T08:00:00,{2**40},7,1.0\n"))
+    assert parse_intensity(io.StringIO(HEADER + f"s1,2024-04-18T08:00:00,{2**40 - 1},7,1.0\n"))[0].count == 2**40 - 1
+
+
 def test_parse_missing_column():
     with pytest.raises(ParseError):
         parse_intensity(io.StringIO("segment_id,interval_start,count,geohash7\ns,x,1,7\n"))

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bench_config
+import reference
+from conftest import bench_config, draw_cells
 from reference import dict_series, resolve_parking, series_of
 
+from curbsim import strategies
 from curbsim.demand import ArrivalSeries
 from curbsim.engine import (
     ArrivalsConfig,
@@ -23,6 +25,7 @@ from curbsim.errors import ConfigError
 from curbsim.grid import CellCoord, make_grid, manhattan_matrix
 from curbsim.metrics import STATUS_PARKED, fold_events, hourly_series
 from curbsim.rng import RngStreams, derive_seed
+from curbsim.strategies import OracleContext, StrategyKind, capture_prob_table
 
 
 def empty_series(horizon=10):
@@ -305,6 +308,60 @@ def test_arrival_file_sniffing(tmp_path):
     cfg2 = base_cfg(horizon=15, arrivals=ArrivalsConfig(kind="file", path=str(direct)))
     series2 = build_arrivals(cfg2, grid, 0)
     assert dict_series(series2).participants == dict_series(series).participants
+
+
+@st.composite
+def oracle_offers(draw):
+    """An oracle dispatch input: participants, free cells (unique, 1-3 free
+    spots each) and competitors on an n x n grid, R = 0, 1 or 2."""
+    n, r = draw(st.integers(1, 6)), draw(st.integers(0, 2))
+    free_cells = draw_cells(draw, n, max_size=6, unique=True)
+    counts = np.array(draw(st.lists(st.integers(1, 3), min_size=len(free_cells), max_size=len(free_cells))),
+                      np.int64)
+    return (n, r, draw_cells(draw, n, max_size=6), free_cells, counts, draw_cells(draw, n, max_size=14),
+            draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_offers())
+def test_oracle_unit_blocking_equals_the_blocker_lists(case):
+    """_capture_allocation's per-unit limits, applied in dispatch, hand the
+    solver the same matrix as the per-cell blocker lists with the double
+    loop (tests/reference.py), and dispatch returns the same targets in the
+    same order with the same strategy draws."""
+    n, r, d_pos, free_cells, counts, c_pos, seed = case
+    grid, caps = make_grid(n, capacity=0)
+    sim = sim_with(grid, caps, empty_series(), base_cfg(r=r, strategy="cord-oracle"))
+    limit, unallocated = sim._capture_allocation(free_cells, counts, c_pos)
+    blockers, want_unallocated = reference.capture_blockers(free_cells, counts, c_pos, r)
+    assert np.array_equal(unallocated, want_unallocated)
+
+    table = capture_prob_table(r, 2 * (n - 1))
+    seen = []
+    solve = strategies.hungarian_assign
+    strategies.hungarian_assign = lambda m: seen.append(m.entries) or solve(m)
+    try:
+        rng = np.random.default_rng(seed)
+        got = strategies.dispatch(StrategyKind.CORD_ORACLE, d_pos, free_cells, counts, rng,
+                                  ctx=OracleContext(c_pos[unallocated], r), p_table=table,
+                                  unit_block_dist=limit)
+    finally:
+        strategies.hungarian_assign = solve
+
+    if len(d_pos) == 0 or len(free_cells) == 0:
+        assert got == {} and seen == []
+        return
+    unit_cell = np.repeat(np.arange(len(free_cells)), counts)
+    cost = reference.oracle_cost_matrix(d_pos, free_cells, c_pos[unallocated], r, table)[:, unit_cell]
+    reference.block_units(cost, d_pos, free_cells, counts, blockers)
+    want_rng = np.random.default_rng(seed)
+    row_perm, col_perm = want_rng.permutation(len(d_pos)), want_rng.permutation(len(unit_cell))
+    want_matrix = cost[np.ix_(row_perm, col_perm)]
+    assert len(seen) == 1 and np.array_equal(seen[0], want_matrix)
+    want = {int(row_perm[pr]): CellCoord(*(int(x) for x in free_cells[unit_cell[col_perm[pc]]]))
+            for pr, pc in set(reference.solve_dense(want_matrix))}
+    assert list(got.items()) == list(want.items())
+    assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_resolve_matches_per_cell_scalar_draws():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_assignment
+from reference import solve_dense as solve_dense_reference
 
 from curbsim.errors import ValidationError
-from curbsim.matching import INFEASIBLE, CostMatrix, hungarian_assign
+from curbsim.matching import INFEASIBLE, CostMatrix, hungarian_assign, solve_dense
 
 
 def test_examples():
@@ -75,3 +78,40 @@ def test_validation():
         CostMatrix([[-1.0]])
     with pytest.raises(ValidationError):
         CostMatrix([[float("nan")]])
+
+
+# --- the solver against the unvectorized augmentation (tests/reference.py) ---
+
+
+@st.composite
+def cost_matrices(draw):
+    """Small rectangular matrices, either shape, with integer ties or float
+    costs, scattered infeasible entries and some all-infeasible rows."""
+    nr, nc = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    finite = st.integers(0, 3).map(float) if draw(st.booleans()) else st.floats(0.0, 100.0)
+    entry = st.one_of(finite, st.just(INFEASIBLE)) if draw(st.booleans()) else finite
+    m = np.array(draw(st.lists(entry, min_size=nr * nc, max_size=nr * nc))).reshape(nr, nc)
+    for r in draw(st.lists(st.integers(0, nr - 1), max_size=2)):
+        m[r] = INFEASIBLE
+    return m
+
+
+@settings(max_examples=400, deadline=None)
+@given(cost_matrices())
+def test_solver_picks_the_reference_pairs(m):
+    want = solve_dense_reference(m)
+    assert solve_dense(m) == want
+    got = hungarian_assign(CostMatrix(m))
+    assert got.pairs == set(want)
+    assert got.total_cost == float(sum(m[r, c] for r, c in want))
+
+
+def test_solver_reference_cases():
+    cases = [
+        np.zeros((3, 5)),  # every optimum ties
+        np.full((2, 2), INFEASIBLE),  # nothing feasible
+        np.array([[INFEASIBLE, INFEASIBLE], [1.0, 2.0], [2.0, 1.0], [1.0, 1.0]]),  # nr > nc
+        np.array([[5.0]]),
+    ]
+    for m in cases:
+        assert solve_dense(m) == solve_dense_reference(m)

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
+from conftest import draw_cells
 from reference import approx_cost, oracle_cost
 
 from curbsim.errors import ConfigError
@@ -161,6 +165,24 @@ def test_oracle_matrix_agrees_with_scalar():
                         assert np.isinf(mat[i, j])
                     else:
                         assert mat[i, j] == pytest.approx(want, abs=1e-9)
+
+
+@st.composite
+def oracle_inputs(draw):
+    """Participants, free cells (unique) and competitors on an n x n grid,
+    n from 1, with R = 0, 1 or 2."""
+    n, r = draw(st.integers(1, 7)), draw(st.integers(0, 2))
+    return (draw_cells(draw, n, max_size=6), draw_cells(draw, n, max_size=8, unique=True),
+            draw_cells(draw, n, max_size=12), r, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_inputs())
+def test_oracle_matrix_equals_the_scatter_add_reference(case):
+    d, f, c, r, n = case
+    table = capture_prob_table(r, 2 * (n - 1))
+    got = oracle_cost_matrix(d, f, c, r, table)
+    assert np.array_equal(got, reference.oracle_cost_matrix(d, f, c, r, table))
 
 
 def test_approx_cost():
