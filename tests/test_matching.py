@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_assignment
@@ -98,6 +98,10 @@ def cost_matrices(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(cost_matrices())
+@example(np.zeros((3, 5)))  # every optimum ties
+@example(np.full((2, 2), INFEASIBLE))  # nothing feasible
+@example(np.array([[INFEASIBLE, INFEASIBLE], [1.0, 2.0], [2.0, 1.0], [1.0, 1.0]]))  # nr > nc
+@example(np.array([[5.0]]))
 def test_solver_picks_the_reference_pairs(m):
     want = solve_dense_reference(m)
     assert solve_dense(m) == want
@@ -105,13 +109,3 @@ def test_solver_picks_the_reference_pairs(m):
     assert got.pairs == set(want)
     assert got.total_cost == float(sum(m[r, c] for r, c in want))
 
-
-def test_solver_reference_cases():
-    cases = [
-        np.zeros((3, 5)),  # every optimum ties
-        np.full((2, 2), INFEASIBLE),  # nothing feasible
-        np.array([[INFEASIBLE, INFEASIBLE], [1.0, 2.0], [2.0, 1.0], [1.0, 1.0]]),  # nr > nc
-        np.array([[5.0]]),
-    ]
-    for m in cases:
-        assert solve_dense(m) == solve_dense_reference(m)

@@ -1,20 +1,20 @@
 """Interleaved before/after benchmark pairs, written as BENCH_<topic>.json.
 
     python3 tools/bench_pairs.py --parent <dir> --change <dir> --topic <name>
-        [--pairs 10] [--seed 7] [--seconds <s>] [--workloads a,b@11,...]
-        [--trace <workload>]
+        [--workloads a,b@11,...] [--trace <workload>] [--out <file>]
 
-<dir> is a source checkout holding BENCHMARK.json and perfbench/. Each pair
-runs the benchmark command once on each side, the parent first in even
-pairs and the change first in odd ones, so slow drift on a shared host
-lands on both sides alike; pair i of every workload runs before pair i + 1
-of any. A workload given as name@seed runs with that seed instead of
---seed. The file records, per workload and end-to-end metric, each side's
-values, median and quartiles, the number of pairs the change won, the
-relative change of the medians and whether that change exceeds the
-parent's interquartile range; plus each side's source hash and host
-versions from the benchmark manifest, every day's outcome digest per side
-and, with --trace, one traced run per side of that workload.
+<dir> is a source checkout holding BENCHMARK.json and perfbench/. Every
+workload runs ten pairs at the benchmark's run_seconds. Each pair runs the
+benchmark command once on each side, the parent first in even pairs and the
+change first in odd ones, so slow drift on a shared host lands on both sides
+alike; pair i of every workload runs before pair i + 1 of any. A workload
+runs with seed 7, or with the seed given as name@seed. The file records, per
+workload and end-to-end metric, each side's values, median and quartiles,
+the number of pairs the change won, the relative change of the medians and
+whether that change exceeds the parent's interquartile range; plus each
+side's source hash and host versions from the benchmark manifest, every
+day's outcome digest per side and, with --trace, one traced run per side of
+that workload.
 """
 from __future__ import annotations
 
@@ -29,6 +29,8 @@ from pathlib import Path
 DIGEST = re.compile(r"^  (\S+): .*outcome digest (\S+) over", re.M)
 MANIFEST = re.compile(r"^manifest (.*)$", re.M)
 HOST_KEYS = ("src_sha256", "python", "numpy", "nproc", "affinity_cpus", "blas")
+PAIRS = 10
+SEED = 7
 
 
 def run_bench(src: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -45,6 +47,11 @@ def run_bench(src: Path, command: list[str], workload: str, seed: int, seconds: 
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "digests": dict(DIGEST.findall(proc.stdout)),
             "host": {k: manifest.get(k) for k in HOST_KEYS}}
+
+
+def parse_label(label: str) -> tuple[str, int]:
+    name, _, seed = label.partition("@")
+    return name, int(seed) if seed else SEED
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -76,24 +83,18 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, type=Path)
     p.add_argument("--change", required=True, type=Path)
     p.add_argument("--topic", required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--seconds", type=float, help="default: the benchmark's run_seconds")
     p.add_argument("--workloads", help="comma-separated, name or name@seed; default: all")
-    p.add_argument("--trace", help="workload to run once traced on each side")
+    p.add_argument("--trace", help="workload, name or name@seed, to run once traced on each side")
     p.add_argument("--out", type=Path, help="default: BENCH_<topic>.json in the change dir")
     args = p.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     names = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
-    labels = {}
-    for label in names:
-        name, _, seed = label.partition("@")
-        labels[label] = (name, int(seed) if seed else args.seed)
+    labels = {label: parse_label(label) for label in names}
     sides = {"parent": args.parent, "change": args.change}
     runs = {label: {"parent": [], "change": []} for label in labels}
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for label, (name, seed) in labels.items():
             for side in order:
@@ -104,7 +105,7 @@ def main(argv=None) -> int:
     first = next(iter(runs.values()))
     record = {
         "sides": {side: first[side][0]["host"] for side in sides},
-        "pairs": args.pairs, "seconds": seconds, "order": "parent first in even pairs",
+        "pairs": PAIRS, "seconds": seconds, "order": "parent first in even pairs",
         "workloads": {},
     }
     for label, (name, seed) in labels.items():
@@ -116,7 +117,7 @@ def main(argv=None) -> int:
                         for side, rs in sides_runs.items()},
         }
     if args.trace:
-        name, seed = labels.get(args.trace, (args.trace, args.seed))
+        name, seed = parse_label(args.trace)
         record["trace"] = {"workload": name, "seed": seed, **{
             side: run_bench(src, spec["command"], name, seed, seconds, 1)["metrics"]
             for side, src in sides.items()}}
