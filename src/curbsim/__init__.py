@@ -3,7 +3,7 @@
 from .engine import ArrivalsConfig, SimConfig, Simulation, run_simulation
 from .grid import CellCoord, GridSpec, OccupancyState, load_grid, make_grid, manhattan
 from .matching import INFEASIBLE, Assignment, CostMatrix, hungarian_assign
-from .strategies import OracleContext, StrategyKind, dispatch
+from .strategies import StrategyKind, dispatch
 
 __version__ = "0.1.0"
 
@@ -15,7 +15,6 @@ __all__ = [
     "GridSpec",
     "INFEASIBLE",
     "OccupancyState",
-    "OracleContext",
     "SimConfig",
     "Simulation",
     "StrategyKind",

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,21 +29,14 @@ def load_config(path) -> SimConfig:
 
 
 def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
-    if args.strategy:
-        cfg.strategy = StrategyKind(args.strategy)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.horizon is not None:
-        cfg.horizon = args.horizon
-    if args.runs is not None:
-        cfg.runs = args.runs
-    return cfg
+    """cfg with the given flags in place, checked like a loaded config."""
+    flags = {name: getattr(args, name) for name in ("strategy", "seed", "horizon", "runs")}
+    return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
 
 
 def cmd_run(args) -> int:
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        cfg = _apply_overrides(load_config(args.config), args)
         if cfg.strategy is StrategyKind.CORD_APPROX and not cfg.history_file:
             print("error: predictor requires history (set history_file for cord-approx)", file=sys.stderr)
             return 2
@@ -57,11 +51,7 @@ def cmd_run(args) -> int:
 
 
 def _sweep_cell(payload):
-    cfg_dict, strategy, seed, scale, out_dir = payload
-    cfg = SimConfig.from_dict(cfg_dict)
-    cfg.strategy = StrategyKind(strategy)
-    cfg.seed = seed
-    cfg.demand_scale = scale
+    cfg, out_dir = payload
     if cfg.strategy is StrategyKind.CORD_APPROX and not cfg.history_file:
         raise ConfigError("predictor requires history")
     report, _ = run_simulation(cfg, out_dir=out_dir)
@@ -70,8 +60,7 @@ def _sweep_cell(payload):
 
 def cmd_sweep(args) -> int:
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        cfg = _apply_overrides(load_config(args.config), args)
         strategies = (
             [parse_strategy(s).value for s in args.strategies.split(",")]
             if args.strategies
@@ -79,17 +68,17 @@ def cmd_sweep(args) -> int:
         )
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
         scales = [float(s) for s in args.scales.split(",")] if args.scales else [cfg.demand_scale]
+        # every cell's config is checked before the first cell runs
+        out_root = Path(args.out)
+        cells = [
+            (replace(cfg, strategy=strategy, seed=seed, demand_scale=scale),
+             str(out_root / "cells" / (f"{strategy}_s{seed}" + (f"_x{scale:g}" if len(scales) > 1 else ""))))
+            for strategy in strategies for seed in seeds for scale in scales
+        ]
     except (CurbsimError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    cells = []
-    for strategy in strategies:
-        for seed in seeds:
-            for scale in scales:
-                name = f"{strategy}_s{seed}" + (f"_x{scale:g}" if len(scales) > 1 else "")
-                cells.append((cfg.to_dict(), strategy, seed, scale, str(out_root / "cells" / name)))
 
     results: dict[str, dict | None] = {}
     failures: dict[str, str] = {}
@@ -97,14 +86,14 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futs = {pool.submit(_sweep_cell, cell): cell for cell in cells}
             for fut, cell in futs.items():
-                key = Path(cell[4]).name
+                key = Path(cell[1]).name
                 try:
                     results[key] = fut.result()
                 except Exception as exc:
                     failures[key] = str(exc)
     else:
         for cell in cells:
-            key = Path(cell[4]).name
+            key = Path(cell[1]).name
             try:
                 results[key] = _sweep_cell(cell)
             except Exception as exc:
@@ -148,10 +137,15 @@ def cmd_train(args) -> int:
 
 
 def _check_report(report, n_logs: int):
-    """The report.json structure `report` reads: an object whose `runs`
-    list holds an `hourly` series per run, one run per event log at least."""
+    """The report.json structure `report` reads: an object with a `strategy`,
+    `aggregate.regimes` and a `runs` list that holds an `hourly` series and
+    `zones` per run, one run per event log at least."""
     if not isinstance(report, dict):
         raise ValidationError("report.json must hold a JSON object")
+    if not isinstance(report.get("strategy"), str):
+        raise ValidationError("report.json has no strategy")
+    if not isinstance(report.get("aggregate"), dict) or not isinstance(report["aggregate"].get("regimes"), dict):
+        raise ValidationError("report.json has no aggregate.regimes")
     runs = report.get("runs")
     if not isinstance(runs, list):
         raise ValidationError("report.json has no runs list")
@@ -160,6 +154,8 @@ def _check_report(report, n_logs: int):
     for i, run in enumerate(runs):
         if not isinstance(run, dict) or not isinstance(run.get("hourly"), list):
             raise ValidationError(f"report.json runs[{i}] has no hourly series")
+        if not isinstance(run.get("zones"), dict):
+            raise ValidationError(f"report.json runs[{i}] has no zones")
 
 
 def cmd_report(args) -> int:

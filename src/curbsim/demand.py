@@ -218,6 +218,9 @@ def split_demand(minute_counts: MinuteCounts, participant_share: float, competit
     return ArrivalSeries(horizon, *(_diffuse(minute_counts, f) for f in (participant_share, competitor_share)))
 
 
+PATTERNS = ("uniform", "diurnal", "hotspot")
+
+
 @dataclass
 class SynthSpec:
     """Closed-form synthetic demand.

@@ -4,8 +4,10 @@
 
 1. `_spawn`: the minute's arrivals join the searching pools;
 2. `_depart`: parked stays count down and finished ones free their spots;
-3. `_dispatch`: sample availability, then assign targets per strategy (the
-   oracle first allocates competitor captures);
+3. `_dispatch`: sample availability, then hand each strategy its
+   information (cord-oracle: competitor positions and R; cord-approx: the
+   availability predictions); `strategies.dispatch` prices and assigns,
+   the oracle's competitor capture allocation included;
 4. `_move`: every active searcher takes one step;
 5. `_resolve`: claims per cell with uniform tie-breaks, parking, and the
    cord-approx observations;
@@ -26,6 +28,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -34,9 +38,9 @@ import numpy as np
 from . import demand as demand_mod
 from . import metrics as metrics_mod
 from .agents import DwellSpec, sample_dwell_batch, step_competitors_batch, step_toward_batch
-from .demand import ArrivalSeries, SynthSpec, scale_series, synth_demand
+from .demand import PATTERNS, ArrivalSeries, SynthSpec, scale_series, synth_demand
 from .errors import ConfigError, ValidationError
-from .grid import GridSpec, OccupancyState, load_grid, manhattan_matrix
+from .grid import GridSpec, OccupancyState, load_grid
 from .metrics import GROUPS, STATUS_CENSORED, STATUS_FAILED, STATUS_PARKED
 from .predictor import (
     BUCKET_MINUTES,
@@ -48,7 +52,7 @@ from .predictor import (
     update_history,
 )
 from .rng import RngStreams, derive_seed
-from .strategies import OracleContext, StrategyKind, capture_prob_table, dispatch, parse_strategy
+from .strategies import StrategyKind, dispatch, parse_strategy
 
 GROUP_PARTICIPANT = 0
 GROUP_COMPETITOR = 1
@@ -56,6 +60,26 @@ GROUP_PHANTOM = 2
 
 _NO_ROWS = np.zeros(0, np.int64)
 _NO_CELLS = np.zeros((0, 2), np.int64)
+
+
+def _check_int(name, value, lo=None):
+    """ConfigError unless value is an integer >= lo; a non-number raises
+    TypeError, which `SimConfig.from_dict` reports as a bad value."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and (lo is None or value >= lo):
+        return
+    bound = "" if lo is None else f" >= {lo}"
+    error = ConfigError if isinstance(value, numbers.Real) else TypeError
+    raise error(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _check_centers(name, centers):
+    if centers is None:
+        return
+    for c in centers:
+        if not isinstance(c, (list, tuple)) or len(c) != 2:
+            raise ConfigError(f"{name} must be a list of [i, j] cells, got {centers!r}")
+        for x in c:
+            _check_int(name, x)
 
 
 @dataclass
@@ -92,7 +116,6 @@ class SimConfig:
     demand_scale: float = 1.0
     weekday: int = 0
     log_moves: bool = True
-    checks: bool = True
     # which outcomes feed the availability history: participant arrivals
     # estimate exactly the quantity cord-approx divides by; "both" adds
     # competitor claim outcomes
@@ -106,31 +129,40 @@ class SimConfig:
             self.dwell = DwellSpec(**self.dwell)
         self.shares = tuple(self.shares)
         self.peak_window = tuple(self.peak_window)
-        if self.r < 0:
-            raise ConfigError("R must be >= 0")
-        if self.horizon < 0:
-            raise ConfigError("horizon must be >= 0")
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
+        for name, lo in (("r", 0), ("horizon", 0), ("runs", 1), ("t_max", 1), ("seed", None)):
+            _check_int(name, getattr(self, name), lo)
         if not (0.0 <= self.initial_occupancy <= 1.0):
             raise ConfigError("initial_occupancy must be in [0, 1]")
-        if self.t_max < 1:
-            raise ConfigError(f"t_max must be >= 1, got {self.t_max}")
-        if not (0 <= self.weekday <= 6):
+        _check_int("weekday", self.weekday, 0)
+        if self.weekday > 6:
             raise ConfigError(f"weekday must be in 0..6, got {self.weekday}")
-        if self.arrivals.kind not in ("synth", "file"):
-            raise ConfigError(f"arrivals.kind must be 'synth' or 'file', got {self.arrivals.kind!r}")
-        if self.arrivals.magnitude < 0:
-            raise ConfigError(f"arrivals.magnitude must be >= 0, got {self.arrivals.magnitude}")
+        a = self.arrivals
+        if a.kind not in ("synth", "file"):
+            raise ConfigError(f"arrivals.kind must be 'synth' or 'file', got {a.kind!r}")
+        if a.pattern not in PATTERNS:
+            raise ConfigError(f"arrivals.pattern must be one of {', '.join(PATTERNS)}, got {a.pattern!r}")
+        if a.magnitude < 0:
+            raise ConfigError(f"arrivals.magnitude must be >= 0, got {a.magnitude}")
+        if not (a.decay > 0 and math.isfinite(a.decay)):
+            raise ConfigError(f"arrivals.decay must be a finite number > 0, got {a.decay}")
+        _check_centers("arrivals.centers", a.centers)
+        _check_centers("arrivals.static_centers", a.static_centers)
+        for name, lo in (("peak_minute", None), ("n_centers", 1), ("rotate_every", 0)):
+            _check_int(f"arrivals.{name}", getattr(a, name), lo)
+        if a.seed is not None:
+            _check_int("arrivals.seed", a.seed)
         if self.demand_scale < 0:
             raise ConfigError(f"demand_scale must be >= 0, got {self.demand_scale}")
         if len(self.shares) != 2 or min(self.shares) < 0 or sum(self.shares) > 1:
             raise ConfigError(f"shares must be two fractions >= 0 with a sum <= 1, got {list(self.shares)}")
+        for x in self.peak_window:
+            _check_int("peak_window", x)
         if len(self.peak_window) != 2 or not 0 <= self.peak_window[0] < self.peak_window[1]:
             raise ConfigError(f"peak_window must be [start, end] with 0 <= start < end, got {list(self.peak_window)}")
         if self.history_groups not in ("participants", "both"):
             raise ConfigError(f"history_groups must be 'participants' or 'both', got {self.history_groups!r}")
         # the engine retrains only at bucket ends
+        _check_int("retrain_every", self.retrain_every)
         if self.retrain_every <= 0 or self.retrain_every % BUCKET_MINUTES:
             raise ConfigError(
                 f"retrain_every must be a positive multiple of {BUCKET_MINUTES} minutes, got {self.retrain_every}"
@@ -254,9 +286,6 @@ class Simulation:
         self.spawned = [0, 0]
         self.parked_count = [0, 0]
         self.failed_count = [0, 0]
-        self._p_table = None
-        if cfg.strategy is StrategyKind.CORD_ORACLE:
-            self._p_table = capture_prob_table(cfg.r, 2 * (self.n - 1))
 
         # predictor state (cord-approx)
         self.corpus = corpus
@@ -286,8 +315,7 @@ class Simulation:
         self._move(t, act_p, act_c, free_cells)
         self._resolve(t, act_p, act_c)
         self._expire(t)
-        if self.cfg.checks:
-            self._check_conservation()
+        self._check_conservation()
         self.occ.tick = t + 1
         self._learn(t + 1)
 
@@ -349,37 +377,6 @@ class Simulation:
         self.parked.append(no_id, np.full(len(cells), GROUP_PHANTOM, np.int64), cells, dwell)
         self.occ.check()
 
-    def _capture_allocation(self, free_cells, free_counts, c_pos):
-        """Capacity-aware capture estimate for the oracle's offer.
-
-        Each competitor that can see a free cell is allocated to its nearest
-        one (a competitor parks at most one spot, so a lone competitor cannot
-        poison a whole multi-spot cell). Returns one distance limit per spot
-        unit, cells in order and units within a cell by ascending capturer
-        distance (unit j of a cell is lost to a participant strictly farther
-        than the j-th capturer; inf where the cell has fewer capturers), and
-        the mask of unallocated competitors; allocated ones are committed
-        this tick and leave the live context.
-        """
-        limit = np.full(int(free_counts.sum()), np.inf)
-        nc = len(c_pos)
-        if len(free_cells) == 0 or nc == 0:
-            return limit, np.ones(nc, dtype=bool)
-        dc = manhattan_matrix(c_pos, free_cells)
-        nearest = np.argmin(dc, axis=1)
-        best = dc[np.arange(nc), nearest]
-        sees = best <= self.cfg.r
-        cell, dist = nearest[sees], best[sees]
-        order = np.lexsort((dist, cell))
-        cell, dist = cell[order], dist[order]
-        # rank of each capturer within its cell; a cell keeps free_counts of them
-        first = np.searchsorted(cell, cell)
-        rank = np.arange(len(cell)) - first
-        kept = rank < free_counts[cell]
-        unit_start = np.cumsum(free_counts) - free_counts
-        limit[unit_start[cell[kept]] + rank[kept]] = dist[kept]
-        return limit, ~sees
-
     # --- phases, in tick order ---
 
     def _spawn(self, t):
@@ -406,14 +403,14 @@ class Simulation:
             seen = done & (parked.group != GROUP_PHANTOM)
             self._emit(t, "depart", parked.ids[seen], parked.group[seen], parked.cell[seen])
             parked.keep(~done)
-            if self.cfg.checks:
-                self.occ.check()
+            self.occ.check()
 
     def _dispatch(self, t, act_p, act_c) -> np.ndarray:
         """Sample availability, then dispatch the active participants; returns
-        the cells holding a free spot. Captured units are withheld only from
-        the oracle, the one strategy entitled to know competitor positions
-        (for the others Eq. 1 plays out physically at resolution time)."""
+        the cells holding a free spot. Each strategy gets only its own
+        information: the oracle alone knows the live competitor positions
+        (for the others Eq. 1 plays out physically at resolution time), and
+        cord-approx alone gets availability predictions."""
         cfg = self.cfg
         free = self.occ.free()
         free_k = np.flatnonzero(free > 0)
@@ -425,17 +422,14 @@ class Simulation:
         if len(d_pos) == 0:
             return free_cells
         counts = free[free_k]
-        kwargs = {}
+        info = {}
         if cfg.strategy is StrategyKind.CORD_ORACLE:
-            c_pos = self.competitors.pos[act_c]
-            limit, unallocated = self._capture_allocation(free_cells, counts, c_pos)
-            kwargs = dict(ctx=OracleContext(c_pos[unallocated], cfg.r), p_table=self._p_table,
-                          unit_block_dist=limit)
+            info = dict(c_pos=self.competitors.pos[act_c], r=cfg.r)
         elif cfg.strategy is StrategyKind.CORD_APPROX:
-            kwargs["p_hat"] = predict_many(
+            info["p_hat"] = predict_many(
                 self.model, free_k, self.minute0 + t, self._trend, self.n * self.n, cfg.weekday,
             )
-        targets = dispatch(cfg.strategy, d_pos, free_cells, counts, self.streams.stream("strategy"), **kwargs)
+        targets = dispatch(cfg.strategy, d_pos, free_cells, counts, self.streams.stream("strategy"), **info)
         if targets:
             # assign events follow the strategy's own order
             rows = np.flatnonzero(act_p)[list(targets)]
@@ -534,8 +528,7 @@ class Simulation:
         self.parked_count[GROUP_COMPETITOR] += len(won_c)
         self._record(groups, np.concatenate([p.spawn[won_p], c.spawn[won_c]]), STATUS_PARKED, t, cells)
         self._emit(t, "park", ids, groups, cells)
-        if self.cfg.checks:
-            self.occ.check()
+        self.occ.check()
 
     def _expire(self, t):
         for agents in (self.participants, self.competitors):

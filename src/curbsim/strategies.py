@@ -11,10 +11,22 @@ cord-oracle Hungarian match on competitor-aware piecewise costs: a pair costs
 cord-approx Hungarian match on travel time divided by the predicted
            availability of the spot's cell.
 
-Capture probability is the favorable/total ratio over a competitor's
-reachable Manhattan ball: endpoints after at most t_c uniform moves are
-treated as equally likely, and an endpoint is favorable when it lands
-exactly on the visibility ring of the spot.
+Each strategy receives only its own information: every one sees the free
+spots and the participants' positions, cord-oracle adds the active
+competitors' positions and the visibility radius R, cord-approx adds the
+per-cell availability predictions. `dispatch` owns every pricing step.
+
+The oracle first allocates captures (`capture_limits`): each competitor that
+sees a free cell is committed to its nearest one, at most one competitor per
+spot unit, and the unit is infeasible for participants strictly farther
+from the cell than its capturer. The remaining, blind competitors price the
+pairs through their capture probability: the favorable/total ratio over a
+competitor's reachable Manhattan ball, where endpoints after at most t_c
+uniform moves are treated as equally likely and an endpoint is favorable
+when it lands exactly on the visibility ring of the spot. Since t_c <= R, a
+competitor more than 2R from the spot captures it with probability exactly
+0, so the probability table depends on R alone and spans displacements up
+to 2R.
 
 Coordinated dispatch shuffles row/column presentation order with a seeded
 stream before solving, so solver scan-order ties do not systematically favor
@@ -23,7 +35,7 @@ low-index participants or northwest cells; runs stay reproducible per seed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -39,9 +51,6 @@ class StrategyKind(enum.Enum):
     CORD_APPROX = "cord-approx"
 
 
-COORDINATED = (StrategyKind.CORD_AGN, StrategyKind.CORD_ORACLE, StrategyKind.CORD_APPROX)
-
-
 def parse_strategy(name) -> StrategyKind:
     """The strategy called `name`; ConfigError names the valid ones otherwise."""
     try:
@@ -49,19 +58,6 @@ def parse_strategy(name) -> StrategyKind:
     except ValueError:
         valid = ", ".join(k.value for k in StrategyKind)
         raise ConfigError(f"unknown strategy {name!r} (expected one of {valid})") from None
-
-
-@dataclass
-class OracleContext:
-    """Live competitor positions and the visibility radius."""
-
-    competitor_positions: np.ndarray  # (nc, 2) int
-    r: int = 1
-
-    def __post_init__(self):
-        self.competitor_positions = np.asarray(self.competitor_positions, dtype=np.int64).reshape(-1, 2)
-        if self.r < 0:
-            raise ConfigError("visibility radius must be >= 0")
 
 
 def t_budget(tau_ds: int, r: int) -> int:
@@ -103,49 +99,63 @@ def capture_probability(c: CellCoord, s: CellCoord, r: int, t_c: int, clip_to: i
     return favorable / len(ball)
 
 
-def capture_prob_table(r: int, max_disp: int) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def capture_prob_table(r: int) -> np.ndarray:
     """table[t_c, |di|, |dj|] = capture probability for a competitor displaced
-    (di, dj) from the spot, for every budget t_c in 0..r.
+    (di, dj) from the spot, for every budget t_c in 0..r and every
+    displacement up to 2r (beyond it the probability is exactly 0).
 
     Displacement signs do not matter (the unclipped ball is symmetric).
     """
-    table = np.zeros((r + 1, max_disp + 1, max_disp + 1))
+    ext = 2 * r
+    table = np.zeros((r + 1, ext + 1, ext + 1))
     for t_c in range(r + 1):
         offs = [(a, b) for a in range(-t_c, t_c + 1) for b in range(-(t_c - abs(a)), t_c - abs(a) + 1)]
         offs_arr = np.array(offs).reshape(-1, 2)
         size = len(offs)
-        for dx in range(max_disp + 1):
-            for dy in range(max_disp + 1):
+        for dx in range(ext + 1):
+            for dy in range(ext + 1):
                 if dx + dy <= r:
                     continue  # outside condition-3 domain, never looked up
                 hits = np.abs(dx - offs_arr[:, 0]) + np.abs(dy - offs_arr[:, 1]) == r
                 table[t_c, dx, dy] = hits.sum() / size
+    table.flags.writeable = False  # shared by every caller
     return table
 
 
-def unc_agn_targets(
-    d_pos: np.ndarray,
-    free_cells: np.ndarray,
-    rng: np.random.Generator,
-) -> dict[int, CellCoord]:
-    """Greedy nearest-free-spot choice per participant; conflicts permitted."""
-    nd = len(d_pos)
-    if nd == 0 or len(free_cells) == 0:
-        return {}
-    dist = manhattan_matrix(d_pos, free_cells)
-    noisy = dist + rng.random(dist.shape) * 0.9
-    pick = np.argmin(noisy, axis=1)
-    return {d: CellCoord(int(free_cells[pick[d], 0]), int(free_cells[pick[d], 1])) for d in range(nd)}
+def capture_limits(free_cells, free_counts, c_pos, r):
+    """Capacity-aware capture estimate for the oracle's offer.
+
+    Each competitor that can see a free cell is allocated to its nearest
+    one (a competitor parks at most one spot, so a lone competitor cannot
+    poison a whole multi-spot cell). Returns one distance limit per spot
+    unit, cells in order and units within a cell by ascending capturer
+    distance (unit j of a cell is lost to a participant strictly farther
+    than the j-th capturer; inf where the cell has fewer capturers), and
+    the mask of unallocated competitors; allocated ones are committed
+    this tick and leave the pricing.
+    """
+    limit = np.full(int(free_counts.sum()), np.inf)
+    nc = len(c_pos)
+    if len(free_cells) == 0 or nc == 0:
+        return limit, np.ones(nc, dtype=bool)
+    dc = manhattan_matrix(c_pos, free_cells)
+    nearest = np.argmin(dc, axis=1)
+    best = dc[np.arange(nc), nearest]
+    sees = best <= r
+    cell, dist = nearest[sees], best[sees]
+    order = np.lexsort((dist, cell))
+    cell, dist = cell[order], dist[order]
+    # rank of each capturer within its cell; a cell keeps free_counts of them
+    first = np.searchsorted(cell, cell)
+    rank = np.arange(len(cell)) - first
+    kept = rank < free_counts[cell]
+    unit_start = np.cumsum(free_counts) - free_counts
+    limit[unit_start[cell[kept]] + rank[kept]] = dist[kept]
+    return limit, ~sees
 
 
-def cord_agn_matrix(d_pos: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Plain travel-time cost matrix (participants x spot cells)."""
-    if len(d_pos) == 0 or len(cells) == 0:
-        return np.zeros((len(d_pos), len(cells)))
-    return manhattan_matrix(d_pos, cells).astype(np.float64)
-
-
-def oracle_cost_matrix(d_pos, cells, comp_pos, r, p_table):
+def oracle_cost_matrix(d_pos, cells, comp_pos, r):
     """(nd, nf) competitor-aware cost matrix; inf marks infeasible pairs."""
     d_pos = np.ascontiguousarray(d_pos, dtype=np.int64).reshape(-1, 2)
     cells = np.ascontiguousarray(cells, dtype=np.int64).reshape(-1, 2)
@@ -159,18 +169,21 @@ def oracle_cost_matrix(d_pos, cells, comp_pos, r, p_table):
     tc_mat = adx + ady  # (ncp, nf)
     min_c = tc_mat.min(axis=0)
     cond2 = (min_c <= r)[None, :] & (min_c[None, :] < td)
-    width = int(max(td.max(), tc_mat.max())) + 2
-    # bucket far competitors by (cell, distance) with one flat bincount, in
-    # the C order of (competitor, cell) so each bucket sums in competitor
-    # order, then prefix-sum so sum_{tau_c < tau_d} is a single gather
-    far = tc_mat > r
-    bucket = (np.arange(nf) * width + tc_mat)[far]
+    # bucket the blind competitors that can capture (R < distance <= 2R) by
+    # (cell, distance) with one flat bincount, in the C order of
+    # (competitor, cell) so each bucket sums in competitor order, then
+    # prefix-sum so sum_{tau_c < tau_d} is a single gather; farther
+    # competitors would only add exact zeros
+    width = 2 * r + 1
+    near = (tc_mat > r) & (tc_mat <= 2 * r)
+    bucket = (np.arange(nf) * width + tc_mat)[near]
     td_int = td.astype(np.int64)
-    below = np.arange(nf) * width + np.maximum(td_int - 1, 0)
+    below = np.arange(nf) * width + np.clip(td_int - 1, 0, 2 * r)
     t_of = np.where(td_int >= r + 2, np.minimum(td_int - r - 1, r), 0)
+    p_table = capture_prob_table(r)
     psum = np.zeros_like(td)
     for t_c in range(1, r + 1):
-        pvals = p_table[t_c, adx[far], ady[far]]
+        pvals = p_table[t_c, adx[near], ady[near]]
         cum = np.cumsum(np.bincount(bucket, pvals, minlength=nf * width).reshape(nf, width), axis=1)
         eligible = t_of == t_c
         psum[eligible] = cum.ravel()[below[eligible]]
@@ -185,19 +198,17 @@ def dispatch(
     free_cells: np.ndarray,
     free_counts: np.ndarray,
     rng: np.random.Generator,
-    ctx: OracleContext | None = None,
+    c_pos: np.ndarray | None = None,
+    r: int | None = None,
     p_hat: np.ndarray | None = None,
-    p_table: np.ndarray | None = None,
-    unit_block_dist: np.ndarray | None = None,
 ) -> dict[int, CellCoord]:
     """Per-tick targets: participant row index -> spot cell.
 
     free_cells/free_counts describe the spot units offered to the strategy.
     A cell with f free spots contributes f identical columns, so each spot
-    unit serves at most one participant. For the oracle, unit_block_dist
-    holds one distance per unit (inf for none): the unit is infeasible for
-    participants strictly farther from its cell, so a single competitor
-    can take only a single spot and never poisons a whole multi-spot cell.
+    unit serves at most one participant. cord-oracle needs the active
+    competitors' positions c_pos and the visibility radius r; cord-approx
+    needs p_hat, the predicted availability of each free cell.
     """
     d_pos = np.asarray(d_pos, dtype=np.int64).reshape(-1, 2)
     free_cells = np.asarray(free_cells, dtype=np.int64).reshape(-1, 2)
@@ -205,36 +216,31 @@ def dispatch(
     nd = len(d_pos)
     if nd == 0 or len(free_cells) == 0:
         return {}
+    tau = manhattan_matrix(d_pos, free_cells)
 
     if kind is StrategyKind.UNC_AGN:
-        return unc_agn_targets(d_pos, free_cells, rng)
+        # nearest free spot per participant, ties uniform; conflicts permitted
+        pick = np.argmin(tau + rng.random(tau.shape) * 0.9, axis=1)
+        cells = free_cells[pick].tolist()
+        return {d: CellCoord(*cells[d]) for d in range(nd)}
 
+    unit_cell = np.repeat(np.arange(len(free_cells)), free_counts)
     if kind is StrategyKind.CORD_AGN:
-        cell_cost = cord_agn_matrix(d_pos, free_cells)
+        cost = tau.astype(np.float64)[:, unit_cell]
     elif kind is StrategyKind.CORD_ORACLE:
-        if ctx is None:
-            raise ConfigError("cord-oracle dispatch requires an OracleContext")
-        if p_table is None:
-            max_disp = int(
-                max(
-                    np.abs(ctx.competitor_positions[:, 0, None] - free_cells[None, :, 0]).max(initial=0),
-                    np.abs(ctx.competitor_positions[:, 1, None] - free_cells[None, :, 1]).max(initial=0),
-                )
-            )
-            p_table = capture_prob_table(ctx.r, max_disp)
-        cell_cost = oracle_cost_matrix(d_pos, free_cells, ctx.competitor_positions, ctx.r, p_table)
+        if c_pos is None or r is None or r < 0:
+            raise ConfigError("cord-oracle dispatch requires competitor positions and a radius R >= 0")
+        c_pos = np.asarray(c_pos, dtype=np.int64).reshape(-1, 2)
+        limit, unallocated = capture_limits(free_cells, free_counts, c_pos, r)
+        cost = oracle_cost_matrix(d_pos, free_cells, c_pos[unallocated], r)[:, unit_cell]
+        cost[tau[:, unit_cell] > limit] = np.inf
     elif kind is StrategyKind.CORD_APPROX:
         if p_hat is None:
             raise ConfigError("cord-approx dispatch requires per-cell availability predictions")
-        cell_cost = cord_agn_matrix(d_pos, free_cells) / np.asarray(p_hat, dtype=np.float64)[None, :]
+        cost = (tau / np.asarray(p_hat, dtype=np.float64))[:, unit_cell]
     else:
         raise ConfigError(f"unknown strategy {kind}")
 
-    unit_cell = np.repeat(np.arange(len(free_cells)), free_counts)
-    cost = cell_cost[:, unit_cell]
-    if unit_block_dist is not None:
-        tau = manhattan_matrix(d_pos, free_cells)
-        cost[tau[:, unit_cell] > unit_block_dist] = np.inf
     # randomize presentation so equal-cost optima do not bias by index order
     row_perm = rng.permutation(nd)
     col_perm = rng.permutation(len(unit_cell))

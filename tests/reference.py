@@ -2,8 +2,9 @@
 library against: the per-agent movement, parking and dwell contracts, the
 per-cell occupancy operations, the scalar strategy costs, the dense
 predictor, the `{(cell, minute): count}` dict demand pipeline, and the
-unvectorized dispatch kernels: assignment, oracle cost matrix, capture
-blocking and competitor stepping."""
+unvectorized dispatch kernels: assignment, the grid-sized capture
+probability table, oracle cost matrix, capture blocking and competitor
+stepping."""
 from __future__ import annotations
 
 import math
@@ -28,7 +29,7 @@ from curbsim.predictor import (
     fit_ridge,
     uniform_model,
 )
-from curbsim.strategies import OracleContext, capture_probability, t_budget
+from curbsim.strategies import capture_probability, t_budget
 
 # --- agents ---
 
@@ -150,25 +151,26 @@ def release(state: OccupancyState, z: CellCoord) -> OccupancyState:
 
 # --- strategy costs ---
 
-def oracle_cost(d_pos: CellCoord, s: CellCoord, ctx: OracleContext, clip_to: int | None = None) -> float:
-    """Scalar competitor-aware cost for one (participant, spot) pair."""
+def oracle_cost(d_pos: CellCoord, s: CellCoord, c_pos, r: int, clip_to: int | None = None) -> float:
+    """Scalar competitor-aware cost for one (participant, spot) pair, given
+    the competitor positions c_pos and the visibility radius r."""
     tau = manhattan(d_pos, s)
-    comp = ctx.competitor_positions
+    comp = np.asarray(c_pos, dtype=np.int64).reshape(-1, 2)
     if len(comp) == 0:
         return float(tau)
     taus_c = np.abs(comp[:, 0] - s[0]) + np.abs(comp[:, 1] - s[1])
     min_c = int(taus_c.min())
     if tau < min_c:
         return float(tau)
-    if min_c <= ctx.r and min_c < tau:
+    if min_c <= r and min_c < tau:
         return INFEASIBLE
     total = float(tau)
-    starred = (taus_c > ctx.r) & (taus_c < tau)
+    starred = (taus_c > r) & (taus_c < tau)
     if starred.any():
-        t_c = t_budget(tau, ctx.r)
+        t_c = t_budget(tau, r)
         for idx in np.flatnonzero(starred):
             c = CellCoord(int(comp[idx, 0]), int(comp[idx, 1]))
-            total += tau * capture_probability(c, s, ctx.r, t_c, clip_to)
+            total += tau * capture_probability(c, s, r, t_c, clip_to)
     return total
 
 
@@ -461,9 +463,27 @@ def solve_dense(entries) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
+def capture_prob_table(r: int, max_disp: int) -> np.ndarray:
+    """strategies.capture_prob_table over every displacement up to max_disp
+    (a grid's 2 * (n - 1)), not only up to 2r."""
+    table = np.zeros((r + 1, max_disp + 1, max_disp + 1))
+    for t_c in range(r + 1):
+        offs = [(a, b) for a in range(-t_c, t_c + 1) for b in range(-(t_c - abs(a)), t_c - abs(a) + 1)]
+        offs_arr = np.array(offs).reshape(-1, 2)
+        size = len(offs)
+        for dx in range(max_disp + 1):
+            for dy in range(max_disp + 1):
+                if dx + dy <= r:
+                    continue  # outside condition-3 domain, never looked up
+                hits = np.abs(dx - offs_arr[:, 0]) + np.abs(dy - offs_arr[:, 1]) == r
+                table[t_c, dx, dy] = hits.sum() / size
+    return table
+
+
 def oracle_cost_matrix(d_pos, cells, comp_pos, r, p_table):
-    """strategies.oracle_cost_matrix with np.add.at bucketing and a second
-    distance matrix."""
+    """strategies.oracle_cost_matrix with np.add.at bucketing of every far
+    competitor, a second distance matrix and a p_table that covers every
+    displacement (capture_prob_table above)."""
     d_pos = np.ascontiguousarray(d_pos, dtype=np.int64).reshape(-1, 2)
     cells = np.ascontiguousarray(cells, dtype=np.int64).reshape(-1, 2)
     comp_pos = np.ascontiguousarray(comp_pos, dtype=np.int64).reshape(-1, 2)

@@ -75,6 +75,31 @@ def test_flags_override_config(tmp_path, short_config):
     assert report["config"]["horizon"] == 60
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--horizon", "-5", "horizon must be an integer >= 0"),
+    ("--runs", "0", "runs must be an integer >= 1"),
+])
+def test_run_flags_go_through_the_config_checks(tmp_path, short_config, capsys, flag, value, message):
+    # --horizon -5 used to die in numpy, --runs 0 to exit 0 with an empty report
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(short_config), flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--horizon", "-5", "horizon must be an integer >= 0"),
+    ("--scales", "-1", "demand_scale must be >= 0"),
+    ("--scales", "1,-1", "demand_scale must be >= 0"),
+])
+def test_sweep_flags_go_through_the_config_checks(tmp_path, short_config, capsys, flag, value, message):
+    # each used to run every cell and report each bad one as failed (exit 1)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(short_config), flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def test_sweep_1x1_matches_run(tmp_path, short_config):
     run_out = tmp_path / "run"
     sweep_out = tmp_path / "sweep"
@@ -210,7 +235,10 @@ def test_validate_wrong_typed_value(tmp_path, short_config, capsys):
     ("history_groups", "bth"), ("weekday", 9), ("t_max", 0),
     ("shares", [-0.1, 0.5]), ("shares", [0.6, 0.5]), ("peak_window", [600, 600]),
     ("peak_window", [-1, 60]), ("arrivals.magnitude", -0.2), ("demand_scale", -1.0),
-    ("arrivals.kind", "synthetic"),
+    ("arrivals.kind", "synthetic"), ("arrivals.pattern", "hotsp0t"), ("arrivals.decay", 0),
+    ("arrivals.decay", -1.0), ("arrivals.centers", [[1]]), ("arrivals.n_centers", 0),
+    ("arrivals.n_centers", 1.5), ("arrivals.rotate_every", 30.5), ("arrivals.rotate_every", -30),
+    ("runs", 1.5), ("r", 1.5),
 ])
 def test_validate_out_of_range_field(tmp_path, short_config, capsys, field, value):
     assert _validate(tmp_path, short_config, **{field: value}) == 2
@@ -310,10 +338,34 @@ def _drop_hourly(report):
     return report
 
 
+def _drop_strategy(report):
+    del report["strategy"]
+    return report
+
+
+def _drop_aggregate(report):
+    del report["aggregate"]
+    return report
+
+
+def _drop_regimes(report):
+    del report["aggregate"]["regimes"]
+    return report
+
+
+def _drop_zones(report):
+    del report["runs"][0]["zones"]
+    return report
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda report: [1], "report.json must hold a JSON object"),
     (_drop_runs, "report.json has no runs list"),
     (_drop_hourly, "report.json runs[0] has no hourly series"),
+    (_drop_strategy, "report.json has no strategy"),
+    (_drop_aggregate, "report.json has no aggregate.regimes"),
+    (_drop_regimes, "report.json has no aggregate.regimes"),
+    (_drop_zones, "report.json runs[0] has no zones"),
 ])
 def test_report_rejects_a_malformed_report(tmp_path, short_config, capsys, edit, message):
     # each used to end in an AttributeError or KeyError traceback
@@ -323,6 +375,16 @@ def test_report_rejects_a_malformed_report(tmp_path, short_config, capsys, edit,
     capsys.readouterr()
     assert main(["report", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_report_of_a_run_that_still_has_the_checks_field(tmp_path, short_config, capsys):
+    # SimConfig lost its `checks` knob: such a report.json needs the key deleted
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(short_config), "--out", str(out)]) == 0
+    _break_report(out, lambda report: {**report, "config": {**report["config"], "checks": True}})
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown config field: checks\n"
 
 
 def test_report_rejects_more_event_logs_than_runs(tmp_path, short_config, capsys):

@@ -15,6 +15,7 @@ from reference import dict_series, resolve_parking, series_of
 from curbsim import strategies
 from curbsim.demand import ArrivalSeries
 from curbsim.engine import (
+    GROUP_PHANTOM,
     ArrivalsConfig,
     SimConfig,
     Simulation,
@@ -25,7 +26,7 @@ from curbsim.errors import ConfigError
 from curbsim.grid import CellCoord, make_grid, manhattan_matrix
 from curbsim.metrics import STATUS_PARKED, fold_events, hourly_series
 from curbsim.rng import RngStreams, derive_seed
-from curbsim.strategies import OracleContext, StrategyKind, capture_prob_table
+from curbsim.strategies import StrategyKind
 
 
 def empty_series(horizon=10):
@@ -151,11 +152,13 @@ def test_unassigned_keeps_stale_target():
     caps = caps.copy()
     caps[0] = 1  # single spot at (0,0)
     series = series_of(10, participants={(5 * 6 + 5, 0): 1})
-    sim = sim_with(grid, caps, series, base_cfg(horizon=10, checks=False))
+    sim = sim_with(grid, caps, series, base_cfg(horizon=10))
     sim.tick()
     sim.tick()
     assert tuple(sim.participants.target[0]) == (0, 0)
-    # someone takes the spot: no free spots remain (registry bypassed, checks off)
+    # a background occupant takes the spot for the rest of the run: no free
+    # spots remain, and the engine's invariant checks still hold
+    sim.parked.append(np.array([-1]), np.array([GROUP_PHANTOM]), np.array([0]), np.array([100]))
     sim.occ.occupied[0] = 1
     pos_before = sim.participants.pos[0].copy()
     sim.tick()
@@ -226,7 +229,7 @@ def test_paired_spawns_across_strategies():
 def test_conservation_counters():
     grid, caps = make_grid(6, capacity=1)
     cfg = base_cfg(
-        horizon=240, checks=True,
+        horizon=240,
         arrivals=ArrivalsConfig(kind="synth", pattern="hotspot", magnitude=0.3, centers=[(3, 3)]),
         initial_occupancy=0.5,
     )
@@ -277,6 +280,9 @@ def test_retrain_every_multiples_of_bucket_accepted():
     ("shares", (-0.1, 0.5)), ("shares", (0.6, 0.5)), ("shares", (0.1,)),
     ("peak_window", (600, 600)), ("peak_window", (700, 600)), ("peak_window", (-1, 60)),
     ("arrivals", {"magnitude": -0.2}), ("arrivals", {"kind": "synthetic"}), ("demand_scale", -1.0),
+    ("arrivals", {"pattern": "hotsp0t"}), ("arrivals", {"decay": 0}), ("arrivals", {"decay": -1.0}),
+    ("arrivals", {"centers": [[1]]}), ("arrivals", {"n_centers": 0}), ("arrivals", {"n_centers": 1.5}),
+    ("arrivals", {"rotate_every": 30.5}), ("arrivals", {"rotate_every": -30}), ("runs", 1.5), ("r", 1.5),
 ])
 def test_config_rejects_out_of_range_fields(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -286,7 +292,8 @@ def test_config_rejects_out_of_range_fields(field, value):
 def test_config_accepts_field_bounds():
     for kwargs in ({"history_groups": "both"}, {"weekday": 0}, {"weekday": 6}, {"t_max": 1},
                    {"shares": (0.0, 1.0)}, {"shares": (0.5, 0.5)}, {"peak_window": (0, 1)},
-                   {"arrivals": {"kind": "file", "magnitude": 0.0}}, {"demand_scale": 0.0}):
+                   {"arrivals": {"kind": "file", "magnitude": 0.0}}, {"demand_scale": 0.0},
+                   {"arrivals": {"n_centers": 1, "rotate_every": 0, "centers": [[0, 0]]}}, {"r": 0}):
         SimConfig(**kwargs)
 
 
@@ -325,26 +332,23 @@ def oracle_offers(draw):
 @settings(max_examples=300, deadline=None)
 @given(oracle_offers())
 def test_oracle_unit_blocking_equals_the_blocker_lists(case):
-    """_capture_allocation's per-unit limits, applied in dispatch, hand the
+    """capture_limits' per-unit limits, applied in dispatch, hand the
     solver the same matrix as the per-cell blocker lists with the double
     loop (tests/reference.py), and dispatch returns the same targets in the
     same order with the same strategy draws."""
     n, r, d_pos, free_cells, counts, c_pos, seed = case
-    grid, caps = make_grid(n, capacity=0)
-    sim = sim_with(grid, caps, empty_series(), base_cfg(r=r, strategy="cord-oracle"))
-    limit, unallocated = sim._capture_allocation(free_cells, counts, c_pos)
+    limit, unallocated = strategies.capture_limits(free_cells, counts, c_pos, r)
     blockers, want_unallocated = reference.capture_blockers(free_cells, counts, c_pos, r)
     assert np.array_equal(unallocated, want_unallocated)
+    want_limit = [float(b[j]) if j < len(b) else np.inf for b, cnt in zip(blockers, counts) for j in range(cnt)]
+    assert limit.tolist() == want_limit
 
-    table = capture_prob_table(r, 2 * (n - 1))
     seen = []
     solve = strategies.hungarian_assign
     strategies.hungarian_assign = lambda m: seen.append(m.entries) or solve(m)
     try:
         rng = np.random.default_rng(seed)
-        got = strategies.dispatch(StrategyKind.CORD_ORACLE, d_pos, free_cells, counts, rng,
-                                  ctx=OracleContext(c_pos[unallocated], r), p_table=table,
-                                  unit_block_dist=limit)
+        got = strategies.dispatch(StrategyKind.CORD_ORACLE, d_pos, free_cells, counts, rng, c_pos=c_pos, r=r)
     finally:
         strategies.hungarian_assign = solve
 
@@ -352,6 +356,7 @@ def test_oracle_unit_blocking_equals_the_blocker_lists(case):
         assert got == {} and seen == []
         return
     unit_cell = np.repeat(np.arange(len(free_cells)), counts)
+    table = reference.capture_prob_table(r, 2 * (n - 1))
     cost = reference.oracle_cost_matrix(d_pos, free_cells, c_pos[unallocated], r, table)[:, unit_cell]
     reference.block_units(cost, d_pos, free_cells, counts, blockers)
     want_rng = np.random.default_rng(seed)

@@ -7,20 +7,46 @@ import reference
 from conftest import draw_cells
 from reference import approx_cost, oracle_cost
 
+from curbsim import strategies
 from curbsim.errors import ConfigError
 from curbsim.grid import CellCoord
 from curbsim.strategies import (
-    OracleContext,
     StrategyKind,
     capture_prob_table,
     capture_probability,
-    cord_agn_matrix,
     dispatch,
     oracle_cost_matrix,
     reachable_set,
     t_budget,
-    unc_agn_targets,
 )
+
+
+def unc_agn_targets(d_pos, free_cells, rng):
+    """unc-agn dispatch with one free spot per offered cell."""
+    return dispatch(StrategyKind.UNC_AGN, d_pos, free_cells, np.ones(len(free_cells), np.int64), rng)
+
+
+def cost_matrix(kind, d_pos, cells, **info):
+    """The cost matrix dispatch hands the solver for one spot per cell, with
+    the presentation shuffle undone (participants x cells)."""
+    seen = []
+    solve = strategies.hungarian_assign
+    strategies.hungarian_assign = lambda m: seen.append(m.entries) or solve(m)
+    try:
+        dispatch(kind, d_pos, cells, np.ones(len(cells), np.int64), np.random.default_rng(0), **info)
+    finally:
+        strategies.hungarian_assign = solve
+    if not seen:
+        return np.zeros((len(d_pos), len(cells)))
+    rng = np.random.default_rng(0)
+    rows, cols = rng.permutation(len(d_pos)), rng.permutation(len(cells))
+    out = np.empty_like(seen[0])
+    out[np.ix_(rows, cols)] = seen[0]
+    return out
+
+
+def cord_agn_matrix(d_pos, cells):
+    return cost_matrix(StrategyKind.CORD_AGN, d_pos, cells)
 
 
 def test_unc_agn_examples():
@@ -108,10 +134,10 @@ def test_capture_probability_enumeration_oracle():
 
 def test_capture_prob_table_matches_scalar():
     for r in (1, 2):
-        table = capture_prob_table(r, 8)
+        table = capture_prob_table(r)
         rng = np.random.default_rng(3)
         for _ in range(80):
-            dx, dy = (int(v) for v in rng.integers(0, 9, 2))
+            dx, dy = (int(v) for v in rng.integers(0, 2 * r + 1, 2))
             if dx + dy <= r:
                 continue
             t_c = int(rng.integers(0, r + 1))
@@ -119,19 +145,36 @@ def test_capture_prob_table_matches_scalar():
             assert table[t_c, dx, dy] == pytest.approx(want)
 
 
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_capture_prob_table_is_the_grid_table_within_2r(r):
+    """A competitor more than 2R from the spot (budget t_c <= R) cannot
+    reach the radius-R ring: the grid-sized reference table is exactly 0
+    beyond displacement 2R and equals capture_prob_table(r) within it, and
+    both agree with the scalar capture probability everywhere."""
+    ext, max_disp = 2 * r, 2 * r + 5
+    grid_table = reference.capture_prob_table(r, max_disp)
+    table = capture_prob_table(r)
+    assert table.shape == (r + 1, ext + 1, ext + 1)
+    assert np.array_equal(grid_table[:, : ext + 1, : ext + 1], table)
+    dx, dy = np.meshgrid(np.arange(max_disp + 1), np.arange(max_disp + 1), indexing="ij")
+    assert not grid_table[:, dx + dy > ext].any()
+    for t_c in range(r + 1):
+        for i, j in zip(dx[dx + dy > r].tolist(), dy[dx + dy > r].tolist()):
+            assert grid_table[t_c, i, j] == capture_probability(CellCoord(0, 0), CellCoord(i, j), r, t_c)
+    # built once per R and shared read-only
+    assert capture_prob_table(r) is table and not table.flags.writeable
+
+
 def test_oracle_cost_conditions():
     # condition 1: strictly closest participant pays plain travel time
-    ctx = OracleContext(np.array([[6, 6]]), r=1)
-    assert oracle_cost(CellCoord(0, 4), CellCoord(0, 0), ctx) == 4
+    assert oracle_cost(CellCoord(0, 4), CellCoord(0, 0), np.array([[6, 6]]), 1) == 4
     # condition 2: competitor inside the radius and closer -> infeasible
-    ctx = OracleContext(np.array([[0, 1]]), r=1)
-    assert oracle_cost(CellCoord(0, 4), CellCoord(0, 0), ctx) == float("inf")
+    assert oracle_cost(CellCoord(0, 4), CellCoord(0, 0), np.array([[0, 1]]), 1) == float("inf")
     # condition 3: nearer-but-blind competitor inflates by tau * p
-    ctx = OracleContext(np.array([[0, 3]]), r=1)
     tau = 5
     t_c = t_budget(tau, 1)
     p = capture_probability(CellCoord(0, 3), CellCoord(0, 0), 1, t_c)
-    got = oracle_cost(CellCoord(0, 5), CellCoord(0, 0), ctx)
+    got = oracle_cost(CellCoord(0, 5), CellCoord(0, 0), np.array([[0, 3]]), 1)
     assert got == pytest.approx(tau + tau * p)
 
 
@@ -139,28 +182,24 @@ def test_oracle_cost_monotone_in_competitors():
     rng = np.random.default_rng(4)
     for _ in range(100):
         comp = rng.integers(0, 10, (4, 2))
-        ctx_all = OracleContext(comp, r=1)
-        ctx_less = OracleContext(comp[:3], r=1)
         d = CellCoord(*rng.integers(0, 10, 2))
         s = CellCoord(*rng.integers(0, 10, 2))
-        assert oracle_cost(d, s, ctx_less) <= oracle_cost(d, s, ctx_all) or (
-            np.isinf(oracle_cost(d, s, ctx_less)) and np.isinf(oracle_cost(d, s, ctx_all))
+        assert oracle_cost(d, s, comp[:3], 1) <= oracle_cost(d, s, comp, 1) or (
+            np.isinf(oracle_cost(d, s, comp[:3], 1)) and np.isinf(oracle_cost(d, s, comp, 1))
         )
 
 
 def test_oracle_matrix_agrees_with_scalar():
     rng = np.random.default_rng(5)
     for r in (0, 1, 2):
-        table = capture_prob_table(r, 2 * 11)
         for _ in range(40):
             d = rng.integers(0, 12, (3, 2))
             f = rng.integers(0, 12, (4, 2))
             c = rng.integers(0, 12, (int(rng.integers(0, 5)), 2))
-            ctx = OracleContext(c, r)
-            mat = oracle_cost_matrix(d, f, c, r, table)
+            mat = oracle_cost_matrix(d, f, c, r)
             for i in range(3):
                 for j in range(4):
-                    want = oracle_cost(CellCoord(*d[i]), CellCoord(*f[j]), ctx)
+                    want = oracle_cost(CellCoord(*d[i]), CellCoord(*f[j]), c, r)
                     if np.isinf(want):
                         assert np.isinf(mat[i, j])
                     else:
@@ -180,8 +219,8 @@ def oracle_inputs(draw):
 @given(oracle_inputs())
 def test_oracle_matrix_equals_the_scatter_add_reference(case):
     d, f, c, r, n = case
-    table = capture_prob_table(r, 2 * (n - 1))
-    got = oracle_cost_matrix(d, f, c, r, table)
+    got = oracle_cost_matrix(d, f, c, r)
+    table = reference.capture_prob_table(r, 2 * (n - 1))
     assert np.array_equal(got, reference.oracle_cost_matrix(d, f, c, r, table))
 
 
@@ -239,14 +278,14 @@ def test_dispatch_eq3_eq4_properties():
 def test_dispatch_oracle_all_blocked():
     rng = np.random.default_rng(8)
     # a competitor sitting on the only free spot blocks every farther participant
-    ctx = OracleContext(np.array([[0, 1]]), r=1)
     out = dispatch(
         StrategyKind.CORD_ORACLE,
         np.array([[4, 4], [5, 5]]),
         np.array([[0, 1]]),
         np.array([1]),
         rng,
-        ctx=ctx,
+        c_pos=np.array([[0, 1]]),
+        r=1,
     )
     assert out == {}
 
@@ -288,7 +327,7 @@ def test_oracle_equals_agn_without_competitors():
         agn = dispatch(StrategyKind.CORD_AGN, d, cells, counts, np.random.default_rng(5))
         oracle = dispatch(
             StrategyKind.CORD_ORACLE, d, cells, counts, np.random.default_rng(5),
-            ctx=OracleContext(np.zeros((0, 2)), r=1),
+            c_pos=np.zeros((0, 2)), r=1,
         )
         assert agn == oracle
 
