@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .grid import manhattan_matrix
 
 
@@ -29,9 +29,13 @@ class DwellSpec:
 
     def __post_init__(self):
         if self.kind not in ("fixed", "lognormal"):
-            raise ConfigError(f"unknown dwell kind {self.kind!r}")
-        if self.minutes <= 0 or self.sigma < 0 or self.floor < 1:
-            raise ConfigError("dwell parameters out of range")
+            raise ConfigError(f"dwell.kind must be 'fixed' or 'lognormal', got {self.kind!r}")
+        # Python's json reads NaN and Infinity; either would cast to INT64_MIN
+        if not (math.isfinite(self.minutes) and self.minutes > 0):
+            raise ConfigError(f"dwell.minutes must be > 0 and finite, got {self.minutes}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ConfigError(f"dwell.sigma must be >= 0 and finite, got {self.sigma}")
+        check_int("dwell.floor", self.floor, 1)
 
 
 def sample_dwell_batch(spec: DwellSpec, count: int, rng: np.random.Generator) -> np.ndarray:

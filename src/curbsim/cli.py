@@ -2,11 +2,13 @@
 
 Commands: run | sweep | train | report | validate. Every flag has a config
 file equivalent; flags win. Exit codes: 0 success, 1 partial sweep failure,
-2 bad config or I/O.
+2 bad config or I/O: `main` turns every curbsim, OS and JSON error into
+`error: <message>` and exit 2.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -15,9 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import SimConfig, build_arrivals, run_simulation
+from .engine import SimConfig, config_grid, load_inputs, run_simulation
 from .errors import ConfigError, CurbsimError, ValidationError
-from .grid import load_grid
 from .metrics import GROUPS, export_report, fold_events, hourly_series
 from .predictor import load_corpus, retrain, save_model
 from .strategies import StrategyKind, parse_strategy
@@ -34,81 +35,77 @@ def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
     return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
 
 
+def _require_history(cfg: SimConfig):
+    """The CLI never cold-starts cord-approx: it needs a history file."""
+    if cfg.strategy is StrategyKind.CORD_APPROX and not cfg.history_file:
+        raise ConfigError("predictor requires history (set history_file for cord-approx)")
+
+
 def cmd_run(args) -> int:
-    try:
-        cfg = _apply_overrides(load_config(args.config), args)
-        if cfg.strategy is StrategyKind.CORD_APPROX and not cfg.history_file:
-            print("error: predictor requires history (set history_file for cord-approx)", file=sys.stderr)
-            return 2
-        if not cfg.grid_file or not Path(cfg.grid_file).exists():
-            print(f"error: grid file not found: {cfg.grid_file}", file=sys.stderr)
-            return 2
-        run_simulation(cfg, out_dir=args.out)
-    except (CurbsimError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _apply_overrides(load_config(args.config), args)
+    _require_history(cfg)
+    run_simulation(cfg, out_dir=args.out)
     return 0
 
 
 def _sweep_cell(payload):
     cfg, out_dir = payload
-    if cfg.strategy is StrategyKind.CORD_APPROX and not cfg.history_file:
-        raise ConfigError("predictor requires history")
+    _require_history(cfg)
     report, _ = run_simulation(cfg, out_dir=out_dir)
     return report
 
 
-def cmd_sweep(args) -> int:
+def _list_flag(flag: str, text: str, kind):
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
-        strategies = (
-            [parse_strategy(s).value for s in args.strategies.split(",")]
-            if args.strategies
-            else [cfg.strategy.value]
-        )
-        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
-        scales = [float(s) for s in args.scales.split(",")] if args.scales else [cfg.demand_scale]
-        # every cell's config is checked before the first cell runs
-        out_root = Path(args.out)
-        cells = [
-            (replace(cfg, strategy=strategy, seed=seed, demand_scale=scale),
-             str(out_root / "cells" / (f"{strategy}_s{seed}" + (f"_x{scale:g}" if len(scales) > 1 else ""))))
-            for strategy in strategies for seed in seeds for scale in scales
-        ]
-    except (CurbsimError, OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return [kind(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be a comma-separated list of {kind.__name__}s, got {text!r}") from None
+
+
+def cmd_sweep(args) -> int:
+    cfg = _apply_overrides(load_config(args.config), args)
+    strategies = (
+        [parse_strategy(s).value for s in args.strategies.split(",")]
+        if args.strategies
+        else [cfg.strategy.value]
+    )
+    seeds = _list_flag("--seeds", args.seeds, int) if args.seeds else [cfg.seed]
+    scales = _list_flag("--scales", args.scales, float) if args.scales else [cfg.demand_scale]
+    # every cell's config and directory is checked before the first cell runs
+    out_root = Path(args.out)
+    cells: dict[str, tuple[SimConfig, str]] = {}
+    for strategy, seed, scale in itertools.product(strategies, seeds, scales):
+        name = f"{strategy}_s{seed}" + (f"_x{scale:g}" if len(scales) > 1 else "")
+        if name in cells:
+            raise ConfigError(f"two sweep cells share the directory cells/{name}: "
+                              f"give distinct strategies, seeds and scales")
+        cells[name] = (replace(cfg, strategy=strategy, seed=seed, demand_scale=scale), str(out_root / "cells" / name))
     out_root.mkdir(parents=True, exist_ok=True)
 
-    results: dict[str, dict | None] = {}
+    results: dict[str, dict] = {}
     failures: dict[str, str] = {}
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futs = {pool.submit(_sweep_cell, cell): cell for cell in cells}
-            for fut, cell in futs.items():
-                key = Path(cell[1]).name
+            futs = {name: pool.submit(_sweep_cell, cell) for name, cell in cells.items()}
+            for name, fut in futs.items():
                 try:
-                    results[key] = fut.result()
+                    results[name] = fut.result()
                 except Exception as exc:
-                    failures[key] = str(exc)
+                    failures[name] = str(exc)
     else:
-        for cell in cells:
-            key = Path(cell[1]).name
+        for name, cell in cells.items():
             try:
-                results[key] = _sweep_cell(cell)
+                results[name] = _sweep_cell(cell)
             except Exception as exc:
-                failures[key] = str(exc)
+                failures[name] = str(exc)
 
     summary = {"cells": sorted(results), "failures": failures, "comparison": []}
     for strategy in strategies:
+        reports = [rep for name, rep in results.items() if cells[name][0].strategy.value == strategy]
         row = {"strategy": strategy}
         for group in GROUPS:
-            vals = [
-                rep["aggregate"]["peak"][group]["success_ratio"]
-                for key, rep in results.items()
-                if key.startswith(strategy) and rep is not None
-                and rep["aggregate"]["peak"][group]["success_ratio"] is not None
-            ]
+            vals = [rep["aggregate"]["peak"][group]["success_ratio"] for rep in reports]
+            vals = [v for v in vals if v is not None]
             row[f"{group}_success"] = float(np.mean(vals)) if vals else None
         summary["comparison"].append(row)
     with open(out_root / "sweep_summary.json", "w", encoding="utf-8") as fh:
@@ -123,15 +120,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        grid, _ = load_grid(cfg.grid_file)
-        corpus = load_corpus(args.history, grid.n * grid.n, cfg.weekday)
-        model = retrain(corpus)
-        save_model(args.out, model)
-    except (CurbsimError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = load_config(args.config)
+    grid, _ = config_grid(cfg)
+    corpus = load_corpus(args.history, grid.n * grid.n, cfg.weekday)
+    model = retrain(corpus)
+    save_model(args.out, model)
     print(f"model written to {args.out} (lambda={model.lam}, {len(model.coefficients)} coefficients)")
     return 0
 
@@ -162,50 +155,27 @@ def cmd_report(args) -> int:
     log_dir = Path(args.log_dir)
     report_path = log_dir / "report.json"
     if not report_path.exists():
-        print(f"error: no report.json in {log_dir}", file=sys.stderr)
-        return 2
-    try:
-        with open(report_path, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-        event_files = sorted(log_dir.glob("events*.ndjson"))
-        _check_report(report, len(event_files))
-        cfg = SimConfig.from_dict(report.get("config"))
-        grid, _ = load_grid(cfg.grid_file)
-        if event_files:
-            # recount hourly series from the raw events as a cross-check
-            for i, path in enumerate(event_files):
-                outcomes = fold_events(path, cfg.t_max, cfg.horizon)
-                recount = hourly_series(outcomes, cfg.horizon)
-                stored = report["runs"][i]["hourly"]
-                if recount != stored:
-                    print(f"error: event log {path.name} disagrees with report.json", file=sys.stderr)
-                    return 2
-        export_report(report, log_dir, grid)
-    except (CurbsimError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValidationError(f"no report.json in {log_dir}")
+    with open(report_path, "r", encoding="utf-8") as fh:
+        report = json.load(fh)
+    event_files = sorted(log_dir.glob("events*.ndjson"))
+    _check_report(report, len(event_files))
+    cfg = SimConfig.from_dict(report.get("config"))
+    grid, _ = config_grid(cfg)
+    # recount hourly series from the raw events as a cross-check
+    for i, path in enumerate(event_files):
+        outcomes = fold_events(path, cfg.t_max, cfg.horizon)
+        if hourly_series(outcomes, cfg.horizon) != report["runs"][i]["hourly"]:
+            raise ValidationError(f"event log {path.name} disagrees with report.json")
+    export_report(report, log_dir, grid)
     print(f"rendered outputs in {log_dir}")
     return 0
 
 
 def cmd_validate(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        grid = None
-        if cfg.grid_file:
-            if not Path(cfg.grid_file).exists():
-                print(f"error: grid file not found: {cfg.grid_file}", file=sys.stderr)
-                return 2
-            grid, _ = load_grid(cfg.grid_file)
-        if cfg.arrivals.kind == "file":
-            if not Path(cfg.arrivals.path or "").exists():
-                print(f"error: arrivals file not found: {cfg.arrivals.path}", file=sys.stderr)
-                return 2
-            if grid is not None:
-                build_arrivals(cfg, grid, cfg.seed)  # parses and range-checks every row
-    except (CurbsimError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = load_config(args.config)
+    _require_history(cfg)
+    load_inputs(cfg)
     print("config ok")
     return 0
 
@@ -246,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("log_dir")
     report.set_defaults(func=cmd_report)
 
-    validate = sub.add_parser("validate", help="schema-check a config file")
+    validate = sub.add_parser("validate", help="check a config and load every input file it names")
     validate.add_argument("--config", required=True)
     validate.set_defaults(func=cmd_validate)
     return p
@@ -254,7 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (CurbsimError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError, check_int, check_path
 
 INTENSITY_COLS = ("segment_id", "interval_start", "count", "geohash7", "overlap_fraction")
 SERIES_COLS = ("cell", "minute", "group", "count")
@@ -221,14 +221,25 @@ def split_demand(minute_counts: MinuteCounts, participant_share: float, competit
 PATTERNS = ("uniform", "diurnal", "hotspot")
 
 
-@dataclass
-class SynthSpec:
-    """Closed-form synthetic demand.
+def _check_centers(name, centers):
+    if centers is None:
+        return
+    for c in centers:
+        if not isinstance(c, (list, tuple)) or len(c) != 2:
+            raise ConfigError(f"{name} must be a list of [i, j] cells, got {centers!r}")
+        for x in c:
+            check_int(name, x)
 
-    Patterns (rate = searching arrivals per cell per minute):
+
+@dataclass
+class ArrivalsConfig:
+    """Where a run's arrivals come from: a file (an arrival series or raw
+    intensity records) or a closed-form synthetic pattern.
+
+    Patterns (rate = searching arrivals per cell per minute, H = horizon):
       uniform  rate(k, m) = magnitude
       diurnal  rate(k, m) = magnitude * 0.5 * (1 - cos(2*pi*(m - peak_minute + H/2) / H))
-               (peaks at peak_minute, vanishes half a day away; H = horizon)
+               (peaks at peak_minute, vanishes half a day away)
       hotspot  rate(k, m) = magnitude * exp(-d(k, center) / decay) summed over
                centers, where d is Manhattan distance; stationary in time
                unless rotate_every > 0, in which case exactly one center is
@@ -237,73 +248,90 @@ class SynthSpec:
                weight at every minute regardless of rotation.
 
     Realization is deterministic error diffusion per cell and group; the seed
-    only places hotspot centers when none are given.
+    only places n_centers hotspot centers when none are given (None derives
+    it from the master seed).
     """
 
-    pattern: str
-    n: int
-    horizon: int = 1440
-    magnitude: float = 1.0
+    kind: str = "synth"  # synth | file
+    path: str | None = None
+    pattern: str = "hotspot"
+    magnitude: float = 0.05
     peak_minute: int = 720
-    seed: int = 0
-    participant_share: float = 0.015
-    competitor_share: float = 0.08
-    centers: list[tuple[int, int]] | None = None
-    static_centers: list[tuple[int, int]] | None = None
+    centers: list | None = None
+    static_centers: list | None = None
     n_centers: int = 2
     decay: float = 3.0
     rotate_every: int = 0
+    seed: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("synth", "file"):
+            raise ConfigError(f"arrivals.kind must be 'synth' or 'file', got {self.kind!r}")
+        check_path("arrivals.path", self.path)
+        if self.pattern not in PATTERNS:
+            raise ConfigError(f"arrivals.pattern must be one of {', '.join(PATTERNS)}, got {self.pattern!r}")
+        if not (math.isfinite(self.magnitude) and self.magnitude >= 0):
+            raise ConfigError(f"arrivals.magnitude must be >= 0 and finite, got {self.magnitude}")
+        if not (math.isfinite(self.decay) and self.decay > 0):
+            raise ConfigError(f"arrivals.decay must be a finite number > 0, got {self.decay}")
+        _check_centers("arrivals.centers", self.centers)
+        _check_centers("arrivals.static_centers", self.static_centers)
+        for name, lo in (("peak_minute", None), ("n_centers", 1), ("rotate_every", 0)):
+            check_int(f"arrivals.{name}", getattr(self, name), lo)
+        if self.seed is not None:
+            check_int("arrivals.seed", self.seed)
 
 
-def _synth_rates(spec: SynthSpec) -> np.ndarray:
+def _synth_rates(a: ArrivalsConfig, n: int, horizon: int, seed: int) -> np.ndarray:
     """(cells, minutes) rate array for the documented closed forms."""
-    k = spec.n * spec.n
-    minutes = np.arange(spec.horizon, dtype=np.float64)
-    if spec.pattern == "uniform":
-        return np.full((k, spec.horizon), spec.magnitude)
-    if spec.pattern == "diurnal":
-        phase = 2.0 * np.pi * (minutes - spec.peak_minute + spec.horizon / 2.0) / spec.horizon
-        per_min = spec.magnitude * 0.5 * (1.0 - np.cos(phase))
+    k = n * n
+    minutes = np.arange(horizon, dtype=np.float64)
+    if a.pattern == "uniform":
+        return np.full((k, horizon), a.magnitude)
+    if a.pattern == "diurnal":
+        phase = 2.0 * np.pi * (minutes - a.peak_minute + horizon / 2.0) / horizon
+        per_min = a.magnitude * 0.5 * (1.0 - np.cos(phase))
         return np.tile(per_min, (k, 1))
-    if spec.pattern == "hotspot":
-        centers = spec.centers
-        if centers is None:
-            gen = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x5E0D]))
-            centers = [tuple(int(x) for x in gen.integers(0, spec.n, 2)) for _ in range(spec.n_centers)]
-        ii, jj = np.divmod(np.arange(k), spec.n)
-        weights = np.stack(
-            [np.exp(-(np.abs(ii - ci) + np.abs(jj - cj)) / spec.decay) for ci, cj in centers]
-        )
-        static = np.zeros(k)
-        for ci, cj in spec.static_centers or ():
-            static += np.exp(-(np.abs(ii - ci) + np.abs(jj - cj)) / spec.decay)
-        if spec.rotate_every > 0:
-            active = (minutes.astype(np.int64) // spec.rotate_every) % len(centers)
-            return spec.magnitude * (weights[active].T + static[:, None])
-        return np.outer(spec.magnitude * (weights.sum(axis=0) + static), np.ones(spec.horizon))
-    raise ConfigError(f"unknown demand pattern {spec.pattern!r}")
+    # hotspot, the one pattern left
+    centers = a.centers
+    if not centers:
+        gen = np.random.default_rng(np.random.SeedSequence([seed, 0x5E0D]))
+        centers = [tuple(int(x) for x in gen.integers(0, n, 2)) for _ in range(a.n_centers)]
+    ii, jj = np.divmod(np.arange(k), n)
+    weights = np.stack(
+        [np.exp(-(np.abs(ii - ci) + np.abs(jj - cj)) / a.decay) for ci, cj in centers]
+    )
+    static = np.zeros(k)
+    for ci, cj in a.static_centers or ():
+        static += np.exp(-(np.abs(ii - ci) + np.abs(jj - cj)) / a.decay)
+    if a.rotate_every > 0:
+        active = (minutes.astype(np.int64) // a.rotate_every) % len(centers)
+        return a.magnitude * (weights[active].T + static[:, None])
+    return np.outer(a.magnitude * (weights.sum(axis=0) + static), np.ones(horizon))
 
 
-def synth_demand(spec: SynthSpec) -> ArrivalSeries:
-    """Deterministic ArrivalSeries realizing the pattern's closed form.
+def synth_demand(a: ArrivalsConfig, n: int, horizon: int, shares: tuple[float, float], seed: int) -> ArrivalSeries:
+    """Deterministic ArrivalSeries realizing the pattern's closed form on an
+    n x n grid; shares are the (participant, competitor) fractions and seed
+    the resolved hotspot placement seed.
 
     Combined arrivals per cell follow the cumulative-floor of the rate (total
     counts exact within rounding); the participant stream then takes its
     share of that integer stream by a second cumulative floor, so group
     totals stay within one vehicle of the configured split per cell.
     """
-    rates = _synth_rates(spec)
-    total_share = spec.participant_share + spec.competitor_share
+    rates = _synth_rates(a, n, horizon, seed)
+    total_share = shares[0] + shares[1]
     if total_share <= 0:
-        return ArrivalSeries(spec.horizon)
-    p_frac = spec.participant_share / total_share
+        return ArrivalSeries(horizon)
+    p_frac = shares[0] / total_share
     rates[rates.sum(axis=1) <= 0] = 0.0  # cells without demand spawn nothing
     # cumulative (cells, minutes) tables, in place: exact integers in float64
     cum = np.floor(np.cumsum(rates, axis=1, out=rates) + 1e-9, out=rates)
     cum_p = cum * p_frac + 1e-9
     np.floor(cum_p, out=cum_p)
     cum -= cum_p  # competitors take the rest
-    return ArrivalSeries(spec.horizon, _increments(cum_p), _increments(cum))
+    return ArrivalSeries(horizon, _increments(cum_p), _increments(cum))
 
 
 def _increments(cum: np.ndarray) -> MinuteCounts:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -38,8 +37,8 @@ import numpy as np
 from . import demand as demand_mod
 from . import metrics as metrics_mod
 from .agents import DwellSpec, sample_dwell_batch, step_competitors_batch, step_toward_batch
-from .demand import PATTERNS, ArrivalSeries, SynthSpec, scale_series, synth_demand
-from .errors import ConfigError, ValidationError
+from .demand import ArrivalsConfig, ArrivalSeries, scale_series, synth_demand
+from .errors import ConfigError, ValidationError, check_int, check_path
 from .grid import GridSpec, OccupancyState, load_grid
 from .metrics import GROUPS, STATUS_CENSORED, STATUS_FAILED, STATUS_PARKED
 from .predictor import (
@@ -60,41 +59,6 @@ GROUP_PHANTOM = 2
 
 _NO_ROWS = np.zeros(0, np.int64)
 _NO_CELLS = np.zeros((0, 2), np.int64)
-
-
-def _check_int(name, value, lo=None):
-    """ConfigError unless value is an integer >= lo; a non-number raises
-    TypeError, which `SimConfig.from_dict` reports as a bad value."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and (lo is None or value >= lo):
-        return
-    bound = "" if lo is None else f" >= {lo}"
-    error = ConfigError if isinstance(value, numbers.Real) else TypeError
-    raise error(f"{name} must be an integer{bound}, got {value!r}")
-
-
-def _check_centers(name, centers):
-    if centers is None:
-        return
-    for c in centers:
-        if not isinstance(c, (list, tuple)) or len(c) != 2:
-            raise ConfigError(f"{name} must be a list of [i, j] cells, got {centers!r}")
-        for x in c:
-            _check_int(name, x)
-
-
-@dataclass
-class ArrivalsConfig:
-    kind: str = "synth"  # synth | file (file = arrival series or raw intensity)
-    path: str | None = None
-    pattern: str = "hotspot"
-    magnitude: float = 0.05
-    peak_minute: int = 720
-    centers: list | None = None
-    static_centers: list | None = None
-    n_centers: int = 2
-    decay: float = 3.0
-    rotate_every: int = 0
-    seed: int | None = None  # hotspot center placement; None derives from master
 
 
 @dataclass
@@ -123,46 +87,36 @@ class SimConfig:
 
     def __post_init__(self):
         self.strategy = parse_strategy(self.strategy)
-        if isinstance(self.arrivals, dict):
-            self.arrivals = ArrivalsConfig(**self.arrivals)
-        if isinstance(self.dwell, dict):
-            self.dwell = DwellSpec(**self.dwell)
+        for name, kind in (("arrivals", ArrivalsConfig), ("dwell", DwellSpec)):
+            value = getattr(self, name)
+            if isinstance(value, dict):
+                setattr(self, name, kind(**value))
+            elif not isinstance(value, kind):
+                raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+        check_path("grid_file", self.grid_file)
+        check_path("history_file", self.history_file)
         self.shares = tuple(self.shares)
         self.peak_window = tuple(self.peak_window)
         for name, lo in (("r", 0), ("horizon", 0), ("runs", 1), ("t_max", 1), ("seed", None)):
-            _check_int(name, getattr(self, name), lo)
+            check_int(name, getattr(self, name), lo)
         if not (0.0 <= self.initial_occupancy <= 1.0):
             raise ConfigError("initial_occupancy must be in [0, 1]")
-        _check_int("weekday", self.weekday, 0)
+        check_int("weekday", self.weekday, 0)
         if self.weekday > 6:
             raise ConfigError(f"weekday must be in 0..6, got {self.weekday}")
-        a = self.arrivals
-        if a.kind not in ("synth", "file"):
-            raise ConfigError(f"arrivals.kind must be 'synth' or 'file', got {a.kind!r}")
-        if a.pattern not in PATTERNS:
-            raise ConfigError(f"arrivals.pattern must be one of {', '.join(PATTERNS)}, got {a.pattern!r}")
-        if a.magnitude < 0:
-            raise ConfigError(f"arrivals.magnitude must be >= 0, got {a.magnitude}")
-        if not (a.decay > 0 and math.isfinite(a.decay)):
-            raise ConfigError(f"arrivals.decay must be a finite number > 0, got {a.decay}")
-        _check_centers("arrivals.centers", a.centers)
-        _check_centers("arrivals.static_centers", a.static_centers)
-        for name, lo in (("peak_minute", None), ("n_centers", 1), ("rotate_every", 0)):
-            _check_int(f"arrivals.{name}", getattr(a, name), lo)
-        if a.seed is not None:
-            _check_int("arrivals.seed", a.seed)
-        if self.demand_scale < 0:
-            raise ConfigError(f"demand_scale must be >= 0, got {self.demand_scale}")
-        if len(self.shares) != 2 or min(self.shares) < 0 or sum(self.shares) > 1:
-            raise ConfigError(f"shares must be two fractions >= 0 with a sum <= 1, got {list(self.shares)}")
+        # Python's json reads NaN and Infinity; either would spawn no agent
+        if not (math.isfinite(self.demand_scale) and self.demand_scale >= 0):
+            raise ConfigError(f"demand_scale must be >= 0 and finite, got {self.demand_scale}")
+        if len(self.shares) != 2 or not all(math.isfinite(x) and x >= 0 for x in self.shares) or sum(self.shares) > 1:
+            raise ConfigError(f"shares must be two finite fractions >= 0 with a sum <= 1, got {list(self.shares)}")
         for x in self.peak_window:
-            _check_int("peak_window", x)
+            check_int("peak_window", x)
         if len(self.peak_window) != 2 or not 0 <= self.peak_window[0] < self.peak_window[1]:
             raise ConfigError(f"peak_window must be [start, end] with 0 <= start < end, got {list(self.peak_window)}")
         if self.history_groups not in ("participants", "both"):
             raise ConfigError(f"history_groups must be 'participants' or 'both', got {self.history_groups!r}")
         # the engine retrains only at bucket ends
-        _check_int("retrain_every", self.retrain_every)
+        check_int("retrain_every", self.retrain_every)
         if self.retrain_every <= 0 or self.retrain_every % BUCKET_MINUTES:
             raise ConfigError(
                 f"retrain_every must be a positive multiple of {BUCKET_MINUTES} minutes, got {self.retrain_every}"
@@ -582,23 +536,8 @@ def build_arrivals(cfg: SimConfig, grid: GridSpec, master_seed: int) -> ArrivalS
     a = cfg.arrivals
     if a.kind == "synth":
         seed = a.seed if a.seed is not None else derive_seed(master_seed, 0xDE)
-        spec = SynthSpec(
-            pattern=a.pattern,
-            n=grid.n,
-            horizon=cfg.horizon,
-            magnitude=a.magnitude,
-            peak_minute=a.peak_minute,
-            seed=seed,
-            participant_share=cfg.shares[0],
-            competitor_share=cfg.shares[1],
-            centers=[tuple(c) for c in a.centers] if a.centers else None,
-            static_centers=[tuple(c) for c in a.static_centers] if a.static_centers else None,
-            n_centers=a.n_centers,
-            decay=a.decay,
-            rotate_every=a.rotate_every,
-        )
-        series = synth_demand(spec)
-    else:  # "file"; SimConfig admits no other kind
+        series = synth_demand(a, grid.n, cfg.horizon, cfg.shares, seed)
+    else:  # "file"; ArrivalsConfig admits no other kind
         if not a.path:
             raise ConfigError("arrivals.kind=file requires arrivals.path")
         with open(a.path, "r", encoding="utf-8") as fh:
@@ -619,6 +558,27 @@ def build_arrivals(cfg: SimConfig, grid: GridSpec, master_seed: int) -> ArrivalS
     return series
 
 
+def config_grid(cfg: SimConfig) -> tuple[GridSpec, np.ndarray]:
+    """The grid and capacity read from cfg.grid_file."""
+    if not cfg.grid_file:
+        raise ConfigError("config needs grid_file")
+    return load_grid(cfg.grid_file)
+
+
+def load_inputs(cfg: SimConfig, grid: GridSpec | None = None, capacity: np.ndarray | None = None):
+    """(grid, capacity, arrival series, history template): every input file
+    cfg names, loaded and checked. The grid file is skipped when grid and
+    capacity are given; the history template (cord-approx with a
+    history_file only) is None otherwise."""
+    if grid is None or capacity is None:
+        grid, capacity = config_grid(cfg)
+    series = build_arrivals(cfg, grid, cfg.seed)
+    corpus = None
+    if cfg.strategy is StrategyKind.CORD_APPROX and cfg.history_file:
+        corpus = load_corpus(cfg.history_file, grid.n * grid.n, cfg.weekday)
+    return grid, capacity, series, corpus
+
+
 def run_simulation(
     cfg: SimConfig,
     out_dir: str | Path | None = None,
@@ -630,15 +590,7 @@ def run_simulation(
     When out_dir is given, writes events_r<i>.ndjson per run (plain
     events.ndjson for a single run) plus report.json and the CSV/SVG set.
     """
-    if grid is None or capacity is None:
-        if not cfg.grid_file:
-            raise ConfigError("config needs grid_file (or pass grid and capacity)")
-        grid, capacity = load_grid(cfg.grid_file)
-    series = build_arrivals(cfg, grid, cfg.seed)
-
-    corpus_template = None
-    if cfg.strategy is StrategyKind.CORD_APPROX and cfg.history_file:
-        corpus_template = load_corpus(cfg.history_file, grid.n * grid.n, cfg.weekday)
+    grid, capacity, series, corpus_template = load_inputs(cfg, grid, capacity)
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config value checks
+that raise them."""
+
+import numbers
 
 
 class CurbsimError(Exception):
@@ -33,3 +36,19 @@ class SchemaError(CurbsimError):
 
 class SingularityError(CurbsimError):
     """Unregularized fit on rank-deficient data."""
+
+
+def check_int(name, value, lo=None):
+    """ConfigError unless value is an integer >= lo; a non-number raises
+    TypeError, which `SimConfig.from_dict` reports as a bad value."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and (lo is None or value >= lo):
+        return
+    bound = "" if lo is None else f" >= {lo}"
+    error = ConfigError if isinstance(value, numbers.Real) else TypeError
+    raise error(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def check_path(name, value):
+    """ConfigError unless value is a path string or None (unset)."""
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{name} must be a path string, got {value!r}")

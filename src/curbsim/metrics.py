@@ -316,18 +316,23 @@ def fold_events(path, t_max: int, horizon: int):
     spawns: dict[int, tuple[int, int]] = {}
     terminal: dict[int, tuple[int, int, int]] = {}
     groups = {name: code for code, name in enumerate(GROUPS)}
+    lineno = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            ev = json.loads(line)
-            aid = ev["agent_id"]
-            if ev["event"] == "spawn":
-                spawns[aid] = (groups[ev["group"]], ev["tick"])
-            elif ev["event"] == "park":
-                terminal[aid] = (STATUS_PARKED, ev["tick"], ev["cell"])
-            elif ev["event"] == "fail":
-                terminal[aid] = (STATUS_FAILED, ev["tick"], -1)
+        try:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                ev = json.loads(line)
+                aid = ev["agent_id"]
+                if ev["event"] == "spawn":
+                    spawns[aid] = (groups[ev["group"]], ev["tick"])
+                elif ev["event"] == "park":
+                    terminal[aid] = (STATUS_PARKED, ev["tick"], ev["cell"])
+                elif ev["event"] == "fail":
+                    terminal[aid] = (STATUS_FAILED, ev["tick"], -1)
+        except (ValueError, KeyError, TypeError) as exc:
+            # a missing key, an unknown group, a non-object line or bad JSON
+            raise ValidationError(f"{path}: line {lineno}: malformed event ({type(exc).__name__}: {exc})") from None
     rows = []
     for aid, (group, spawn) in sorted(spawns.items()):
         if aid in terminal:

@@ -109,16 +109,12 @@ def capture_prob_table(r: int) -> np.ndarray:
     """
     ext = 2 * r
     table = np.zeros((r + 1, ext + 1, ext + 1))
+    origin = CellCoord(0, 0)
     for t_c in range(r + 1):
-        offs = [(a, b) for a in range(-t_c, t_c + 1) for b in range(-(t_c - abs(a)), t_c - abs(a) + 1)]
-        offs_arr = np.array(offs).reshape(-1, 2)
-        size = len(offs)
         for dx in range(ext + 1):
             for dy in range(ext + 1):
-                if dx + dy <= r:
-                    continue  # outside condition-3 domain, never looked up
-                hits = np.abs(dx - offs_arr[:, 0]) + np.abs(dy - offs_arr[:, 1]) == r
-                table[t_c, dx, dy] = hits.sum() / size
+                if dx + dy > r:  # the condition-3 domain; nothing else is looked up
+                    table[t_c, dx, dy] = capture_probability(origin, CellCoord(dx, dy), r, t_c)
     table.flags.writeable = False  # shared by every caller
     return table
 

@@ -354,13 +354,13 @@ def split_demand_dict(minute_counts: dict, participant_share, competitor_share, 
     return series
 
 
-def synth_demand_dict(spec) -> DictSeries:
-    rates = _synth_rates(spec)
-    series = DictSeries(spec.horizon, {}, {})
-    total_share = spec.participant_share + spec.competitor_share
+def synth_demand_dict(arrivals, n, horizon, shares, seed) -> DictSeries:
+    rates = _synth_rates(arrivals, n, horizon, seed)
+    series = DictSeries(horizon, {}, {})
+    total_share = shares[0] + shares[1]
     if total_share <= 0:
         return series
-    p_frac = spec.participant_share / total_share
+    p_frac = shares[0] / total_share
     for cell in range(rates.shape[0]):
         row = rates[cell]
         if row.sum() <= 0:

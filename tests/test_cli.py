@@ -1,9 +1,12 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from curbsim.cli import main
+from curbsim.errors import ValidationError
+from curbsim.metrics import fold_events
 from curbsim.predictor import HistoryCorpus, save_corpus
 
 REPO = Path(__file__).resolve().parents[1]
@@ -91,6 +94,9 @@ def test_run_flags_go_through_the_config_checks(tmp_path, short_config, capsys, 
     ("--horizon", "-5", "horizon must be an integer >= 0"),
     ("--scales", "-1", "demand_scale must be >= 0"),
     ("--scales", "1,-1", "demand_scale must be >= 0"),
+    ("--scales", "nan", "demand_scale must be >= 0 and finite"),
+    ("--scales", "1,inf", "demand_scale must be >= 0 and finite"),
+    ("--seeds", "1,x", "--seeds must be a comma-separated list of ints"),
 ])
 def test_sweep_flags_go_through_the_config_checks(tmp_path, short_config, capsys, flag, value, message):
     # each used to run every cell and report each bad one as failed (exit 1)
@@ -198,9 +204,9 @@ def test_sweep_unknown_strategy_runs_no_cell(tmp_path, short_config, capsys):
     assert not out.exists()
 
 
-def _validate(tmp_path, short_config, **fields):
-    """Validate the short config with fields replaced; a dotted name such as
-    ``arrivals.kind`` replaces a nested field."""
+def _edited_config(tmp_path, short_config, **fields):
+    """The short config with fields replaced, written to a file; a dotted
+    name such as ``arrivals.kind`` replaces a nested field."""
     cfg = json.loads(short_config.read_text())
     for name, value in fields.items():
         *parents, leaf = name.split(".")
@@ -208,9 +214,14 @@ def _validate(tmp_path, short_config, **fields):
         for parent in parents:
             target = target[parent]
         target[leaf] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(cfg))
-    return main(["validate", "--config", str(bad)])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def _validate(tmp_path, short_config, **fields):
+    """Validate the short config with fields replaced (see `_edited_config`)."""
+    return main(["validate", "--config", str(_edited_config(tmp_path, short_config, **fields))])
 
 
 def test_validate_unknown_field(tmp_path, short_config, capsys):
@@ -395,3 +406,141 @@ def test_report_rejects_more_event_logs_than_runs(tmp_path, short_config, capsys
     capsys.readouterr()
     assert main(["report", str(out)]) == 2
     assert capsys.readouterr().err == "error: report.json holds 1 run(s) for 2 event log(s)\n"
+
+
+def _validate_and_run(tmp_path, path, capsys):
+    """Exit codes and stderr of `validate` and `run` on one config file;
+    checks that run wrote nothing."""
+    out = tmp_path / "o"
+    capsys.readouterr()
+    codes = (main(["validate", "--config", str(path)]), main(["run", "--config", str(path), "--out", str(out)]))
+    errs = capsys.readouterr().err
+    assert not out.exists()
+    return codes, errs
+
+
+@pytest.mark.parametrize("field, value", [
+    ("arrivals.magnitude", math.nan), ("arrivals.magnitude", math.inf),
+    ("demand_scale", math.nan), ("demand_scale", math.inf),
+    ("shares", [math.nan, 0.08]), ("shares", [0.015, math.inf]), ("shares", [-math.inf, 0.08]),
+    ("dwell.minutes", math.nan), ("dwell.minutes", math.inf),
+    ("dwell.sigma", math.nan), ("dwell.sigma", math.inf),
+    ("dwell.floor", 2.5), ("dwell.floor", 0),
+])
+def test_validate_and_run_reject_non_finite_numbers(tmp_path, short_config, capsys, field, value):
+    # json writes and reads NaN and Infinity; each used to pass validate and run
+    # a day with no agent, or with every dwell cast to INT64_MIN
+    path = _edited_config(tmp_path, short_config, **{field: value})
+    codes, errs = _validate_and_run(tmp_path, path, capsys)
+    assert codes == (2, 2)
+    validate_err, run_err = errs.splitlines()
+    assert validate_err == run_err
+    assert validate_err.startswith(f"error: {field} must be")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("arrivals", 5), ("arrivals", [1]), ("dwell", 5), ("dwell", "fixed"),
+    ("grid_file", 5), ("history_file", 5), ("arrivals.path", 5),
+])
+def test_validate_and_run_reject_wrong_typed_nested_and_path_fields(tmp_path, short_config, capsys, field, value):
+    # arrivals: 5 used to end in an AttributeError traceback, dwell: 5 passed
+    # validate, grid_file: 5 gave a TypeError traceback
+    path = _edited_config(tmp_path, short_config, **{field: value})
+    codes, errs = _validate_and_run(tmp_path, path, capsys)
+    assert codes == (2, 2)
+    assert errs.startswith(f"error: {field} must be")
+    assert "Traceback" not in errs
+
+
+def test_validate_loads_the_history_file(tmp_path, short_config, capsys):
+    # validate used to skip history_file and print "config ok" for a file
+    # that run then failed to open
+    path = _edited_config(tmp_path, short_config, strategy="cord-approx",
+                          history_file=str(tmp_path / "missing.csv"))
+    codes, errs = _validate_and_run(tmp_path, path, capsys)
+    assert codes == (2, 2)
+    assert errs.count("missing.csv") == 2
+    path = _edited_config(tmp_path, short_config, strategy="cord-approx")
+    codes, errs = _validate_and_run(tmp_path, path, capsys)
+    assert codes == (2, 2)
+    assert errs == "error: predictor requires history (set history_file for cord-approx)\n" * 2
+
+
+def test_validate_loads_what_run_loads(tmp_path, short_config, capsys):
+    corpus = HistoryCorpus(100, 0, [0, 4, 44], [0, 60, 120], [3 / 5, 4 / 4, 1 / 6], [5, 4, 6])
+    hist = tmp_path / "hist.csv"
+    save_corpus(hist, corpus)
+    path = _edited_config(tmp_path, short_config, strategy="cord-approx", history_file=str(hist))
+    assert main(["validate", "--config", str(path)]) == 0
+    hist.write_text("k,bucket_start,rho,attempts\nx,0,0.5,2\n")
+    codes, errs = _validate_and_run(tmp_path, path, capsys)
+    assert codes == (2, 2)
+    assert errs.startswith("error: line 2: ")
+
+
+def test_validate_requires_a_grid_file(tmp_path, short_config, capsys):
+    # run always needed grid_file; validate used to accept a config without it
+    cfg = json.loads(short_config.read_text())
+    del cfg["grid_file"]
+    path = tmp_path / "no_grid.json"
+    path.write_text(json.dumps(cfg))
+    codes, errs = _validate_and_run(tmp_path, path, capsys)
+    assert codes == (2, 2)
+    assert errs == "error: config needs grid_file\n" * 2
+    # train used to end in a TypeError traceback from open(None)
+    assert main(["train", "--config", str(path), "--history", "h.csv", "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == "error: config needs grid_file\n"
+
+
+@pytest.mark.parametrize("flags, clash", [
+    (["--seeds", "1,1"], "cord-agn_s1"),
+    (["--seeds", "1,1", "--scales", "1,1.0000001"], "cord-agn_s1_x1"),
+    (["--scales", "1,1.0"], "cord-agn_s1_x1"),
+    (["--strategies", "unc-agn,unc-agn"], "unc-agn_s1"),
+])
+def test_sweep_rejects_cells_that_share_a_directory(tmp_path, short_config, capsys, flags, clash):
+    # such cells used to run one after another into one directory, and
+    # sweep_summary.json listed one cell
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(short_config), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"error: two sweep cells share the directory cells/{clash}:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", [
+    '{"tick": 3}',
+    "[1]",
+    '"spawn"',
+    '{"event": "spawn", "agent_id": 99999, "group": "pedestrian", "tick": 3, "cell": 0}',
+    '{"event": "park", "agent_id": 0, "tick": 3}',
+    '{"event": "spawn", "agent_id": [1], "group": "participant", "tick": 3, "cell": 0}',
+    "{not json",
+])
+def test_report_names_the_malformed_event_line(tmp_path, short_config, capsys, line):
+    # each used to end in a KeyError, TypeError or JSONDecodeError traceback
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(short_config), "--out", str(out)]) == 0
+    events = out / "events.ndjson"
+    n_lines = len(events.read_text().splitlines())
+    with open(events, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {events}: line {n_lines + 1}: malformed event (")
+    assert "Traceback" not in err
+    with pytest.raises(ValidationError, match=f"line {n_lines + 1}: "):
+        fold_events(events, 30, 120)
+
+
+def test_sweep_comparison_follows_each_cells_strategy(tmp_path, short_config):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(short_config), "--out", str(out), "--horizon", "60",
+                 "--strategies", "unc-agn,cord-agn", "--seeds", "1,2"]) == 0
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    for row in summary["comparison"]:
+        reports = [json.loads((out / "cells" / f"{row['strategy']}_s{seed}" / "report.json").read_text())
+                   for seed in (1, 2)]
+        for group in ("participant", "competitor"):
+            vals = [r["aggregate"]["peak"][group]["success_ratio"] for r in reports]
+            assert row[f"{group}_success"] == pytest.approx(sum(vals) / 2)

@@ -19,9 +19,9 @@ from reference import (
 
 from curbsim.demand import (
     ArrivalSeries,
+    ArrivalsConfig,
     IntensityRecord,
     MinuteCounts,
-    SynthSpec,
     disaggregate,
     largest_remainder,
     load_series,
@@ -33,6 +33,7 @@ from curbsim.demand import (
 )
 from curbsim.errors import ConfigError, ParseError, ValidationError
 
+SHARES = (0.015, 0.08)
 HEADER = "segment_id,interval_start,count,geohash7,overlap_fraction\n"
 
 
@@ -157,22 +158,20 @@ def test_split_share_accuracy_property():
 
 
 def test_synth_uniform_total():
-    spec = SynthSpec("uniform", n=4, horizon=10, magnitude=1.0)
-    series = synth_demand(spec)
+    series = synth_demand(ArrivalsConfig(pattern="uniform", magnitude=1.0), 4, 10, SHARES, 0)
     # 16 cells (not 10), so scale the documented example: 1/min/cell
     assert series.total("participant") + series.total("competitor") == 16 * 10
 
 
 def test_synth_determinism():
-    spec = SynthSpec("hotspot", n=6, horizon=60, magnitude=0.4, seed=9)
-    a, b = dict_series(synth_demand(spec)), dict_series(synth_demand(spec))
+    spec = (ArrivalsConfig(pattern="hotspot", magnitude=0.4), 6, 60, SHARES, 9)
+    a, b = dict_series(synth_demand(*spec)), dict_series(synth_demand(*spec))
     assert a.participants == b.participants and a.competitors == b.competitors
 
 
 def test_synth_diurnal_matches_closed_form():
-    spec = SynthSpec("diurnal", n=3, horizon=1440, magnitude=0.5, peak_minute=720,
-                     participant_share=0.5, competitor_share=0.5)
-    series = dict_series(synth_demand(spec))
+    spec = ArrivalsConfig(pattern="diurnal", magnitude=0.5, peak_minute=720)
+    series = dict_series(synth_demand(spec, 3, 1440, (0.5, 0.5), 0))
     # per-cell cumulative participant arrivals track half (their share) of the
     # documented sinusoid within rounding of the two nested floors
     for cell in range(9):
@@ -186,10 +185,9 @@ def test_synth_diurnal_matches_closed_form():
 
 
 def test_synth_rotation_activates_one_center():
-    spec = SynthSpec("hotspot", n=6, horizon=240, magnitude=1.0, decay=0.4,
-                     centers=[(0, 0), (5, 5)], rotate_every=120,
-                     participant_share=0.5, competitor_share=0.5)
-    series = dict_series(synth_demand(spec))
+    spec = ArrivalsConfig(pattern="hotspot", magnitude=1.0, decay=0.4,
+                          centers=[(0, 0), (5, 5)], rotate_every=120)
+    series = dict_series(synth_demand(spec, 6, 240, (0.5, 0.5), 0))
     near_a = sum(v for (c, m), v in series.participants.items() if c == 0 and m < 120)
     near_a_late = sum(v for (c, m), v in series.participants.items() if c == 0 and m >= 120)
     assert near_a > 10 * max(1, near_a_late)
@@ -197,20 +195,18 @@ def test_synth_rotation_activates_one_center():
 
 def test_synth_unknown_pattern():
     with pytest.raises(ConfigError):
-        synth_demand(SynthSpec("wavelet", n=3))
+        synth_demand(ArrivalsConfig(pattern="wavelet"), 3, 1440, SHARES, 0)
 
 
 def test_scale_series_preserves_totals():
-    spec = SynthSpec("uniform", n=3, horizon=50, magnitude=0.7)
-    series = synth_demand(spec)
+    series = synth_demand(ArrivalsConfig(pattern="uniform", magnitude=0.7), 3, 50, SHARES, 0)
     doubled = scale_series(series, 2.0)
     for group in ("participant", "competitor"):
         assert abs(doubled.total(group) - 2 * series.total(group)) <= 9 * 2  # per-cell carry
 
 
 def test_series_roundtrip(tmp_path):
-    spec = SynthSpec("hotspot", n=4, horizon=30, magnitude=0.8, seed=4)
-    series = synth_demand(spec)
+    series = synth_demand(ArrivalsConfig(pattern="hotspot", magnitude=0.8), 4, 30, SHARES, 4)
     path = tmp_path / "series.csv"
     save_series(path, series)
     back = dict_series(load_series(path, 16))
@@ -274,16 +270,15 @@ def test_scale_series_matches_dict_oracle(p_rows, c_rows, scale):
     st.integers(0, 60), st.integers(0, 9),
 )
 def test_synth_demand_matches_dict_oracle(pattern, n, horizon, magnitude, p_share, c_share, rotate, seed):
-    spec = SynthSpec(pattern, n=n, horizon=horizon, magnitude=magnitude, peak_minute=horizon // 3,
-                     seed=seed, participant_share=p_share, competitor_share=c_share,
-                     rotate_every=rotate, decay=1.5)
-    assert dict_series(synth_demand(spec)) == synth_demand_dict(spec)
+    spec = (ArrivalsConfig(pattern=pattern, magnitude=magnitude, peak_minute=horizon // 3,
+                           rotate_every=rotate, decay=1.5), n, horizon, (p_share, c_share), seed)
+    assert dict_series(synth_demand(*spec)) == synth_demand_dict(*spec)
 
 
 def test_series_file_survives_load_save_byte_for_byte(tmp_path):
-    spec = SynthSpec("hotspot", n=5, horizon=120, magnitude=0.9, seed=3, rotate_every=30)
+    spec = ArrivalsConfig(pattern="hotspot", magnitude=0.9, rotate_every=30)
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-    save_series(first, synth_demand(spec))
+    save_series(first, synth_demand(spec, 5, 120, SHARES, 3))
     save_series(second, load_series(first, 25))
     assert first.read_bytes() == second.read_bytes()
     assert len(first.read_bytes().splitlines()) > 100
