@@ -44,7 +44,7 @@ def sample_dwell_batch(spec: DwellSpec, count: int, rng: np.random.Generator) ->
     if spec.kind == "fixed":
         return np.full(count, max(spec.floor, int(round(spec.minutes))), dtype=np.int64)
     draws = rng.lognormal(mean=math.log(spec.minutes), sigma=spec.sigma, size=count)
-    return np.maximum(spec.floor, np.round(draws)).astype(np.int64)
+    return np.maximum(spec.floor, draws.round()).astype(np.int64)
 
 
 def step_toward_batch(pos: np.ndarray, target: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -53,21 +53,21 @@ def step_toward_batch(pos: np.ndarray, target: np.ndarray, rng: np.random.Genera
     m = len(pos)
     if m == 0:
         return pos
-    di = target[:, 0] - pos[:, 0]
-    dj = target[:, 1] - pos[:, 1]
+    step = np.sign(target - pos)
     u = rng.random(m)
-    move_i = np.where((di != 0) & (dj != 0), u < 0.5, di != 0)
-    out = pos.copy()
-    out[:, 0] += np.where(move_i, np.sign(di), 0)
-    out[:, 1] += np.where(~move_i & (dj != 0), np.sign(dj), 0)
-    return out
+    # the row axis when only it is open, or when both are and u < 0.5; a
+    # sign is +-1, odd, so the bitwise and is nonzero exactly when both are
+    move_i = np.where(step[:, 0] & step[:, 1], u < 0.5, step[:, 0] != 0)
+    step[:, 0] *= move_i
+    step[:, 1] *= ~move_i
+    return pos + step
 
 
 @functools.lru_cache(maxsize=8)
 def _neighbour_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per cell k = i*n + j: its in-bounds von Neumann neighbours packed in
-    slot order up, down, left, right ((n*n, 4, 2); unused slots hold the
-    cell itself) and how many there are."""
+    slot order up, down, left, right (row 4k + slot of an (4*n*n, 2) table;
+    unused slots hold the cell itself) and how many there are."""
     i, j = np.divmod(np.arange(n * n), n)
     cand = np.stack([np.stack([i - 1, j], 1), np.stack([i + 1, j], 1),
                      np.stack([i, j - 1], 1), np.stack([i, j + 1], 1)], axis=1)
@@ -77,6 +77,7 @@ def _neighbour_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     slot = np.cumsum(ok, axis=1) - 1
     rows = np.nonzero(ok)[0]
     table[rows, slot[ok]] = cand[ok]
+    table = table.reshape(-1, 2)  # row 4k + slot
     table.flags.writeable = count.flags.writeable = False  # shared by every caller
     return table, count
 
@@ -98,22 +99,24 @@ def step_competitors_batch(
     m = len(pos)
     if m == 0:
         return pos
-    out = pos.copy()
-    nf = len(free_cells)
+    out = np.empty_like(pos)
     sees = np.zeros(m, dtype=bool)
-    if nf:
+    if len(free_cells):
         dist = manhattan_matrix(pos, free_cells)
-        noise = rng.random((m, nf))
+        score = rng.random((len(pos), len(free_cells)))
         sees = dist.min(axis=1) <= r
-        if sees.any():
+        rows = sees.nonzero()[0]
+        if len(rows):
             # dist + u*0.9 picks uniformly among minimal-distance cells
-            pick = np.argmin(dist[sees] + noise[sees] * 0.9, axis=1)
-            out[sees] = step_toward_batch(pos[sees], free_cells[pick], rng)
-    blind = ~sees
-    nb = int(blind.sum())
-    if nb:
+            score *= 0.9
+            score += dist
+            pick = score.argmin(axis=1).take(rows)
+            out[rows] = step_toward_batch(pos.take(rows, axis=0), free_cells.take(pick, axis=0), rng)
+    rows = (~sees).nonzero()[0]
+    if len(rows):
         table, count = _neighbour_table(n)
-        k = pos[blind, 0] * n + pos[blind, 1]
-        idx = np.floor(rng.random(nb) * count[k]).astype(np.int64)
-        out[blind] = table[k, idx]
+        k = pos[:, 0].take(rows) * n + pos[:, 1].take(rows)
+        # u * count >= 0, so the cast floors it
+        slot = (rng.random(len(rows)) * count.take(k)).astype(np.int64)
+        out[rows] = table.take(4 * k + slot, axis=0)
     return out

@@ -8,7 +8,8 @@ directly from documented closed-form intensities.
 Every per-(cell, minute) table is one `MinuteCounts`: three int64 columns
 `cells`, `minutes`, `counts`, rows sorted by (minute, cell), no repeated
 (cell, minute) pair and no zero count. `ArrivalSeries` holds one per driver
-group; `ArrivalSeries.at` slices a minute with one `searchsorted`.
+group; `ArrivalSeries.arrivals` lists a group's arrivals one by one with
+per-minute offsets, for the engine to slice.
 """
 from __future__ import annotations
 
@@ -72,11 +73,14 @@ class ArrivalSeries:
     def total(self, group: str) -> int:
         return int(self.group(group).counts.sum())
 
-    def at(self, group: str, minute: int) -> tuple[np.ndarray, np.ndarray]:
-        """The group's (cells, counts) at `minute`, cells ascending."""
+    def arrivals(self, group: str, horizon: int) -> tuple[np.ndarray, list[int]]:
+        """The group's arrivals one by one: every arrival's cell in (minute,
+        cell) order, and for each minute 0..horizon the index of its first
+        arrival, so minute t's arrivals are cells[first[t]:first[t + 1]]."""
         rows = self.group(group)
-        lo, hi = np.searchsorted(rows.minutes, (minute, minute + 1))
-        return rows.cells[lo:hi], rows.counts[lo:hi]
+        first_row = np.searchsorted(rows.minutes, np.arange(horizon + 1))
+        before = np.concatenate([[0], np.cumsum(rows.counts)])
+        return np.repeat(rows.cells, rows.counts), before[first_row].tolist()
 
 
 def parse_intensity(source, label_to_cell=None, strict: bool = True) -> list[IntensityRecord]:

@@ -2,22 +2,36 @@
 
 `Simulation.tick` runs one minute as a fixed sequence of phases:
 
-1. `_spawn`: the minute's arrivals join the searching pools;
+1. `_spawn`: the minute's arrivals join the searching pools, sliced from
+   the arrival list `ArrivalSeries.arrivals` builds once at start;
 2. `_depart`: parked stays count down and finished ones free their spots;
-3. `_dispatch`: sample availability, then hand each strategy its
-   information (cord-oracle: competitor positions and R; cord-approx: the
-   availability predictions); `strategies.dispatch` prices and assigns,
-   the oracle's competitor capture allocation included;
-4. `_move`: every active searcher takes one step;
-5. `_resolve`: claims per cell with uniform tie-breaks, parking, and the
+3. `_free_spots`: one view of the free spots (count per cell, the cells
+   holding one, their coordinates and counts), and the availability
+   sample; dispatch, movement and claims all read it, since nothing parks
+   or departs between dispatch and claim resolution;
+4. `_dispatch`: when an active participant and a free spot exist, hand
+   each strategy its information (cord-oracle: competitor positions and R;
+   cord-approx: the availability predictions); `strategies.dispatch`
+   prices and assigns, the oracle's competitor capture allocation
+   included;
+5. `_move`: every active searcher takes one step;
+6. `_resolve`: claims per cell with uniform tie-breaks, parking, and the
    cord-approx observations;
-6. `_expire`: agents over the search budget fail;
-7. `_learn`: on bucket ends, merge the observations into the predictor
+7. `_expire`: agents over the search budget fail, and each searching store
+   drops its parked and failed agents in one compaction;
+8. `_learn`: on bucket ends, merge the observations into the predictor
    history and retrain on schedule (cord-approx only).
 
 Departures run before dispatch so freed spots are assignable the same minute.
-Every phase is array-wide; `_emit` writes one event line per agent, and
-only when an event sink is attached.
+Every phase is array-wide and skips its numpy work when its group is
+empty; `_emit` writes one event line, one sink write, per agent, and only
+when an event sink is attached.
+
+Agents, parked spots and outcomes live in `_Columns` stores: int64 columns
+in capacity-doubling buffers with a live length, so a spawn or a park
+writes into spare rows instead of reallocating every column. The invariant
+checks still run every tick: agent conservation after the tick's phases,
+and the occupancy bounds after every departure and every parking.
 
 Determinism: every stochastic concern draws from its own seeded stream
 (demand, strategy ties, movement, parking ties, dwell), in a fixed order
@@ -27,10 +41,12 @@ byte for byte and changing the strategy never perturbs arrivals.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,20 +182,49 @@ class RunResult:
 
 
 class _Columns:
-    """Struct-of-arrays store: equal-length columns appended and filtered together."""
+    """Struct-of-arrays store: equal-length int64 columns appended and
+    filtered together. Each column lives in a capacity-doubling buffer, and
+    the attribute named after it is a view of the buffer's live rows,
+    rebound after every append and keep, so writes through it land in the
+    store."""
 
-    columns: tuple[str, ...] = ()
+    def __init__(self, **shapes):
+        # column name -> shape of one row: () for a number, (2,) for a cell
+        self.columns = tuple(shapes)
+        self._bufs = [np.empty((4, *shape), np.int64) for shape in shapes.values()]
+        self._len = 0
+        self._rebind()
 
     def __len__(self):
-        return len(self.ids)
+        return self._len
+
+    def _rebind(self):
+        for name, buf in zip(self.columns, self._bufs):
+            setattr(self, name, buf[:self._len])
 
     def append(self, *cols):
-        for name, col in zip(self.columns, cols):
-            setattr(self, name, np.concatenate([getattr(self, name), col]))
+        """Append rows column by column; the first column sets the row count,
+        a later one may be a scalar broadcast over the rows."""
+        n = self._len
+        end = n + len(cols[0])
+        if end > len(self._bufs[0]):
+            cap = max(2 * len(self._bufs[0]), end)
+            grown = [np.empty((cap, *buf.shape[1:]), np.int64) for buf in self._bufs]
+            for new, buf in zip(grown, self._bufs):
+                new[:n] = buf[:n]
+            self._bufs = grown
+        for buf, col in zip(self._bufs, cols):
+            buf[n:end] = col
+        self._len = end
+        self._rebind()
 
     def keep(self, mask: np.ndarray):
-        for name in self.columns:
-            setattr(self, name, getattr(self, name)[mask])
+        """Keep the rows where the boolean mask is true, in order."""
+        rows = mask.nonzero()[0]
+        for buf in self._bufs:
+            buf[:len(rows)] = buf.take(rows, axis=0)
+        self._len = len(rows)
+        self._rebind()
 
 
 class _Agents(_Columns):
@@ -188,26 +233,39 @@ class _Agents(_Columns):
 
     def __init__(self, group: int):
         self.group = group
-        self.ids = np.zeros(0, np.int64)
-        self.pos = np.zeros((0, 2), np.int64)
-        self.spawn = np.zeros(0, np.int64)
-        self.columns = ("ids", "pos", "spawn")
+        shapes = dict(ids=(), pos=(2,), spawn=())
         if group == GROUP_PARTICIPANT:
-            self.target = np.full((0, 2), -1, np.int64)
-            self.columns += ("target",)
+            shapes["target"] = (2,)
+        super().__init__(**shapes)
 
     def append(self, ids, pos, spawn):
-        super().append(ids, pos, spawn, np.full((len(ids), 2), -1, np.int64))
+        # zip in _Columns.append drops the target fill for competitors
+        super().append(ids, pos, spawn, -1)
 
 
 class _Parked(_Columns):
     """Occupied spots: agent id (-1 for phantoms), group, cell, dwell left."""
 
-    columns = ("ids", "group", "cell", "dwell")
-
     def __init__(self):
-        for name in self.columns:
-            setattr(self, name, np.zeros(0, np.int64))
+        super().__init__(ids=(), group=(), cell=(), dwell=())
+
+
+class _FreeSpots(NamedTuple):
+    """One tick's free spots, built once after departures: nothing parks or
+    departs again before the claims resolve."""
+
+    free: np.ndarray  # free spots per cell
+    k: np.ndarray  # the cells holding one, ascending
+    cells: np.ndarray  # their (i, j)
+    counts: np.ndarray  # their free spots
+
+
+@functools.lru_cache(maxsize=8)
+def _coord_table(n: int) -> np.ndarray:
+    """Row k = i*n + j holds (i, j); shared by every caller, so read-only."""
+    table = np.stack(np.divmod(np.arange(n * n), n), axis=1)
+    table.flags.writeable = False
+    return table
 
 
 class Simulation:
@@ -230,12 +288,15 @@ class Simulation:
         self.occ = OccupancyState(self.n, np.asarray(capacity, dtype=np.int64).copy())
         self.streams = RngStreams(seed)
         self.sink = event_sink
-        self.series = series
         self.participants = _Agents(GROUP_PARTICIPANT)
         self.competitors = _Agents(GROUP_COMPETITOR)
         self.parked = _Parked()
         self.availability = np.zeros(cfg.horizon)
-        self._outcomes: list[np.ndarray] = []
+        self._outcomes = _Columns(spawn=(), group=(), status=(), terminal=(), park_cell=())
+        self._arrivals = [series.arrivals(name, cfg.horizon) for name in GROUPS]
+        self._coords = _coord_table(self.n)
+        self._flat = np.array([self.n, 1])  # (i, j) . _flat = cell index k
+        self._total_capacity = self.occ.total_capacity
         self.next_id = 0
         self.spawned = [0, 0]
         self.parked_count = [0, 0]
@@ -263,53 +324,52 @@ class Simulation:
         t = self.occ.tick
         self._spawn(t)
         self._depart(t)
+        spots = self._free_spots(t)
         act_p = self._active(self.participants, t)
         act_c = self._active(self.competitors, t)
-        free_cells = self._dispatch(t, act_p, act_c)
-        self._move(t, act_p, act_c, free_cells)
-        self._resolve(t, act_p, act_c)
-        self._expire(t)
+        self._dispatch(t, act_p, act_c, spots)
+        self._move(t, act_p, act_c, spots.cells)
+        won = self._resolve(t, act_p, act_c, spots.free)
+        self._expire(t, won)
         self._check_conservation()
         self.occ.tick = t + 1
         self._learn(t + 1)
 
     # --- helpers ---
 
-    def _emit(self, t, event, ids, groups, cells):
-        """One event line per agent; groups is one code or one per agent."""
+    def _emit(self, t, event, ids, group, cells):
+        """One event line, and one sink write, per agent; group is one code
+        for all of them or one per agent."""
         if self.sink is None:
             return
         write = self.sink.write
-        groups = [groups] * len(ids) if isinstance(groups, int) else groups.tolist()
-        for aid, g, k in zip(ids.tolist(), groups, cells.tolist()):
-            write(f'{{"tick": {t}, "agent_id": {aid}, "group": "{GROUPS[g]}", '
-                  f'"event": "{event}", "cell": {k}}}\n')
+        head = f'{{"tick": {t}, "agent_id": '
+        if isinstance(group, int):
+            tail = f', "group": "{GROUPS[group]}", "event": "{event}", "cell": '
+            for aid, k in zip(ids.tolist(), cells.tolist()):
+                write(f"{head}{aid}{tail}{k}}}\n")
+        else:
+            tails = [f', "group": "{name}", "event": "{event}", "cell": ' for name in GROUPS]
+            for aid, g, k in zip(ids.tolist(), group.tolist(), cells.tolist()):
+                write(f"{head}{aid}{tails[g]}{k}}}\n")
 
-    def _record(self, groups, spawn, status, t, cells):
-        """One outcome row (group, spawn, status, terminal tick, cell) per agent."""
-        rows = np.empty((len(spawn), 5), np.int64)
-        for j, col in enumerate((groups, spawn, status, t, cells)):
-            rows[:, j] = col
-        self._outcomes.append(rows)
-
-    def _coords(self, k: np.ndarray) -> np.ndarray:
-        return np.stack([k // self.n, k % self.n], axis=1)
-
-    def _cells(self, pos: np.ndarray) -> np.ndarray:
-        return pos[:, 0] * self.n + pos[:, 1]
+    def _record(self, spawn, groups, status, t, cells):
+        """One outcome row (group, spawn, status, terminal tick, cell) per
+        agent; every argument but spawn may be one value for all."""
+        self._outcomes.append(spawn, groups, status, t, cells)
 
     def _active(self, agents: _Agents, t: int) -> np.ndarray:
         """Spawned before this tick and within the search budget, so a
         distance-d target costs exactly d minutes of search time; over-budget
         agents are inert in their final tick and fail in _expire."""
-        age = t - agents.spawn
-        return (age > 0) & (age <= self.cfg.t_max)
+        spawn = agents.spawn
+        return (spawn < t) & (spawn >= t - self.cfg.t_max)
 
     def _place_phantoms(self):
         """Background occupants so a run can start inside a target availability
         regime; they depart on sampled dwell like everyone else but never
         appear in events or outcomes. Stays begin mid-dwell (staggered)."""
-        b = self.occ.total_capacity
+        b = self._total_capacity
         want = int(round(self.cfg.initial_occupancy * b))
         if want == 0:
             return
@@ -327,23 +387,21 @@ class Simulation:
         dwell = sample_dwell_batch(self.cfg.dwell, len(cells), rng)
         dwell = np.maximum(1, np.ceil(dwell * rng.random(len(cells))).astype(np.int64))
         self.occ.occupied += np.bincount(cells, minlength=len(caps))
-        no_id = np.full(len(cells), -1, np.int64)
-        self.parked.append(no_id, np.full(len(cells), GROUP_PHANTOM, np.int64), cells, dwell)
+        self.parked.append(np.full(len(cells), -1, np.int64), GROUP_PHANTOM, cells, dwell)
         self.occ.check()
 
     # --- phases, in tick order ---
 
     def _spawn(self, t):
-        for agents in (self.participants, self.competitors):
-            cells, counts = self.series.at(GROUPS[agents.group], t)
-            total = int(counts.sum())
-            if total == 0:
+        for agents, (cells, first) in zip((self.participants, self.competitors), self._arrivals):
+            lo, hi = first[t], first[t + 1]
+            if lo == hi:
                 continue
-            ks = np.repeat(cells, counts)
-            ids = np.arange(self.next_id, self.next_id + total, dtype=np.int64)
-            self.next_id += total
-            agents.append(ids, self._coords(ks), np.full(total, t, np.int64))
-            self.spawned[agents.group] += total
+            ks = cells[lo:hi]
+            ids = np.arange(self.next_id, self.next_id + hi - lo, dtype=np.int64)
+            self.next_id += hi - lo
+            agents.append(ids, self._coords.take(ks, axis=0), t)
+            self.spawned[agents.group] += hi - lo
             self._emit(t, "spawn", ids, agents.group, ks)
 
     def _depart(self, t):
@@ -352,47 +410,52 @@ class Simulation:
             return
         parked.dwell -= 1
         done = parked.dwell <= 0
-        if done.any():
+        if np.count_nonzero(done):
             self.occ.occupied -= np.bincount(parked.cell[done], minlength=self.n * self.n)
-            seen = done & (parked.group != GROUP_PHANTOM)
-            self._emit(t, "depart", parked.ids[seen], parked.group[seen], parked.cell[seen])
+            if self.sink is not None:
+                seen = done & (parked.group != GROUP_PHANTOM)
+                self._emit(t, "depart", parked.ids[seen], parked.group[seen], parked.cell[seen])
             parked.keep(~done)
             self.occ.check()
 
-    def _dispatch(self, t, act_p, act_c) -> np.ndarray:
-        """Sample availability, then dispatch the active participants; returns
-        the cells holding a free spot. Each strategy gets only its own
-        information: the oracle alone knows the live competitor positions
-        (for the others Eq. 1 plays out physically at resolution time), and
-        cord-approx alone gets availability predictions."""
+    def _free_spots(self, t) -> _FreeSpots:
+        """The tick's free spots; samples the availability on the way."""
+        free = self.occ.capacity - self.occ.occupied
+        k = (free > 0).nonzero()[0]
+        counts = free.take(k)
+        b = self._total_capacity
+        self.availability[t] = counts.sum() / b if b else 0.0
+        return _FreeSpots(free, k, self._coords.take(k, axis=0), counts)
+
+    def _dispatch(self, t, act_p, act_c, spots: _FreeSpots):
+        """Dispatch the active participants, when there are any and a free
+        spot. Each strategy gets only its own information: the oracle alone
+        knows the live competitor positions (for the others Eq. 1 plays out
+        physically at resolution time), and cord-approx alone gets
+        availability predictions."""
         cfg = self.cfg
-        free = self.occ.free()
-        free_k = np.flatnonzero(free > 0)
-        free_cells = self._coords(free_k)
-        b = self.occ.total_capacity
-        self.availability[t] = free.sum() / b if b else 0.0
         p = self.participants
-        d_pos = p.pos[act_p]
-        if len(d_pos) == 0:
-            return free_cells
-        counts = free[free_k]
+        rows = act_p.nonzero()[0]
+        if len(rows) == 0 or len(spots.k) == 0:
+            return
         info = {}
         if cfg.strategy is StrategyKind.CORD_ORACLE:
-            info = dict(c_pos=self.competitors.pos[act_c], r=cfg.r)
+            info = dict(c_pos=self.competitors.pos.take(act_c.nonzero()[0], axis=0), r=cfg.r)
         elif cfg.strategy is StrategyKind.CORD_APPROX:
             info["p_hat"] = predict_many(
-                self.model, free_k, self.minute0 + t, self._trend, self.n * self.n, cfg.weekday,
+                self.model, spots.k, self.minute0 + t, self._trend, self.n * self.n, cfg.weekday,
             )
-        targets = dispatch(cfg.strategy, d_pos, free_cells, counts, self.streams.stream("strategy"), **info)
+        targets = dispatch(cfg.strategy, p.pos.take(rows, axis=0), spots.cells, spots.counts,
+                           self.streams.stream("strategy"), **info)
         if targets:
             # assign events follow the strategy's own order
-            rows = np.flatnonzero(act_p)[list(targets)]
-            cells = np.array(list(targets.values()), np.int64)
-            changed = (p.target[rows] != cells).any(axis=1)
-            rows, cells = rows[changed], cells[changed]
-            p.target[rows] = cells
-            self._emit(t, "assign", p.ids[rows], GROUP_PARTICIPANT, self._cells(cells))
-        return free_cells
+            n = self.n
+            rows = rows.take(list(targets))
+            k = np.array([i * n + j for i, j in targets.values()], np.int64)
+            changed = (k != p.target.take(rows, axis=0).dot(self._flat)).nonzero()[0]
+            rows, k = rows.take(changed), k.take(changed)
+            p.target[rows] = self._coords.take(k, axis=0)
+            self._emit(t, "assign", p.ids.take(rows), GROUP_PARTICIPANT, k)
 
     def _move(self, t, act_p, act_c, free_cells):
         """Step every active searcher. Never-dispatched participants cruise
@@ -403,37 +466,44 @@ class Simulation:
         p, c = self.participants, self.competitors
         if len(p):
             assigned = p.target[:, 0] >= 0
-            sel = act_p & assigned
-            if sel.any():
-                self._relocate(t, p, sel, step_toward_batch(p.pos[sel], p.target[sel], mrng))
-            sel = act_p & ~assigned
-            if sel.any():
-                self._relocate(t, p, sel, step_competitors_batch(p.pos[sel], _NO_CELLS, cfg.r, self.n, mrng))
-        if act_c.any():
-            self._relocate(t, c, act_c, step_competitors_batch(c.pos[act_c], free_cells, cfg.r, self.n, mrng))
+            rows = (act_p & assigned).nonzero()[0]
+            if len(rows):
+                pos, target = p.pos.take(rows, axis=0), p.target.take(rows, axis=0)
+                self._relocate(t, p, rows, step_toward_batch(pos, target, mrng))
+            rows = (act_p & ~assigned).nonzero()[0]
+            if len(rows):
+                pos = p.pos.take(rows, axis=0)
+                self._relocate(t, p, rows, step_competitors_batch(pos, _NO_CELLS, cfg.r, self.n, mrng))
+        rows = act_c.nonzero()[0]
+        if len(rows):
+            pos = c.pos.take(rows, axis=0)
+            self._relocate(t, c, rows, step_competitors_batch(pos, free_cells, cfg.r, self.n, mrng))
 
-    def _relocate(self, t, agents: _Agents, sel, new_pos):
+    def _relocate(self, t, agents: _Agents, rows, new_pos):
         if self.cfg.log_moves and self.sink is not None:
-            moved = (agents.pos[sel] != new_pos).any(axis=1)
-            self._emit(t, "move", agents.ids[sel][moved], agents.group, self._cells(new_pos[moved]))
-        agents.pos[sel] = new_pos
+            k = new_pos.dot(self._flat)
+            moved = (k != agents.pos.take(rows, axis=0).dot(self._flat)).nonzero()[0]
+            self._emit(t, "move", agents.ids.take(rows.take(moved)), agents.group, k.take(moved))
+        agents.pos[rows] = new_pos
 
-    def _resolve(self, t, act_p, act_c):
-        """Claims, parking and the cord-approx observations. A participant
-        claims at its assigned cell, or wherever it stands while unassigned;
-        a competitor claims wherever it stands."""
+    def _resolve(self, t, act_p, act_c, free) -> tuple[np.ndarray, np.ndarray]:
+        """Claims, parking and the cord-approx observations; returns the
+        rows that parked, per group. A participant claims at its assigned
+        cell, or wherever it stands while unassigned; a competitor claims
+        wherever it stands."""
         cfg = self.cfg
         p, c = self.participants, self.competitors
-        free = self.occ.free()
-        assigned = p.target[:, 0] >= 0
-        at_target = assigned & (p.pos == p.target).all(axis=1)
-        p_k = self._cells(p.pos)
-        c_k = self._cells(c.pos)
-        p_claim = act_p & (at_target | ~assigned) & (free[p_k] > 0)
-        c_claim = act_c & (free[c_k] > 0)
+        if len(p) == 0 and len(c) == 0:
+            return _NO_ROWS, _NO_ROWS
+        p_k = p.pos.dot(self._flat)
+        c_k = c.pos.dot(self._flat)
+        at_target = p_k == p.target.dot(self._flat)  # (-1, -1), no target, is no cell
+        p_claim = act_p & (at_target | (p.target[:, 0] < 0)) & (free.take(p_k) > 0)
+        c_claim = act_c & (free.take(c_k) > 0)
+        p_rows, c_rows = p_claim.nonzero()[0], c_claim.nonzero()[0]
         won_p = won_c = _NO_ROWS
-        if p_claim.any() or c_claim.any():
-            won_p, won_c = self._claim_winners(free, np.flatnonzero(p_claim), p_k, np.flatnonzero(c_claim), c_k)
+        if len(p_rows) or len(c_rows):
+            won_p, won_c = self._claim_winners(free, p_rows, p_k, c_rows, c_k)
             self._park(t, won_p, won_c, p_k, c_k)
         if cfg.strategy is StrategyKind.CORD_APPROX:
             # participant attempt = arrival at target, competitor attempt = co-located claim
@@ -441,13 +511,9 @@ class Simulation:
             self._attempts += np.bincount(p_k[act_p & at_target], minlength=n_cells)
             self._successes += np.bincount(p_k[won_p[at_target[won_p]]], minlength=n_cells)
             if cfg.history_groups == "both":
-                self._attempts += np.bincount(c_k[c_claim], minlength=n_cells)
-                self._successes += np.bincount(c_k[won_c], minlength=n_cells)
-        for agents, won in ((p, won_p), (c, won_c)):
-            if len(won):
-                keep = np.ones(len(agents), dtype=bool)
-                keep[won] = False
-                agents.keep(keep)
+                self._attempts += np.bincount(c_k.take(c_rows), minlength=n_cells)
+                self._successes += np.bincount(c_k.take(won_c), minlength=n_cells)
+        return won_p, won_c
 
     def _claim_winners(self, free, p_rows, p_k, c_rows, c_k):
         """Winning participant and competitor rows, in (cell, row) order. A
@@ -455,43 +521,63 @@ class Simulation:
         from the "ties" stream, one permutation per such cell, cells
         ascending."""
         rows = np.concatenate([p_rows, c_rows])
-        cells = np.concatenate([p_k[p_rows], c_k[c_rows]])
-        group = np.repeat([GROUP_PARTICIPANT, GROUP_COMPETITOR], [len(p_rows), len(c_rows)])
+        cells = np.concatenate([p_k.take(p_rows), c_k.take(c_rows)])
+        group = np.zeros(len(rows), np.int64)
+        group[len(p_rows):] = GROUP_COMPETITOR
         order = np.lexsort((group, rows, cells))
-        rows, group = rows[order], group[order]
-        won = np.ones(len(rows), dtype=bool)
+        rows, group = rows.take(order), group.take(order)
         size = np.bincount(cells, minlength=len(free))
-        contested = np.flatnonzero(size > free)
+        contested = (size > free).nonzero()[0]
         if len(contested):
-            start = np.cumsum(size) - size  # each cell's first claim in sorted order
+            start = size.cumsum() - size  # each cell's first claim in sorted order
             trng = self.streams.stream("ties")
-            for k in contested.tolist():
-                won[start[k] + trng.permutation(int(size[k]))[free[k]:]] = False
-        return rows[won & (group == GROUP_PARTICIPANT)], rows[won & (group == GROUP_COMPETITOR)]
+            lost = np.zeros(len(rows), dtype=bool)
+            per_cell = zip(start.take(contested).tolist(), size.take(contested).tolist(),
+                           free.take(contested).tolist())
+            for first, claims, spots in per_cell:
+                lost[first + trng.permutation(claims)[spots:]] = True
+            won = ~lost
+            rows, group = rows[won], group[won]
+        is_p = group == GROUP_PARTICIPANT
+        return rows[is_p], rows[~is_p]
 
     def _park(self, t, won_p, won_c, p_k, c_k):
         """Occupy one spot per winner, participants first, with sampled dwell."""
         p, c = self.participants, self.competitors
-        ids = np.concatenate([p.ids[won_p], c.ids[won_c]])
-        groups = np.repeat([GROUP_PARTICIPANT, GROUP_COMPETITOR], [len(won_p), len(won_c)])
-        cells = np.concatenate([p_k[won_p], c_k[won_c]])
+        n_p = len(won_p)
+        ids = np.concatenate([p.ids.take(won_p), c.ids.take(won_c)])
+        groups = np.zeros(len(ids), np.int64)
+        groups[n_p:] = GROUP_COMPETITOR
+        cells = np.concatenate([p_k.take(won_p), c_k.take(won_c)])
         dwell = sample_dwell_batch(self.cfg.dwell, len(ids), self.streams.stream("dwell"))
         self.occ.occupied += np.bincount(cells, minlength=self.n * self.n)
         self.parked.append(ids, groups, cells, dwell)
-        self.parked_count[GROUP_PARTICIPANT] += len(won_p)
+        self.parked_count[GROUP_PARTICIPANT] += n_p
         self.parked_count[GROUP_COMPETITOR] += len(won_c)
-        self._record(groups, np.concatenate([p.spawn[won_p], c.spawn[won_c]]), STATUS_PARKED, t, cells)
-        self._emit(t, "park", ids, groups, cells)
+        self._record(np.concatenate([p.spawn.take(won_p), c.spawn.take(won_c)]), groups, STATUS_PARKED, t, cells)
+        self._emit(t, "park", ids[:n_p], GROUP_PARTICIPANT, cells[:n_p])
+        self._emit(t, "park", ids[n_p:], GROUP_COMPETITOR, cells[n_p:])
         self.occ.check()
 
-    def _expire(self, t):
-        for agents in (self.participants, self.competitors):
-            over = (t - agents.spawn) > self.cfg.t_max
-            if over.any():
-                self.failed_count[agents.group] += int(over.sum())
-                self._record(agents.group, agents.spawn[over], STATUS_FAILED, t, -1)
-                self._emit(t, "fail", agents.ids[over], agents.group, self._cells(agents.pos[over]))
-                agents.keep(~over)
+    def _expire(self, t, won):
+        """Agents over the search budget fail; then each searching store drops
+        its parked (won) and failed rows in one compaction."""
+        for agents, rows in zip((self.participants, self.competitors), won):
+            if len(agents) == 0:
+                continue
+            over = agents.spawn < t - self.cfg.t_max
+            failed = np.count_nonzero(over)
+            if failed:
+                self.failed_count[agents.group] += failed
+                self._record(agents.spawn[over], agents.group, STATUS_FAILED, t, -1)
+                if self.sink is not None:
+                    gone = over.nonzero()[0]
+                    cells = agents.pos.take(gone, axis=0).dot(self._flat)
+                    self._emit(t, "fail", agents.ids.take(gone), agents.group, cells)
+            if failed or len(rows):
+                keep = ~over
+                keep[rows] = False
+                agents.keep(keep)
 
     def _learn(self, end):
         """At each bucket end (cord-approx only): merge the bucket's outcomes
@@ -521,9 +607,9 @@ class Simulation:
     def finish(self) -> RunOutcomes:
         """Censor agents still searching at horizon end."""
         for agents in (self.participants, self.competitors):
-            self._record(agents.group, agents.spawn, STATUS_CENSORED, -1, -1)
-        rows = np.concatenate(self._outcomes)
-        return RunOutcomes(*rows.T)
+            self._record(agents.spawn, agents.group, STATUS_CENSORED, -1, -1)
+        o = self._outcomes
+        return RunOutcomes(o.group, o.spawn, o.status, o.terminal, o.park_cell)
 
     def run(self) -> RunOutcomes:
         for _ in range(self.cfg.horizon):

@@ -97,7 +97,8 @@ class OccupancyState:
         return self.capacity - self.occupied
 
     def check(self):
-        if (self.occupied < 0).any() or (self.occupied > self.capacity).any():
+        # count_nonzero: the engine checks after every departure and parking
+        if np.count_nonzero(self.occupied < 0) or np.count_nonzero(self.occupied > self.capacity):
             bad = int(np.flatnonzero((self.occupied < 0) | (self.occupied > self.capacity))[0])
             raise CapacityError(
                 f"cell {bad}: occupied={self.occupied[bad]} outside [0, {self.capacity[bad]}]"

@@ -11,8 +11,8 @@ Each row is augmented by a Dijkstra search over the columns, with the relax
 step vectorized over buffers allocated once per solve. A column's distance
 is final once it is scanned, so the dual update after an augmentation
 touches only the scanned columns (their v) and the rows matched to them
-(their u), in one fancy-indexed update each; a row whose nearest column is
-free moves only its own u. Every dual gets the same floating-point
+(their u), one scalar update each; a row whose nearest column is free
+moves only its own u. Every dual gets the same floating-point
 operations as in the textbook update over all rows and columns
 (tests/reference.py keeps that form), so ties between equal-cost optima
 resolve by the same fixed scan order and identical inputs always yield
@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ValidationError
 
 INFEASIBLE = float("inf")
+_NO_PAIRS = np.zeros(0, np.int64)
 
 
 @dataclass
@@ -39,11 +40,12 @@ class CostMatrix:
         self.entries = np.asarray(self.entries, dtype=np.float64)
         if self.entries.ndim != 2:
             raise ValidationError("cost matrix must be 2-D")
-        finite = np.isfinite(self.entries)
-        if np.isnan(self.entries).any():
-            raise ValidationError("cost matrix contains NaN")
-        if (self.entries[finite] < 0).any():
-            raise ValidationError("finite costs must be non-negative")
+        # a minimum >= 0 (inf included) rules out NaN and negatives in one pass
+        if self.entries.size and not self.entries.min() >= 0:
+            if np.isnan(self.entries).any():
+                raise ValidationError("cost matrix contains NaN")
+            if (self.entries[np.isfinite(self.entries)] < 0).any():
+                raise ValidationError("finite costs must be non-negative")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -76,9 +78,9 @@ def _sap_core(cost):
     pred = np.empty(nc, np.int64)
     better = np.empty(nc, np.bool_)
     for cur_row in range(nr):
-        # first scan from cur_row: every column is open and at distance inf
+        # first scan from cur_row: every column is open and at distance inf,
+        # and u[cur_row] is still 0, so subtracting it would change no bit
         np.add(rows[cur_row], 0.0, out=masked)
-        np.subtract(masked, u[cur_row], out=masked)
         np.subtract(masked, v, out=masked)
         j = int(masked.argmin())
         min_val = masked[j]
@@ -110,9 +112,12 @@ def _sap_core(cost):
             j = int(masked.argmin())
             min_val = masked[j]
         u[cur_row] += min_val
-        dists = np.array(dists)
-        u[via] += min_val - dists[:-1]
-        v[scanned] -= min_val - dists
+        # a scan visits few columns, and one scalar update per visited row
+        # and column is cheaper than a fancy-indexed update of that size
+        for i, dist in zip(via, dists):
+            u[i] += min_val - dist
+        for j, dist in zip(scanned, dists):
+            v[j] -= min_val - dist
         j = scanned[-1]
         while True:
             i = int(pred[j])
@@ -123,31 +128,38 @@ def _sap_core(cost):
     return np.array(col4row, np.int64)
 
 
-def solve_dense(entries: np.ndarray) -> list[tuple[int, int]]:
-    """Assignment pairs for a raw matrix (may be rectangular, may hold inf)."""
-    entries = np.asarray(entries, dtype=np.float64)
+def _solve(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matched (row, col) index arrays of a raw matrix (may be rectangular,
+    may hold inf), rows ascending."""
     nr, nc = entries.shape
     if nr == 0 or nc == 0:
-        return []
+        return _NO_PAIRS, _NO_PAIRS
     transposed = nr > nc
     work = entries.T if transposed else entries
     finite = np.isfinite(work)
-    if finite.all():
-        filled = work
+    if np.count_nonzero(finite) == finite.size:
+        col = _sap_core(np.ascontiguousarray(work))
+        row = np.arange(len(col))
     else:
         big = work[finite].sum() + 2.0
-        filled = np.where(finite, work, big)
-    col4row = _sap_core(np.ascontiguousarray(filled))
-    row = np.flatnonzero(finite[np.arange(len(col4row)), col4row])  # sentinel match = unmatched
-    col = col4row[row]
+        col4row = _sap_core(np.ascontiguousarray(np.where(finite, work, big)))
+        row = finite[np.arange(len(col4row)), col4row].nonzero()[0]  # sentinel match = unmatched
+        col = col4row[row]
     if transposed:
-        row, col = col, row
-    return sorted(zip(row.tolist(), col.tolist()))
+        order = np.argsort(col)
+        row, col = col[order], row[order]
+    return row, col
+
+
+def solve_dense(entries: np.ndarray) -> list[tuple[int, int]]:
+    """Assignment pairs for a raw matrix (may be rectangular, may hold inf),
+    sorted."""
+    row, col = _solve(np.asarray(entries, dtype=np.float64))
+    return list(zip(row.tolist(), col.tolist()))
 
 
 def hungarian_assign(m: CostMatrix) -> Assignment:
     """Minimum-cost maximum-cardinality assignment restricted to finite entries."""
-    pairs = solve_dense(m.entries)
-    rows, cols = np.array(pairs, np.int64).reshape(-1, 2).T
-    total = float(sum(m.entries[rows, cols].tolist()))  # summed in pair order
-    return Assignment(set(pairs), total)
+    row, col = _solve(m.entries)
+    total = float(sum(m.entries[row, col].tolist()))  # summed in pair order
+    return Assignment(set(zip(row.tolist(), col.tolist())), total)

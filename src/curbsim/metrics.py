@@ -308,6 +308,14 @@ def export_report(report: dict, out_dir, grid: GridSpec):
 
 # --- event-log folding (report reconstruction from events.ndjson) ---
 
+def _integer(value, name: str) -> int:
+    """value when it is a JSON integer; TypeError otherwise (true, 3.5 and
+    "3" included, which the int64 outcome columns would read as 1, 3 and 3)."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def fold_events(path, t_max: int, horizon: int):
     """Rebuild outcome arrays from an event log; independent of the engine's
     in-memory bookkeeping, used for recount checks and `report`."""
@@ -325,13 +333,15 @@ def fold_events(path, t_max: int, horizon: int):
                 ev = json.loads(line)
                 aid = ev["agent_id"]
                 if ev["event"] == "spawn":
-                    spawns[aid] = (groups[ev["group"]], ev["tick"])
+                    spawns[_integer(aid, "agent_id")] = (groups[ev["group"]], _integer(ev["tick"], "tick"))
                 elif ev["event"] == "park":
-                    terminal[aid] = (STATUS_PARKED, ev["tick"], ev["cell"])
+                    terminal[_integer(aid, "agent_id")] = (
+                        STATUS_PARKED, _integer(ev["tick"], "tick"), _integer(ev["cell"], "cell"))
                 elif ev["event"] == "fail":
-                    terminal[aid] = (STATUS_FAILED, ev["tick"], -1)
+                    terminal[_integer(aid, "agent_id")] = (STATUS_FAILED, _integer(ev["tick"], "tick"), -1)
         except (ValueError, KeyError, TypeError) as exc:
-            # a missing key, an unknown group, a non-object line or bad JSON
+            # a missing key, an unknown group, a non-object line, bad JSON or
+            # a non-integer field of a kept event
             raise ValidationError(f"{path}: line {lineno}: malformed event ({type(exc).__name__}: {exc})") from None
     rows = []
     for aid, (group, spawn) in sorted(spawns.items()):

@@ -136,18 +136,20 @@ def capture_limits(free_cells, free_counts, c_pos, r):
     if len(free_cells) == 0 or nc == 0:
         return limit, np.ones(nc, dtype=bool)
     dc = manhattan_matrix(c_pos, free_cells)
-    nearest = np.argmin(dc, axis=1)
-    best = dc[np.arange(nc), nearest]
+    nearest = dc.argmin(axis=1)
+    best = dc.min(axis=1)
     sees = best <= r
-    cell, dist = nearest[sees], best[sees]
+    capturers = sees.nonzero()[0]
+    if len(capturers) == 0:
+        return limit, ~sees
+    cell, dist = nearest.take(capturers), best.take(capturers)
     order = np.lexsort((dist, cell))
-    cell, dist = cell[order], dist[order]
+    cell, dist = cell.take(order), dist.take(order)
     # rank of each capturer within its cell; a cell keeps free_counts of them
-    first = np.searchsorted(cell, cell)
-    rank = np.arange(len(cell)) - first
-    kept = rank < free_counts[cell]
-    unit_start = np.cumsum(free_counts) - free_counts
-    limit[unit_start[cell[kept]] + rank[kept]] = dist[kept]
+    rank = np.arange(len(cell)) - cell.searchsorted(cell)
+    kept = (rank < free_counts.take(cell)).nonzero()[0]
+    unit_start = free_counts.cumsum() - free_counts
+    limit[unit_start.take(cell.take(kept)) + rank.take(kept)] = dist.take(kept)
     return limit, ~sees
 
 
@@ -174,13 +176,14 @@ def oracle_cost_matrix(d_pos, cells, comp_pos, r):
     near = (tc_mat > r) & (tc_mat <= 2 * r)
     bucket = (np.arange(nf) * width + tc_mat)[near]
     td_int = td.astype(np.int64)
-    below = np.arange(nf) * width + np.clip(td_int - 1, 0, 2 * r)
-    t_of = np.where(td_int >= r + 2, np.minimum(td_int - r - 1, r), 0)
+    below = np.arange(nf) * width + np.minimum(np.maximum(td_int - 1, 0), 2 * r)
+    # the participant's budget min(tau_d - R - 1, R), 0 where tau_d <= R + 1
+    t_of = np.minimum(np.maximum(td_int - (r + 1), 0), r)
     p_table = capture_prob_table(r)
-    psum = np.zeros_like(td)
+    psum = np.zeros(td.shape)
     for t_c in range(1, r + 1):
         pvals = p_table[t_c, adx[near], ady[near]]
-        cum = np.cumsum(np.bincount(bucket, pvals, minlength=nf * width).reshape(nf, width), axis=1)
+        cum = np.bincount(bucket, pvals, minlength=nf * width).reshape(nf, width).cumsum(axis=1)
         eligible = t_of == t_c
         psum[eligible] = cum.ravel()[below[eligible]]
     out = td * (1.0 + psum)
@@ -216,31 +219,36 @@ def dispatch(
 
     if kind is StrategyKind.UNC_AGN:
         # nearest free spot per participant, ties uniform; conflicts permitted
-        pick = np.argmin(tau + rng.random(tau.shape) * 0.9, axis=1)
-        cells = free_cells[pick].tolist()
+        pick = (tau + rng.random(tau.shape) * 0.9).argmin(axis=1)
+        cells = free_cells.take(pick, axis=0).tolist()
         return {d: CellCoord(*cells[d]) for d in range(nd)}
 
-    unit_cell = np.repeat(np.arange(len(free_cells)), free_counts)
+    # per-cell costs; a cell with f free spots becomes f identical unit columns
     if kind is StrategyKind.CORD_AGN:
-        cost = tau.astype(np.float64)[:, unit_cell]
+        cost = tau.astype(np.float64)
     elif kind is StrategyKind.CORD_ORACLE:
         if c_pos is None or r is None or r < 0:
             raise ConfigError("cord-oracle dispatch requires competitor positions and a radius R >= 0")
         c_pos = np.asarray(c_pos, dtype=np.int64).reshape(-1, 2)
         limit, unallocated = capture_limits(free_cells, free_counts, c_pos, r)
-        cost = oracle_cost_matrix(d_pos, free_cells, c_pos[unallocated], r)[:, unit_cell]
-        cost[tau[:, unit_cell] > limit] = np.inf
+        cost = oracle_cost_matrix(d_pos, free_cells, c_pos.take(unallocated.nonzero()[0], axis=0), r)
     elif kind is StrategyKind.CORD_APPROX:
         if p_hat is None:
             raise ConfigError("cord-approx dispatch requires per-cell availability predictions")
-        cost = (tau / np.asarray(p_hat, dtype=np.float64))[:, unit_cell]
+        cost = tau / np.asarray(p_hat, dtype=np.float64)
     else:
         raise ConfigError(f"unknown strategy {kind}")
 
-    # randomize presentation so equal-cost optima do not bias by index order
+    # randomize presentation so equal-cost optima do not bias by index order;
+    # one gather builds the presented unit matrix
+    unit_cell = np.arange(len(free_cells)).repeat(free_counts)
     row_perm = rng.permutation(nd)
     col_perm = rng.permutation(len(unit_cell))
-    assignment = hungarian_assign(CostMatrix(cost[np.ix_(row_perm, col_perm)]))
+    col_cell = unit_cell.take(col_perm)
+    cost = cost.take(row_perm, axis=0).take(col_cell, axis=1)
+    if kind is StrategyKind.CORD_ORACLE:
+        cost[tau.take(row_perm, axis=0).take(col_cell, axis=1) > limit.take(col_perm)] = np.inf
+    assignment = hungarian_assign(CostMatrix(cost))
     rows = row_perm.tolist()
-    cells = free_cells[unit_cell[col_perm]].tolist()
+    cells = free_cells.take(col_cell, axis=0).tolist()
     return {rows[pr]: CellCoord(*cells[pc]) for pr, pc in assignment.pairs}

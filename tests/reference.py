@@ -1,10 +1,10 @@
 """Dense and scalar reference implementations that tests compare the
 library against: the per-agent movement, parking and dwell contracts, the
 per-cell occupancy operations, the scalar strategy costs, the dense
-predictor, the `{(cell, minute): count}` dict demand pipeline, and the
-unvectorized dispatch kernels: assignment, the grid-sized capture
-probability table, oracle cost matrix, capture blocking and competitor
-stepping."""
+predictor, the `{(cell, minute): count}` dict demand pipeline, the
+unbuffered engine column store, and the unvectorized dispatch kernels:
+assignment, the grid-sized capture probability table, oracle cost matrix,
+capture blocking and competitor stepping."""
 from __future__ import annotations
 
 import math
@@ -386,6 +386,30 @@ def scale_series_dict(series: DictSeries, scale: float) -> DictSeries:
     _diffuse_dict(series.participants, scale, out.participants)
     _diffuse_dict(series.competitors, scale, out.competitors)
     return out
+
+
+# --- engine stores ---
+
+
+class Columns:
+    """The engine's struct-of-arrays store as it was before its buffers:
+    every append concatenates and every keep masks each column anew."""
+
+    def __init__(self, **shapes):
+        self.columns = tuple(shapes)
+        for name, shape in shapes.items():
+            setattr(self, name, np.zeros((0, *shape), np.int64))
+
+    def __len__(self):
+        return len(getattr(self, self.columns[0]))
+
+    def append(self, *cols):
+        for name, col in zip(self.columns, cols):
+            setattr(self, name, np.concatenate([getattr(self, name), col]))
+
+    def keep(self, mask):
+        for name in self.columns:
+            setattr(self, name, getattr(self, name)[mask])
 
 
 # --- dispatch kernels: the straightforward forms of the vectorized ones ---

@@ -533,6 +533,31 @@ def test_report_names_the_malformed_event_line(tmp_path, short_config, capsys, l
         fold_events(events, 30, 120)
 
 
+@pytest.mark.parametrize("line", [
+    '{"event": "spawn", "agent_id": 99999, "group": "participant", "tick": "x", "cell": 0}',
+    '{"event": "spawn", "agent_id": 99999, "group": "participant", "tick": 3.5, "cell": 0}',
+    '{"event": "spawn", "agent_id": 99999, "group": "participant", "tick": "3", "cell": 0}',
+    '{"event": "spawn", "agent_id": 99999, "group": "participant", "tick": true, "cell": 0}',
+    '{"event": "spawn", "agent_id": 99999.0, "group": "participant", "tick": 3, "cell": 0}',
+    '{"event": "park", "agent_id": 0, "tick": 3, "cell": 1.5}',
+    '{"event": "park", "agent_id": false, "tick": 3, "cell": 0}',
+    '{"event": "fail", "agent_id": 0, "tick": "7", "cell": 0}',
+])
+def test_report_rejects_a_non_integer_event_field(tmp_path, short_config, capsys, line):
+    # "x" used to end in a ValueError traceback; 3.5, "3" and true were read as 3, 3 and 1
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(short_config), "--out", str(out)]) == 0
+    events = out / "events.ndjson"
+    n_lines = len(events.read_text().splitlines())
+    with open(events, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {events}: line {n_lines + 1}: malformed event (TypeError: ")
+    assert "must be an integer" in err and "Traceback" not in err
+
+
 def test_sweep_comparison_follows_each_cells_strategy(tmp_path, short_config):
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(short_config), "--out", str(out), "--horizon", "60",

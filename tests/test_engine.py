@@ -19,6 +19,7 @@ from curbsim.engine import (
     ArrivalsConfig,
     SimConfig,
     Simulation,
+    _Columns,
     build_arrivals,
     run_simulation,
 )
@@ -408,7 +409,7 @@ def test_resolve_matches_per_cell_scalar_draws():
 
         ids = {(row, 0): aid for row, aid in enumerate(p.ids.tolist())}
         ids.update({(row, 1): aid for row, aid in enumerate(sim.competitors.ids.tolist())})
-        sim._resolve(t, sim._active(p, t), sim._active(sim.competitors, t))
+        sim._resolve(t, sim._active(p, t), sim._active(sim.competitors, t), free)
         assert set(sim.parked.ids.tolist()) == {ids[key] for key in want}
         assert sim.parked_count == [sum(g == 0 for _, g in want), sum(g == 1 for _, g in want)]
         assert (sim.occ.occupied <= caps).all()
@@ -480,3 +481,36 @@ def test_blind_walker_on_a_1x1_grid_stays_on_it():
     events = [json.loads(line) for line in buf.getvalue().splitlines()]
     assert [e["event"] for e in events][:1] == ["spawn"]
     assert {e["cell"] for e in events} == {0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_buffered_columns_equal_the_concatenating_store(data):
+    """Random appends (a later column sometimes a broadcast scalar), keeps
+    and in-place writes through the column views leave the buffered store
+    equal, column for column, to tests/reference.py's Columns."""
+    shapes = dict(ids=(), cell=(2,), dwell=())
+    store, want = _Columns(**shapes), reference.Columns(**shapes)
+    value = st.integers(-(2**40), 2**40)
+    for _ in range(data.draw(st.integers(0, 30))):
+        op = data.draw(st.sampled_from(["append", "keep", "write"]))
+        if op == "append":
+            m = data.draw(st.integers(0, 9))
+            ids = np.array(data.draw(st.lists(value, min_size=m, max_size=m)), np.int64)
+            cell = np.array(data.draw(st.lists(value, min_size=2 * m, max_size=2 * m)), np.int64).reshape(m, 2)
+            dwell = data.draw(st.one_of(value, st.lists(value, min_size=m, max_size=m)))
+            store.append(ids, cell, np.array(dwell) if isinstance(dwell, list) else dwell)
+            want.append(ids, cell, np.broadcast_to(np.array(dwell, np.int64), (m,)))
+        elif op == "keep":
+            mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(want), max_size=len(want))), bool)
+            store.keep(mask)
+            want.keep(mask)
+        else:
+            store.dwell -= 1
+            want.dwell -= 1
+            store.cell[::2] = 7
+            want.cell[::2] = 7
+        assert len(store) == len(want)
+        for name in shapes:
+            got = getattr(store, name)
+            assert got.dtype == np.int64 and np.array_equal(got, getattr(want, name)), name

@@ -13,8 +13,10 @@ workload and end-to-end metric, each side's values, median and quartiles,
 the number of pairs the change won, the relative change of the medians and
 whether that change exceeds the parent's interquartile range; plus each
 side's source hash and host versions from the benchmark manifest, every
-day's outcome digest per side and, with --trace, one traced run per side of
-that workload.
+day's outcome digest per side, whether the two sides' digests are identical
+and, with --trace, one traced run per side of that workload. It prints every
+end-to-end verdict per workload and the traced per-layer deltas: the time
+layers largest first, then each other layer that moved.
 """
 from __future__ import annotations
 
@@ -116,22 +118,31 @@ def main(argv=None) -> int:
             "digests": {side: sorted({f"{s} {d}" for r in rs for s, d in r["digests"].items()})
                         for side, rs in sides_runs.items()},
         }
+        w = record["workloads"][label]
+        w["digests_identical"] = w["digests"]["parent"] == w["digests"]["change"]
     if args.trace:
         name, seed = parse_label(args.trace)
         record["trace"] = {"workload": name, "seed": seed, **{
             side: run_bench(src, spec["command"], name, seed, seconds, 1)["metrics"]
             for side, src in sides.items()}}
-        print(f"traced {name}: " + ", ".join(
-            f"{k} {record['trace']['parent'][k]:.4f} -> {record['trace']['change'][k]:.4f}"
-            for k in ("matching.solve_s", "strategies.oracle_matrix_s", "agents.step_competitors_s",
-                      "strategies.dispatch_s")))
     out = args.out or args.change / f"BENCH_{args.topic}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     for label, w in record["workloads"].items():
-        m = w["metrics"]["wall_s"]
-        print(f"{label}: wall_s {m['parent']['median']:.4f} -> {m['change']['median']:.4f} s "
-              f"({100 * m['median_change']:+.1f}%), change won {m['change_wins']}/{m['pairs']}, "
-              f"parent IQR {m['parent']['quartiles']}")
+        print(f"{label}: outcome digests {'identical' if w['digests_identical'] else 'DIFFER'}")
+        for name, m in w["metrics"].items():
+            print(f"  {name:18s} {m['parent']['median']:.6g} -> {m['change']['median']:.6g} {m['unit']} "
+                  f"({100 * m['median_change']:+.1f}%, {m['better']} is better), change won "
+                  f"{m['change_wins']}/{m['pairs']}, beyond parent IQR: {m['beyond_parent_iqr']}")
+    if args.trace:
+        t = record["trace"]
+        units = {m["name"]: m["unit"] for m in spec["per_layer"]}
+        delta = {k: t["change"][k] - t["parent"][k] for k in t["parent"]}
+        # the time layers largest change first, then every other layer that moved
+        ranked = sorted((k for k in delta if units.get(k) == "s"), key=lambda k: -abs(delta[k]))
+        ranked += [k for k in delta if units.get(k) != "s" and delta[k]]
+        print(f"traced {t['workload']}@{t['seed']}, per-layer change per simulated day:")
+        for k in ranked:
+            print(f"  {k:34s} {t['parent'][k]:.6g} -> {t['change'][k]:.6g} {units.get(k, '')} ({delta[k]:+.6g})")
     print(f"wrote {out}")
     return 0
 
