@@ -13,7 +13,8 @@
    each strategy its information (cord-oracle: competitor positions and R;
    cord-approx: the availability predictions); `strategies.dispatch`
    prices and assigns, the oracle's competitor capture allocation
-   included;
+   included, and returns (participant row, free-cell index) pairs sorted
+   by row, so the tick's `assign` events are ascending by agent id;
 5. `_move`: every active searcher takes one step;
 6. `_resolve`: claims per cell with uniform tie-breaks, parking, and the
    cord-approx observations;
@@ -447,11 +448,10 @@ class Simulation:
             )
         targets = dispatch(cfg.strategy, p.pos.take(rows, axis=0), spots.cells, spots.counts,
                            self.streams.stream("strategy"), **info)
-        if targets:
-            # assign events follow the strategy's own order
-            n = self.n
-            rows = rows.take(list(targets))
-            k = np.array([i * n + j for i, j in targets.values()], np.int64)
+        if len(targets):
+            # sorted by participant row, which follows spawn order: agent ids ascend
+            rows = rows.take(targets[:, 0])
+            k = spots.k.take(targets[:, 1])
             changed = (k != p.target.take(rows, axis=0).dot(self._flat)).nonzero()[0]
             rows, k = rows.take(changed), k.take(changed)
             p.target[rows] = self._coords.take(k, axis=0)

@@ -93,9 +93,6 @@ class OccupancyState:
     def total_capacity(self) -> int:
         return int(self.capacity.sum())
 
-    def free(self) -> np.ndarray:
-        return self.capacity - self.occupied
-
     def check(self):
         # count_nonzero: the engine checks after every departure and parking
         if np.count_nonzero(self.occupied < 0) or np.count_nonzero(self.occupied > self.capacity):

@@ -7,6 +7,8 @@ larger than the sum of all finite entries, which makes the solver maximize
 feasible-match cardinality first and total cost second. Matches landing on
 the sentinel are stripped from the result.
 
+The result is a pair of index arrays, rows ascending: row[i] takes col[i].
+
 Each row is augmented by a Dijkstra search over the columns, with the relax
 step vectorized over buffers allocated once per solve. A column's distance
 is final once it is scanned, so the dual update after an augmentation
@@ -40,12 +42,12 @@ class CostMatrix:
         self.entries = np.asarray(self.entries, dtype=np.float64)
         if self.entries.ndim != 2:
             raise ValidationError("cost matrix must be 2-D")
-        # a minimum >= 0 (inf included) rules out NaN and negatives in one pass
+        # a minimum >= 0 (inf included) rules out NaN and negatives, -inf
+        # among them, in one pass; the solver would read -inf as INFEASIBLE
         if self.entries.size and not self.entries.min() >= 0:
             if np.isnan(self.entries).any():
                 raise ValidationError("cost matrix contains NaN")
-            if (self.entries[np.isfinite(self.entries)] < 0).any():
-                raise ValidationError("finite costs must be non-negative")
+            raise ValidationError("costs must be >= 0 or INFEASIBLE (+inf)")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -54,8 +56,15 @@ class CostMatrix:
 
 @dataclass
 class Assignment:
-    pairs: set[tuple[int, int]]
+    """Matched (row, col) index arrays, rows ascending, and their summed cost."""
+
+    row: np.ndarray
+    col: np.ndarray
     total_cost: float
+
+    @property
+    def pairs(self) -> set[tuple[int, int]]:
+        return set(zip(self.row.tolist(), self.col.tolist()))
 
 
 def _sap_core(cost):
@@ -151,15 +160,8 @@ def _solve(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return row, col
 
 
-def solve_dense(entries: np.ndarray) -> list[tuple[int, int]]:
-    """Assignment pairs for a raw matrix (may be rectangular, may hold inf),
-    sorted."""
-    row, col = _solve(np.asarray(entries, dtype=np.float64))
-    return list(zip(row.tolist(), col.tolist()))
-
-
 def hungarian_assign(m: CostMatrix) -> Assignment:
     """Minimum-cost maximum-cardinality assignment restricted to finite entries."""
     row, col = _solve(m.entries)
     total = float(sum(m.entries[row, col].tolist()))  # summed in pair order
-    return Assignment(set(zip(row.tolist(), col.tolist())), total)
+    return Assignment(row, col, total)

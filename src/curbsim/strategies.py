@@ -67,26 +67,20 @@ def t_budget(tau_ds: int, r: int) -> int:
     return min(tau_ds - r - 1, r)
 
 
-def reachable_set(c: CellCoord, t_c: int, clip_to: int | None = None) -> set[CellCoord]:
-    """Manhattan ball of radius t_c around c.
-
-    Unclipped by default (size 1 + 2*t_c*(t_c+1)); pass clip_to=n to restrict
-    to the n x n lattice.
-    """
+def reachable_set(c: CellCoord, t_c: int) -> set[CellCoord]:
+    """Manhattan ball of radius t_c around c, unclipped (size
+    1 + 2*t_c*(t_c+1))."""
     if t_c < 0:
         raise ValueError("t_c must be >= 0")
     out = set()
     for di in range(-t_c, t_c + 1):
         rem = t_c - abs(di)
         for dj in range(-rem, rem + 1):
-            z = CellCoord(c[0] + di, c[1] + dj)
-            if clip_to is not None and not (0 <= z[0] < clip_to and 0 <= z[1] < clip_to):
-                continue
-            out.add(z)
+            out.add(CellCoord(c[0] + di, c[1] + dj))
     return out
 
 
-def capture_probability(c: CellCoord, s: CellCoord, r: int, t_c: int, clip_to: int | None = None) -> float:
+def capture_probability(c: CellCoord, s: CellCoord, r: int, t_c: int) -> float:
     """Probability the competitor's endpoint lands on the radius-r ring of s.
 
     Exact rational ratio by enumerating the reachable set. Requires the
@@ -94,7 +88,7 @@ def capture_probability(c: CellCoord, s: CellCoord, r: int, t_c: int, clip_to: i
     """
     if manhattan(c, s) <= r:
         raise ValueError(f"capture_probability requires tau(c,s) > R (got {manhattan(c, s)} <= {r})")
-    ball = reachable_set(c, t_c, clip_to)
+    ball = reachable_set(c, t_c)
     favorable = sum(1 for z in ball if manhattan(z, s) == r)
     return favorable / len(ball)
 
@@ -200,8 +194,10 @@ def dispatch(
     c_pos: np.ndarray | None = None,
     r: int | None = None,
     p_hat: np.ndarray | None = None,
-) -> dict[int, CellCoord]:
-    """Per-tick targets: participant row index -> spot cell.
+) -> np.ndarray:
+    """Per-tick targets as an (m, 2) int64 array of (participant row, index
+    into free_cells), sorted by participant row; (0, 2) when nothing is
+    assigned.
 
     free_cells/free_counts describe the spot units offered to the strategy.
     A cell with f free spots contributes f identical columns, so each spot
@@ -214,14 +210,13 @@ def dispatch(
     free_counts = np.asarray(free_counts, dtype=np.int64).reshape(-1)
     nd = len(d_pos)
     if nd == 0 or len(free_cells) == 0:
-        return {}
+        return np.zeros((0, 2), np.int64)
     tau = manhattan_matrix(d_pos, free_cells)
 
     if kind is StrategyKind.UNC_AGN:
         # nearest free spot per participant, ties uniform; conflicts permitted
         pick = (tau + rng.random(tau.shape) * 0.9).argmin(axis=1)
-        cells = free_cells.take(pick, axis=0).tolist()
-        return {d: CellCoord(*cells[d]) for d in range(nd)}
+        return np.stack([np.arange(nd), pick], axis=1)
 
     # per-cell costs; a cell with f free spots becomes f identical unit columns
     if kind is StrategyKind.CORD_AGN:
@@ -249,6 +244,6 @@ def dispatch(
     if kind is StrategyKind.CORD_ORACLE:
         cost[tau.take(row_perm, axis=0).take(col_cell, axis=1) > limit.take(col_perm)] = np.inf
     assignment = hungarian_assign(CostMatrix(cost))
-    rows = row_perm.tolist()
-    cells = free_cells.take(col_cell, axis=0).tolist()
-    return {rows[pr]: CellCoord(*cells[pc]) for pr, pc in assignment.pairs}
+    rows = row_perm.take(assignment.row)
+    order = rows.argsort()
+    return np.stack([rows.take(order), col_cell.take(assignment.col).take(order)], axis=1)

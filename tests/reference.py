@@ -59,7 +59,7 @@ class Competitor:
 
 def visible_spots(c: Competitor, state: OccupancyState, r: int) -> set[CellCoord]:
     """Cells with a free spot within Manhattan distance r of the competitor."""
-    free = state.free()
+    free = state.capacity - state.occupied
     out = set()
     for k in np.flatnonzero(free > 0):
         cell = CellCoord(int(k) // state.n, int(k) % state.n)
@@ -124,7 +124,7 @@ def sample_dwell(spec: DwellSpec, rng: np.random.Generator) -> int:
 
 def free_spots(state: OccupancyState) -> list[tuple[CellCoord, int]]:
     """Every cell with at least one free spot, with its free count."""
-    free = state.free()
+    free = state.capacity - state.occupied
     out = []
     for k in np.flatnonzero(free > 0):
         out.append((CellCoord(int(k) // state.n, int(k) % state.n), int(free[k])))
@@ -151,7 +151,7 @@ def release(state: OccupancyState, z: CellCoord) -> OccupancyState:
 
 # --- strategy costs ---
 
-def oracle_cost(d_pos: CellCoord, s: CellCoord, c_pos, r: int, clip_to: int | None = None) -> float:
+def oracle_cost(d_pos: CellCoord, s: CellCoord, c_pos, r: int) -> float:
     """Scalar competitor-aware cost for one (participant, spot) pair, given
     the competitor positions c_pos and the visibility radius r."""
     tau = manhattan(d_pos, s)
@@ -170,7 +170,7 @@ def oracle_cost(d_pos: CellCoord, s: CellCoord, c_pos, r: int, clip_to: int | No
         t_c = t_budget(tau, r)
         for idx in np.flatnonzero(starred):
             c = CellCoord(int(comp[idx, 0]), int(comp[idx, 1]))
-            total += tau * capture_probability(c, s, r, t_c, clip_to)
+            total += tau * capture_probability(c, s, r, t_c)
     return total
 
 
@@ -464,7 +464,8 @@ def sap_core(cost):
 
 
 def solve_dense(entries) -> list[tuple[int, int]]:
-    """matching.solve_dense over sap_core, pairs gathered row by row."""
+    """The (row, col) pairs of matching.hungarian_assign, rows ascending,
+    over sap_core with the pairs gathered row by row."""
     entries = np.asarray(entries, dtype=np.float64)
     nr, nc = entries.shape
     if nr == 0 or nc == 0:

@@ -19,12 +19,12 @@ GOLDEN = {
     "unc-agn": ("06b6d131692a7cf1339e01e4801f6a56965ab0b53ca280cff0f5bad11c5584b3",
                 "d5fe3531fcbaf7f470aef2d1083520223f8b46d30db3511267d8835e0021a613"),
     "cord-agn": ("c1f08055342db2ab9a9797de437f333f0980de1ee36d4c7fd30b17613e13fc60",
-                 "5e3f96aa55ff0d9d1b8850bae3d6c632c04728f2b9c0b5952a5d80c0f338a248"),
+                 "c19a03c24ed1f40c51f61434ac2d4f0ffce160d351283e0ca61b9e42e7f7cb68"),
     "cord-oracle": ("3f9a1eae1113075130e0862a30ff7340000d3251f6d73892877ae5e3c7660c56",
-                    "4935ee2a71bd2da8854c36f0aaef2c17b612071b967161c37dc60f7d288a07e5"),
+                    "98e87d8e46a7e67baa77defdfb1cc560831ac392de9b88ddba69ca5896468b05"),
     # cold start: no history file, so the hourly retrains fit this run's own observations
     "cord-approx": ("b0e8a00e0f2fd8567e66d8696b2590710299156835e1911e51513601d1356c78",
-                    "d4d397fb32b6e0c110180ec8e14ae82e19f7359d5140bb27c41c82f752318563"),
+                    "ba2d681ce188d67757cf2afff63bed5bae894135a3e3ef710b50984bcea8b411"),
 }
 
 

@@ -7,7 +7,7 @@ from conftest import brute_force_assignment
 from reference import solve_dense as solve_dense_reference
 
 from curbsim.errors import ValidationError
-from curbsim.matching import INFEASIBLE, CostMatrix, hungarian_assign, solve_dense
+from curbsim.matching import INFEASIBLE, CostMatrix, hungarian_assign
 
 
 def test_examples():
@@ -80,6 +80,14 @@ def test_validation():
         CostMatrix([[float("nan")]])
 
 
+@pytest.mark.parametrize("entries", [[[-np.inf, 1.0]], [[-np.inf]], [[2.0, INFEASIBLE], [1.0, -np.inf]]])
+def test_minus_inf_is_rejected_not_read_as_infeasible(entries):
+    # the solver reads every non-finite entry as INFEASIBLE, so a -inf would
+    # silently drop the cheapest possible pair
+    with pytest.raises(ValidationError):
+        CostMatrix(entries)
+
+
 # --- the solver against the unvectorized augmentation (tests/reference.py) ---
 
 
@@ -104,8 +112,8 @@ def cost_matrices(draw):
 @example(np.array([[5.0]]))
 def test_solver_picks_the_reference_pairs(m):
     want = solve_dense_reference(m)
-    assert solve_dense(m) == want
     got = hungarian_assign(CostMatrix(m))
+    assert list(zip(got.row.tolist(), got.col.tolist())) == want
     assert got.pairs == set(want)
     assert got.total_cost == float(sum(m[r, c] for r, c in want))
 

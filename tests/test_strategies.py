@@ -53,9 +53,10 @@ def test_unc_agn_examples():
     rng = np.random.default_rng(0)
     # two participants nearest to the same single spot: both target it
     targets = unc_agn_targets(np.array([[0, 0], [0, 2]]), np.array([[0, 1]]), rng)
-    assert targets == {0: CellCoord(0, 1), 1: CellCoord(0, 1)}
-    assert unc_agn_targets(np.array([[3, 3]]), np.array([[1, 1]]), rng) == {0: CellCoord(1, 1)}
-    assert unc_agn_targets(np.array([[0, 0]]), np.zeros((0, 2)), rng) == {}
+    assert targets.dtype == np.int64 and targets.tolist() == [[0, 0], [1, 0]]
+    assert unc_agn_targets(np.array([[3, 3]]), np.array([[1, 1]]), rng).tolist() == [[0, 0]]
+    none = unc_agn_targets(np.array([[0, 0]]), np.zeros((0, 2)), rng)
+    assert none.dtype == np.int64 and none.shape == (0, 2)
 
 
 def test_unc_agn_equidistant_frequency():
@@ -64,7 +65,8 @@ def test_unc_agn_equidistant_frequency():
     d = np.tile([[2, 2]], (100_000, 1))
     spots = np.array([[2, 4], [4, 2]])
     targets = unc_agn_targets(d, spots, rng)
-    first = sum(1 for t in targets.values() if t == CellCoord(2, 4))
+    assert targets[:, 0].tolist() == list(range(100_000))
+    first = np.count_nonzero(targets[:, 1] == 0)  # spot (2, 4)
     assert abs(first / 100_000 - 0.5) < 0.02
 
 
@@ -99,12 +101,6 @@ def test_reachable_set_sizes():
     assert ball2 == want
     for t_c in range(5):
         assert len(reachable_set(c, t_c)) == 1 + 2 * t_c * (t_c + 1)
-
-
-def test_reachable_set_clipping():
-    assert reachable_set(CellCoord(0, 0), 1, clip_to=3) == {
-        CellCoord(0, 0), CellCoord(1, 0), CellCoord(0, 1),
-    }
 
 
 def test_capture_probability_examples():
@@ -242,7 +238,7 @@ def test_dispatch_cord_agn_tie():
         np.array([1]),
         rng,
     )
-    assert out == {0: CellCoord(0, 1)}
+    assert out.tolist() == [[0, 0]]
     # equidistant pair: winner is uniform across seeded draws
     wins = [0, 0]
     for _ in range(4000):
@@ -253,7 +249,8 @@ def test_dispatch_cord_agn_tie():
             np.array([1]),
             rng,
         )
-        wins[list(out)[0]] += 1
+        assert len(out) == 1 and out[0, 1] == 0
+        wins[out[0, 0]] += 1
     assert abs(wins[0] / 4000 - 0.5) < 0.03
 
 
@@ -267,12 +264,11 @@ def test_dispatch_eq3_eq4_properties():
         counts = rng.integers(1, 3, nf)
         out = dispatch(StrategyKind.CORD_AGN, d, cells, counts, rng)
         assert len(out) == min(nd, int(counts.sum()))
-        per_cell = {}
-        for cell in out.values():
-            per_cell[cell] = per_cell.get(cell, 0) + 1
-        for f in range(nf):
-            cell = CellCoord(int(cells[f, 0]), int(cells[f, 1]))
-            assert per_cell.get(cell, 0) <= counts[f] * (cells.tolist().count(cells[f].tolist()))
+        # one target per participant, rows ascending
+        assert (np.diff(out[:, 0]) > 0).all() and 0 <= out[:, 0].min() and out[:, 0].max() < nd
+        # no offered cell takes more participants than its free spots
+        assert 0 <= out[:, 1].min() and out[:, 1].max() < nf
+        assert (np.bincount(out[:, 1], minlength=nf) <= counts).all()
 
 
 def test_dispatch_oracle_all_blocked():
@@ -287,7 +283,7 @@ def test_dispatch_oracle_all_blocked():
         c_pos=np.array([[0, 1]]),
         r=1,
     )
-    assert out == {}
+    assert out.dtype == np.int64 and out.shape == (0, 2)
 
 
 def test_dispatch_requires_context():
@@ -302,8 +298,8 @@ def test_approx_equals_agn_under_constant_phat():
     # argmin invariance under uniform scaling: the pairings are optima of the
     # same objective (float division can re-break exact ties, so equality is
     # asserted on assignment cardinality and total travel cost)
-    def total_tau(d, targets):
-        return sum(abs(int(d[i][0]) - t[0]) + abs(int(d[i][1]) - t[1]) for i, t in targets.items())
+    def total_tau(d, cells, targets):
+        return int(np.abs(d.take(targets[:, 0], axis=0) - cells.take(targets[:, 1], axis=0)).sum())
 
     for seed in range(10):
         d = np.random.default_rng(seed).integers(0, 9, (5, 2))
@@ -315,7 +311,7 @@ def test_approx_equals_agn_under_constant_phat():
             p_hat=np.full(4, 0.37),
         )
         assert len(agn) == len(approx)
-        assert total_tau(d, agn) == total_tau(d, approx)
+        assert total_tau(d, cells, agn) == total_tau(d, cells, approx)
 
 
 def test_oracle_equals_agn_without_competitors():
@@ -329,7 +325,7 @@ def test_oracle_equals_agn_without_competitors():
             StrategyKind.CORD_ORACLE, d, cells, counts, np.random.default_rng(5),
             c_pos=np.zeros((0, 2)), r=1,
         )
-        assert agn == oracle
+        assert np.array_equal(agn, oracle)
 
 
 def test_capture_probability_vs_monte_carlo_small():

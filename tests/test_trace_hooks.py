@@ -51,3 +51,19 @@ def test_tracer_counts_every_event_line_and_byte():
     layers = tracer.layer_metrics(days=1)
     assert layers["engine.events"] == log.count("\n") > 0
     assert layers["engine.event_bytes"] == len(log.encode("utf-8"))
+
+
+def test_tracer_counts_one_assignment_per_dispatch_target_row():
+    """The tracer reads len(dispatch(...)) as the number assigned; unc-agn
+    targets every participant it is offered, so the share is exactly 1."""
+    cfg = replace(city22_config("unc-agn", 7), horizon=30)
+    grid, _ = make_grid(22, capacity=1, zones=3)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        Simulation(grid, lattice_capacity(22), build_arrivals(cfg, grid, cfg.seed), cfg, cfg.seed).run()
+    finally:
+        tracer.uninstall()
+    layers = tracer.layer_metrics(days=1)
+    assert layers["strategies.dispatch_calls"] > 0
+    assert layers["strategies.assigned_share"] == 1.0
