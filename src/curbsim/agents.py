@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, check_number
 from .grid import manhattan_matrix
 
 
@@ -30,6 +30,8 @@ class DwellSpec:
     def __post_init__(self):
         if self.kind not in ("fixed", "lognormal"):
             raise ConfigError(f"dwell.kind must be 'fixed' or 'lognormal', got {self.kind!r}")
+        check_number("dwell.minutes", self.minutes)
+        check_number("dwell.sigma", self.sigma)
         # Python's json reads NaN and Infinity; either would cast to INT64_MIN
         if not (math.isfinite(self.minutes) and self.minutes > 0):
             raise ConfigError(f"dwell.minutes must be > 0 and finite, got {self.minutes}")

@@ -1,7 +1,7 @@
 """Command-line front door.
 
-Commands: run | sweep | train | report | validate. Every flag has a config
-file equivalent; flags win. Exit codes: 0 success, 1 partial sweep failure,
+Commands: run | sweep | report | validate. Every flag has a config file
+equivalent; flags win. Exit codes: 0 success, 1 partial sweep failure,
 2 bad config or I/O: `main` turns every curbsim, OS and JSON error into
 `error: <message>` and exit 2.
 """
@@ -15,12 +15,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .engine import SimConfig, config_grid, load_inputs, run_simulation
 from .errors import ConfigError, CurbsimError, ValidationError
-from .metrics import GROUPS, export_report, fold_events, hourly_series
-from .predictor import load_corpus, retrain, save_model
+from .metrics import GROUPS, export_report, fold_events, hourly_series, mean_defined
 from .strategies import StrategyKind, parse_strategy
 
 
@@ -30,8 +27,9 @@ def load_config(path) -> SimConfig:
 
 
 def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
-    """cfg with the given flags in place, checked like a loaded config."""
-    flags = {name: getattr(args, name) for name in ("strategy", "seed", "horizon", "runs")}
+    """cfg with the given flags in place, checked like a loaded config; a
+    flag the command lacks (sweep has no --strategy or --seed) is unset."""
+    flags = {name: getattr(args, name, None) for name in ("strategy", "seed", "horizon", "runs")}
     return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
 
 
@@ -63,6 +61,8 @@ def _list_flag(flag: str, text: str, kind):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be an integer >= 1")
     cfg = _apply_overrides(load_config(args.config), args)
     strategies = (
         [parse_strategy(s).value for s in args.strategies.split(",")]
@@ -104,9 +104,8 @@ def cmd_sweep(args) -> int:
         reports = [rep for name, rep in results.items() if cells[name][0].strategy.value == strategy]
         row = {"strategy": strategy}
         for group in GROUPS:
-            vals = [rep["aggregate"]["peak"][group]["success_ratio"] for rep in reports]
-            vals = [v for v in vals if v is not None]
-            row[f"{group}_success"] = float(np.mean(vals)) if vals else None
+            ratios = [rep["aggregate"]["peak"][group]["success_ratio"] for rep in reports]
+            row[f"{group}_success"] = mean_defined(ratios)
         summary["comparison"].append(row)
     with open(out_root / "sweep_summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -116,16 +115,6 @@ def cmd_sweep(args) -> int:
     if failures:
         print(f"{len(failures)} of {len(cells)} cells failed: {failures}", file=sys.stderr)
         return 1
-    return 0
-
-
-def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    grid, _ = config_grid(cfg)
-    corpus = load_corpus(args.history, grid.n * grid.n, cfg.weekday)
-    model = retrain(corpus)
-    save_model(args.out, model)
-    print(f"model written to {args.out} (lambda={model.lam}, {len(model.coefficients)} coefficients)")
     return 0
 
 
@@ -198,19 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--strategies", help="comma-separated strategy names")
     sweep.add_argument("--seeds", help="comma-separated master seeds")
     sweep.add_argument("--scales", help="comma-separated demand scales")
-    sweep.add_argument("--strategy", choices=[k.value for k in StrategyKind])
-    sweep.add_argument("--seed", type=int)
     sweep.add_argument("--horizon", type=int)
     sweep.add_argument("--runs", type=int)
     sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sweep)
-
-    train = sub.add_parser("train", help="fit the availability model from a history file")
-    train.add_argument("--config", required=True)
-    train.add_argument("--history", required=True)
-    train.add_argument("--out", required=True)
-    train.set_defaults(func=cmd_train)
 
     report = sub.add_parser("report", help="re-render outputs from a run directory")
     report.add_argument("log_dir")

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError, check_int, check_path
+from .errors import ConfigError, ParseError, ValidationError, check_int, check_number, check_path
 
 INTENSITY_COLS = ("segment_id", "interval_start", "count", "geohash7", "overlap_fraction")
 SERIES_COLS = ("cell", "minute", "group", "count")
@@ -83,14 +83,14 @@ class ArrivalSeries:
         return np.repeat(rows.cells, rows.counts), before[first_row].tolist()
 
 
-def parse_intensity(source, label_to_cell=None, strict: bool = True) -> list[IntensityRecord]:
+def parse_intensity(source, label_to_cell=None) -> list[IntensityRecord]:
     """Materialize intensity rows; malformed rows are reported with line
     numbers. A count must lie in [0, 2**40), the bound `load_series` uses,
     so the minute bins fit their int64 columns.
 
     `label_to_cell` maps geohash labels to cell indices; when None, labels
-    must already be integer cell indices. With strict=True the per-segment
-    overlap fractions must sum to 1 for each interval.
+    must already be integer cell indices. The per-segment overlap fractions
+    must sum to 1 for each interval.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -137,16 +137,15 @@ def parse_intensity(source, label_to_cell=None, strict: bool = True) -> list[Int
                 raise ValidationError(f"line {lineno}: geohash {label!r} needs a label mapping") from None
         records.append(IntensityRecord(row["segment_id"], ts, count, cell, frac))
 
-    if strict:
-        sums: dict[tuple[str, datetime], float] = {}
-        for rec in records:
-            key = (rec.segment_id, rec.interval_start)
-            sums[key] = sums.get(key, 0.0) + rec.overlap_fraction
-        for (seg, ts), total in sums.items():
-            if abs(total - 1.0) > 1e-6:
-                raise ValidationError(
-                    f"segment {seg} at {ts.isoformat()}: overlap fractions sum to {total}, not 1"
-                )
+    sums: dict[tuple[str, datetime], float] = {}
+    for rec in records:
+        key = (rec.segment_id, rec.interval_start)
+        sums[key] = sums.get(key, 0.0) + rec.overlap_fraction
+    for (seg, ts), total in sums.items():
+        if abs(total - 1.0) > 1e-6:
+            raise ValidationError(
+                f"segment {seg} at {ts.isoformat()}: overlap fractions sum to {total}, not 1"
+            )
     return records
 
 
@@ -274,6 +273,8 @@ class ArrivalsConfig:
         check_path("arrivals.path", self.path)
         if self.pattern not in PATTERNS:
             raise ConfigError(f"arrivals.pattern must be one of {', '.join(PATTERNS)}, got {self.pattern!r}")
+        check_number("arrivals.magnitude", self.magnitude)
+        check_number("arrivals.decay", self.decay)
         if not (math.isfinite(self.magnitude) and self.magnitude >= 0):
             raise ConfigError(f"arrivals.magnitude must be >= 0 and finite, got {self.magnitude}")
         if not (math.isfinite(self.decay) and self.decay > 0):

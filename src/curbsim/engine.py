@@ -55,7 +55,7 @@ from . import demand as demand_mod
 from . import metrics as metrics_mod
 from .agents import DwellSpec, sample_dwell_batch, step_competitors_batch, step_toward_batch
 from .demand import ArrivalsConfig, ArrivalSeries, scale_series, synth_demand
-from .errors import ConfigError, ValidationError, check_int, check_path
+from .errors import ConfigError, ValidationError, check_int, check_number, check_path
 from .grid import GridSpec, OccupancyState, load_grid
 from .metrics import GROUPS, STATUS_CENSORED, STATUS_FAILED, STATUS_PARKED
 from .predictor import (
@@ -97,10 +97,6 @@ class SimConfig:
     demand_scale: float = 1.0
     weekday: int = 0
     log_moves: bool = True
-    # which outcomes feed the availability history: participant arrivals
-    # estimate exactly the quantity cord-approx divides by; "both" adds
-    # competitor claim outcomes
-    history_groups: str = "participants"
 
     def __post_init__(self):
         self.strategy = parse_strategy(self.strategy)
@@ -116,6 +112,12 @@ class SimConfig:
         self.peak_window = tuple(self.peak_window)
         for name, lo in (("r", 0), ("horizon", 0), ("runs", 1), ("t_max", 1), ("seed", None)):
             check_int(name, getattr(self, name), lo)
+        for name in ("initial_occupancy", "demand_scale"):
+            check_number(name, getattr(self, name))
+        for x in self.shares:
+            check_number("shares", x)
+        if not isinstance(self.log_moves, bool):
+            raise ConfigError(f"log_moves must be true or false, got {self.log_moves!r}")
         if not (0.0 <= self.initial_occupancy <= 1.0):
             raise ConfigError("initial_occupancy must be in [0, 1]")
         check_int("weekday", self.weekday, 0)
@@ -130,8 +132,6 @@ class SimConfig:
             check_int("peak_window", x)
         if len(self.peak_window) != 2 or not 0 <= self.peak_window[0] < self.peak_window[1]:
             raise ConfigError(f"peak_window must be [start, end] with 0 <= start < end, got {list(self.peak_window)}")
-        if self.history_groups not in ("participants", "both"):
-            raise ConfigError(f"history_groups must be 'participants' or 'both', got {self.history_groups!r}")
         # the engine retrains only at bucket ends
         check_int("retrain_every", self.retrain_every)
         if self.retrain_every <= 0 or self.retrain_every % BUCKET_MINUTES:
@@ -491,7 +491,6 @@ class Simulation:
         rows that parked, per group. A participant claims at its assigned
         cell, or wherever it stands while unassigned; a competitor claims
         wherever it stands."""
-        cfg = self.cfg
         p, c = self.participants, self.competitors
         if len(p) == 0 and len(c) == 0:
             return _NO_ROWS, _NO_ROWS
@@ -505,14 +504,12 @@ class Simulation:
         if len(p_rows) or len(c_rows):
             won_p, won_c = self._claim_winners(free, p_rows, p_k, c_rows, c_k)
             self._park(t, won_p, won_c, p_k, c_k)
-        if cfg.strategy is StrategyKind.CORD_APPROX:
-            # participant attempt = arrival at target, competitor attempt = co-located claim
+        if self.cfg.strategy is StrategyKind.CORD_APPROX:
+            # an attempt is a participant's arrival at its target: the history
+            # estimates exactly the availability cord-approx divides by
             n_cells = len(free)
             self._attempts += np.bincount(p_k[act_p & at_target], minlength=n_cells)
             self._successes += np.bincount(p_k[won_p[at_target[won_p]]], minlength=n_cells)
-            if cfg.history_groups == "both":
-                self._attempts += np.bincount(c_k.take(c_rows), minlength=n_cells)
-                self._successes += np.bincount(c_k.take(won_c), minlength=n_cells)
         return won_p, won_c
 
     def _claim_winners(self, free, p_rows, p_k, c_rows, c_k):

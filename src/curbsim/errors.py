@@ -48,6 +48,15 @@ def check_int(name, value, lo=None):
     raise error(f"{name} must be an integer{bound}, got {value!r}")
 
 
+def check_number(name, value):
+    """ConfigError when value is a JSON boolean, which Python would read as
+    0 or 1; TypeError, as in check_int, when it is no number at all."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+
+
 def check_path(name, value):
     """ConfigError unless value is a path string or None (unset)."""
     if value is not None and not isinstance(value, str):

@@ -29,6 +29,12 @@ GROUPS = ("participant", "competitor")
 STATUS_PARKED, STATUS_FAILED, STATUS_CENSORED = 0, 1, 2
 
 
+def mean_defined(values) -> float | None:
+    """Mean of the values that are not None; None when none is."""
+    defined = [v for v in values if v is not None]
+    return float(np.mean(defined)) if defined else None
+
+
 def _window_mask(outcomes, group_code, window):
     lo, hi = window
     return (
@@ -149,19 +155,15 @@ def build_report(cfg, grid: GridSpec, results) -> dict:
                 }
         runs.append(run)
 
-    def _mean(vals):
-        vals = [v for v in vals if v is not None]
-        return float(np.mean(vals)) if vals else None
-
     aggregate = {"peak": {}, "full_day": {}, "regimes": {}}
     for name in GROUPS:
         for label in ("peak", "full_day"):
             aggregate[label][name] = {
-                "success_ratio": _mean([r[label][name]["success_ratio"] for r in runs]),
-                "avg_search_time": _mean([r[label][name]["avg_search_time"] for r in runs]),
+                "success_ratio": mean_defined([r[label][name]["success_ratio"] for r in runs]),
+                "avg_search_time": mean_defined([r[label][name]["avg_search_time"] for r in runs]),
             }
     for label, _, _ in REGIME_BINS:
-        aggregate["regimes"][label] = _mean([r["regimes"][label] for r in runs])
+        aggregate["regimes"][label] = mean_defined([r["regimes"][label] for r in runs])
 
     return {
         "config": cfg.to_dict(),
@@ -200,15 +202,12 @@ def export_series_csv(report: dict, path):
             per_run = [r["hourly"][ridx] for r in runs]
             base = per_run[0]
             ratios = [p["success_ratio"] for p in per_run]
-            times = [p["avg_search_time"] for p in per_run]
-            mean_ratio = np.mean([x for x in ratios if x is not None]) if any(x is not None for x in ratios) else None
-            mean_time = np.mean([x for x in times if x is not None]) if any(x is not None for x in times) else None
             row = [
                 base["hour"],
                 report["strategy"],
                 base["group"],
-                _fmt(None if mean_ratio is None else float(mean_ratio)),
-                _fmt(None if mean_time is None else float(mean_time)),
+                _fmt(mean_defined(ratios)),
+                _fmt(mean_defined(p["avg_search_time"] for p in per_run)),
                 sum(p["n"] for p in per_run),
             ]
             if multi:
@@ -234,9 +233,7 @@ def export_zones_csv(report: dict, path):
         zone_ids = sorted(runs[0]["zones"])
         for zone_id in zone_ids:
             for name in GROUPS:
-                vals = [r["zones"][zone_id][name] for r in runs]
-                vals = [v for v in vals if v is not None]
-                w.writerow([zone_id, name, _fmt(float(np.mean(vals)) if vals else None)])
+                w.writerow([zone_id, name, _fmt(mean_defined(r["zones"][zone_id][name] for r in runs))])
 
 
 _RAMP = (
@@ -263,12 +260,8 @@ def export_heatmap_svg(report: dict, grid: GridSpec, path, group: str = "partici
     cell_px = 64
     if zones:
         ids = sorted(zones)
-        vals = {}
-        for zid in ids:
-            per_run = [r["zones"][zid][group] for r in runs if r["zones"][zid][group] is not None]
-            vals[zid] = float(np.mean(per_run)) if per_run else None
         side = int(np.ceil(np.sqrt(len(ids))))
-        items = [(zid, vals[zid]) for zid in ids]
+        items = [(zid, mean_defined(r["zones"][zid][group] for r in runs)) for zid in ids]
     else:
         side = grid.n
         items = [(str(k), None) for k in range(grid.n * grid.n)]
@@ -321,8 +314,10 @@ def fold_events(path, t_max: int, horizon: int):
     in-memory bookkeeping, used for recount checks and `report`."""
     from .engine import RunOutcomes
 
-    spawns: dict[int, tuple[int, int]] = {}
-    terminal: dict[int, tuple[int, int, int]] = {}
+    # agent id -> (group, spawn tick) while searching; a park or fail moves
+    # the agent to resolved, so each terminal event costs one dict lookup
+    searching: dict[int, tuple[int, int]] = {}
+    resolved: dict[int, tuple[int, int, int, int, int]] = {}
     groups = {name: code for code, name in enumerate(GROUPS)}
     lineno = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -332,25 +327,25 @@ def fold_events(path, t_max: int, horizon: int):
                     continue
                 ev = json.loads(line)
                 aid = ev["agent_id"]
-                if ev["event"] == "spawn":
-                    spawns[_integer(aid, "agent_id")] = (groups[ev["group"]], _integer(ev["tick"], "tick"))
-                elif ev["event"] == "park":
-                    terminal[_integer(aid, "agent_id")] = (
-                        STATUS_PARKED, _integer(ev["tick"], "tick"), _integer(ev["cell"], "cell"))
-                elif ev["event"] == "fail":
-                    terminal[_integer(aid, "agent_id")] = (STATUS_FAILED, _integer(ev["tick"], "tick"), -1)
+                kind = ev["event"]
+                if kind == "spawn":
+                    searching[_integer(aid, "agent_id")] = (groups[ev["group"]], _integer(ev["tick"], "tick"))
+                elif kind == "park" or kind == "fail":
+                    parked = kind == "park"
+                    tick = _integer(ev["tick"], "tick")
+                    cell = _integer(ev["cell"], "cell") if parked else -1
+                    spawn = searching.pop(_integer(aid, "agent_id"), None)
+                    if spawn is None:
+                        raise ValueError(f"{kind} of agent {aid}, which is not searching")
+                    resolved[aid] = (*spawn, STATUS_PARKED if parked else STATUS_FAILED, tick, cell)
         except (ValueError, KeyError, TypeError) as exc:
-            # a missing key, an unknown group, a non-object line, bad JSON or
-            # a non-integer field of a kept event
+            # a missing key, an unknown group, a non-object line, bad JSON, a
+            # non-integer field of a kept event, or a park or fail of an agent
+            # with no spawn or with an earlier park or fail
             raise ValidationError(f"{path}: line {lineno}: malformed event ({type(exc).__name__}: {exc})") from None
-    rows = []
-    for aid, (group, spawn) in sorted(spawns.items()):
-        if aid in terminal:
-            status, tick, cell = terminal[aid]
-            rows.append((group, spawn, status, tick, cell))
-        else:
-            rows.append((group, spawn, STATUS_CENSORED, -1, -1))
-    out = RunOutcomes.from_lists(rows)
+    for aid, spawn in searching.items():
+        resolved[aid] = (*spawn, STATUS_CENSORED, -1, -1)
+    out = RunOutcomes.from_lists([resolved[aid] for aid in sorted(resolved)])
     for park_t, spawn_t, status in zip(out.terminal, out.spawn, out.status):
         if status == STATUS_PARKED and park_t - spawn_t > t_max:
             raise ValidationError(f"parked search time {park_t - spawn_t} exceeds budget {t_max}")

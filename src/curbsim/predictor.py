@@ -7,7 +7,6 @@ regularization, and serves predictions clamped to [0.01, 1].
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,7 +16,10 @@ from .errors import ConfigError, ParseError, SchemaError, SingularityError, Vali
 
 BUCKET_MINUTES = 60
 CLAMP_LO = 0.01
+# lambda = 0 is never in the grid: the weekday one-hot sums to the intercept,
+# so the unpenalized design is always singular
 DEFAULT_LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
+FOLDS = 5
 TREND_BUCKETS = 3
 TREND_DEFAULT = 0.5
 # gap, relative to the mean squared target, under which two lambdas' mean
@@ -89,8 +91,6 @@ class RidgeModel:
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
-        if self.lam < 0:
-            raise ConfigError("lambda must be >= 0")
 
 
 def feature_schema(n_cells: int) -> str:
@@ -275,37 +275,27 @@ def _select_lambda(eqs: _NormalEquations, dense: np.ndarray, cells: np.ndarray, 
     return float(min(lam for lam, mse in zip(grid, mses) if mse <= band))
 
 
-def retrain(
-    corpus: HistoryCorpus,
-    grid=DEFAULT_LAMBDA_GRID,
-    folds: int = 5,
-) -> RidgeModel:
+def retrain(corpus: HistoryCorpus) -> RidgeModel:
     """Fresh ridge fit over the full corpus with cross-validated lambda.
 
     The model is fit_ridge of rho on the feature_schema design, with lambda
-    chosen by deterministic cross-validation: fold k holds the records whose
-    index is k modulo folds. The design is never built: per-fold
-    normal-equation blocks are accumulated once and every fit solves an
-    11x11 system.
+    chosen from DEFAULT_LAMBDA_GRID by deterministic cross-validation: fold
+    k holds the records whose index is k modulo FOLDS. The design is never
+    built: per-fold normal-equation blocks are accumulated once and every
+    fit solves an 11x11 system.
 
     Empty corpus falls back to the uniform 0.5 prior. Corpora smaller than
     the fold count skip CV and use lambda = 1.0.
     """
-    grid = list(grid)
-    if not grid or min(grid) <= 0:
-        # lambda = 0 is always singular: the weekday one-hot sums to the intercept
-        raise ConfigError("lambda grid must be nonempty and positive")
-    if folds < 2:
-        raise ConfigError("need at least 2 folds")
     if len(corpus) == 0:
         return uniform_model(corpus.n_cells)
     cells = _checked_cells(corpus.cells, corpus.n_cells)
     y = corpus.rho
     trends = trailing_trend(corpus, cells, corpus.starts)
     dense = _dense_columns(corpus.starts, trends, corpus.base_weekday)
-    eqs = _fold_equations(dense, cells, y, corpus.n_cells, folds)
-    lam = 1.0 if len(y) < folds else _select_lambda(eqs, dense, cells, y, grid, folds)
-    beta_a, beta_c = eqs.total(np.ones(folds, dtype=bool)).solve(lam)
+    eqs = _fold_equations(dense, cells, y, corpus.n_cells, FOLDS)
+    lam = 1.0 if len(y) < FOLDS else _select_lambda(eqs, dense, cells, y, DEFAULT_LAMBDA_GRID, FOLDS)
+    beta_a, beta_c = eqs.total(np.ones(FOLDS, dtype=bool)).solve(lam)
     coefficients = np.concatenate([beta_a[1:10], beta_c, beta_a[10:]])
     return RidgeModel(coefficients, float(beta_a[0]), float(lam), feature_schema(corpus.n_cells))
 
@@ -348,24 +338,3 @@ def load_corpus(source, n_cells: int, base_weekday: int = 0) -> HistoryCorpus:
         rows.append((cell, bucket, rho, attempts))
     cells, starts, rhos, attempts = zip(*rows) if rows else ((), (), (), ())
     return HistoryCorpus(n_cells, base_weekday, cells, starts, rhos, attempts)
-
-
-def save_model(path, model: RidgeModel):
-    payload = {
-        "schema": model.schema,
-        "intercept": model.intercept,
-        "lambda": model.lam,
-        "beta": model.coefficients.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(source) -> RidgeModel:
-    if hasattr(source, "read"):
-        payload = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    return RidgeModel(np.array(payload["beta"]), payload["intercept"], payload["lambda"], payload["schema"])

@@ -1,10 +1,13 @@
+import argparse
 import json
 import math
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from curbsim.cli import main
+from curbsim.cli import build_parser, main
 from curbsim.errors import ValidationError
 from curbsim.metrics import fold_events
 from curbsim.predictor import HistoryCorpus, save_corpus
@@ -97,9 +100,12 @@ def test_run_flags_go_through_the_config_checks(tmp_path, short_config, capsys, 
     ("--scales", "nan", "demand_scale must be >= 0 and finite"),
     ("--scales", "1,inf", "demand_scale must be >= 0 and finite"),
     ("--seeds", "1,x", "--seeds must be a comma-separated list of ints"),
+    ("--jobs", "0", "--jobs must be an integer >= 1"),
+    ("--jobs", "-3", "--jobs must be an integer >= 1"),
 ])
 def test_sweep_flags_go_through_the_config_checks(tmp_path, short_config, capsys, flag, value, message):
-    # each used to run every cell and report each bad one as failed (exit 1)
+    # each used to run every cell and report each bad one as failed (exit 1);
+    # --jobs below 1 used to run the cells one after another and exit 0
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(short_config), flag, value, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
@@ -147,17 +153,6 @@ def test_sweep_four_by_three(tmp_path, short_config):
     summary = json.loads((out / "sweep_summary.json").read_text())
     assert len(summary["cells"]) == 12
     assert {row["strategy"] for row in summary["comparison"]} == {"unc-agn", "cord-agn", "cord-oracle"}
-
-
-def test_train_writes_model(tmp_path, short_config):
-    corpus = HistoryCorpus(100, 0, [0, 4, 44], [0, 60, 120], [3 / 5, 4 / 4, 1 / 6], [5, 4, 6])
-    hist = tmp_path / "hist.csv"
-    save_corpus(hist, corpus)
-    model_path = tmp_path / "model.json"
-    assert main(["train", "--config", str(short_config), "--history", str(hist),
-                 "--out", str(model_path)]) == 0
-    model = json.loads(model_path.read_text())
-    assert {"beta", "intercept", "lambda", "schema"} <= set(model)
 
 
 def test_report_empty_dir(tmp_path):
@@ -243,13 +238,15 @@ def test_validate_wrong_typed_value(tmp_path, short_config, capsys):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("history_groups", "bth"), ("weekday", 9), ("t_max", 0),
+    ("log_moves", "false"), ("weekday", 9), ("t_max", 0),
     ("shares", [-0.1, 0.5]), ("shares", [0.6, 0.5]), ("peak_window", [600, 600]),
     ("peak_window", [-1, 60]), ("arrivals.magnitude", -0.2), ("demand_scale", -1.0),
     ("arrivals.kind", "synthetic"), ("arrivals.pattern", "hotsp0t"), ("arrivals.decay", 0),
     ("arrivals.decay", -1.0), ("arrivals.centers", [[1]]), ("arrivals.n_centers", 0),
     ("arrivals.n_centers", 1.5), ("arrivals.rotate_every", 30.5), ("arrivals.rotate_every", -30),
     ("runs", 1.5), ("r", 1.5),
+    # JSON booleans, which Python reads as 0 and 1, are no numbers here
+    ("initial_occupancy", True), ("demand_scale", True), ("arrivals.magnitude", True), ("dwell.minutes", True),
 ])
 def test_validate_out_of_range_field(tmp_path, short_config, capsys, field, value):
     assert _validate(tmp_path, short_config, **{field: value}) == 2
@@ -258,11 +255,11 @@ def test_validate_out_of_range_field(tmp_path, short_config, capsys, field, valu
     assert "Traceback" not in err
 
 
-def test_train_non_numeric_history_field(tmp_path, short_config, capsys):
+def test_validate_non_numeric_history_field(tmp_path, short_config, capsys):
+    # only cord-approx loads its history file
     hist = tmp_path / "hist.csv"
     hist.write_text("k,bucket_start,rho,attempts\nx,0,0.5,2\n")
-    code = main(["train", "--config", str(short_config), "--history", str(hist),
-                 "--out", str(tmp_path / "model.json")])
+    code = _validate(tmp_path, short_config, strategy="cord-approx", history_file=str(hist))
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: ")
@@ -487,9 +484,6 @@ def test_validate_requires_a_grid_file(tmp_path, short_config, capsys):
     codes, errs = _validate_and_run(tmp_path, path, capsys)
     assert codes == (2, 2)
     assert errs == "error: config needs grid_file\n" * 2
-    # train used to end in a TypeError traceback from open(None)
-    assert main(["train", "--config", str(path), "--history", "h.csv", "--out", str(tmp_path / "m.json")]) == 2
-    assert capsys.readouterr().err == "error: config needs grid_file\n"
 
 
 @pytest.mark.parametrize("flags, clash", [
@@ -515,6 +509,11 @@ def test_sweep_rejects_cells_that_share_a_directory(tmp_path, short_config, caps
     '{"event": "park", "agent_id": 0, "tick": 3}',
     '{"event": "spawn", "agent_id": [1], "group": "participant", "tick": 3, "cell": 0}',
     "{not json",
+    # a park or fail of an agent that never spawned, or that already parked
+    # (agent 0 parks at tick 7 in this run)
+    '{"tick": 5, "agent_id": 999999, "group": "participant", "event": "park", "cell": 3}',
+    '{"tick": 9, "agent_id": 0, "group": "competitor", "event": "park", "cell": 3}',
+    '{"tick": 9, "agent_id": 0, "group": "competitor", "event": "fail"}',
 ])
 def test_report_names_the_malformed_event_line(tmp_path, short_config, capsys, line):
     # each used to end in a KeyError, TypeError or JSONDecodeError traceback
@@ -569,3 +568,24 @@ def test_sweep_comparison_follows_each_cells_strategy(tmp_path, short_config):
         for group in ("participant", "competitor"):
             vals = [r["aggregate"]["peak"][group]["success_ratio"] for r in reports]
             assert row[f"{group}_success"] == pytest.approx(sum(vals) / 2)
+
+
+def _readme_commands():
+    """Every `curbsim ...` command line in README's code blocks, with its
+    backslash continuations joined."""
+    text = (REPO / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("curbsim ")]
+
+
+def test_readme_names_only_existing_commands_and_flags():
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    commands = _readme_commands()
+    assert commands
+    for words in commands:
+        assert words[1] in subcommands, words
+        flags = subcommands[words[1]]._option_string_actions
+        for word in words[2:]:
+            if word.startswith("--"):
+                assert word.partition("=")[0] in flags, (words[1], word)

@@ -296,13 +296,16 @@ def test_retrain_every_multiples_of_bucket_accepted():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("history_groups", "bth"), ("weekday", 9), ("weekday", -1), ("t_max", 0),
+    ("log_moves", "false"), ("weekday", 9), ("weekday", -1), ("t_max", 0),
     ("shares", (-0.1, 0.5)), ("shares", (0.6, 0.5)), ("shares", (0.1,)),
     ("peak_window", (600, 600)), ("peak_window", (700, 600)), ("peak_window", (-1, 60)),
     ("arrivals", {"magnitude": -0.2}), ("arrivals", {"kind": "synthetic"}), ("demand_scale", -1.0),
     ("arrivals", {"pattern": "hotsp0t"}), ("arrivals", {"decay": 0}), ("arrivals", {"decay": -1.0}),
     ("arrivals", {"centers": [[1]]}), ("arrivals", {"n_centers": 0}), ("arrivals", {"n_centers": 1.5}),
     ("arrivals", {"rotate_every": 30.5}), ("arrivals", {"rotate_every": -30}), ("runs", 1.5), ("r", 1.5),
+    # JSON booleans, which Python reads as 0 and 1, are no numbers here
+    ("initial_occupancy", True), ("demand_scale", True), ("shares", (True, 0.0)),
+    ("arrivals", {"magnitude": True}), ("dwell", {"minutes": True}),
 ])
 def test_config_rejects_out_of_range_fields(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -310,7 +313,7 @@ def test_config_rejects_out_of_range_fields(field, value):
 
 
 def test_config_accepts_field_bounds():
-    for kwargs in ({"history_groups": "both"}, {"weekday": 0}, {"weekday": 6}, {"t_max": 1},
+    for kwargs in ({"log_moves": False}, {"weekday": 0}, {"weekday": 6}, {"t_max": 1},
                    {"shares": (0.0, 1.0)}, {"shares": (0.5, 0.5)}, {"peak_window": (0, 1)},
                    {"arrivals": {"kind": "file", "magnitude": 0.0}}, {"demand_scale": 0.0},
                    {"arrivals": {"n_centers": 1, "rotate_every": 0, "centers": [[0, 0]]}}, {"r": 0}):
@@ -451,7 +454,6 @@ def small_configs(draw):
         dwell={"kind": "lognormal", "minutes": draw(st.floats(1.0, 30.0)), "sigma": 0.5},
         horizon=horizon, seed=draw(st.integers(0, 2**32)), runs=1, peak_window=(0, horizon),
         initial_occupancy=draw(st.sampled_from([0.0, 0.3, 0.8, 1.0])),
-        history_groups=draw(st.sampled_from(["participants", "both"])),
     )
     grid, _ = make_grid(n, capacity=0)
     return cfg, grid, caps
