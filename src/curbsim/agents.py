@@ -30,13 +30,9 @@ class DwellSpec:
     def __post_init__(self):
         if self.kind not in ("fixed", "lognormal"):
             raise ConfigError(f"dwell.kind must be 'fixed' or 'lognormal', got {self.kind!r}")
-        check_number("dwell.minutes", self.minutes)
-        check_number("dwell.sigma", self.sigma)
         # Python's json reads NaN and Infinity; either would cast to INT64_MIN
-        if not (math.isfinite(self.minutes) and self.minutes > 0):
-            raise ConfigError(f"dwell.minutes must be > 0 and finite, got {self.minutes}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ConfigError(f"dwell.sigma must be >= 0 and finite, got {self.sigma}")
+        check_number("dwell.minutes", self.minutes, 0, above=True)
+        check_number("dwell.sigma", self.sigma, 0)
         check_int("dwell.floor", self.floor, 1)
 
 

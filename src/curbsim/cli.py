@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .engine import SimConfig, config_grid, load_inputs, run_simulation
 from .errors import ConfigError, CurbsimError, ValidationError
-from .metrics import GROUPS, export_report, fold_events, hourly_series, mean_defined
+from .metrics import GROUPS, export_report, fold_events, mean_defined, outcome_blocks
 from .strategies import StrategyKind, parse_strategy
 
 
@@ -151,11 +151,12 @@ def cmd_report(args) -> int:
     _check_report(report, len(event_files))
     cfg = SimConfig.from_dict(report.get("config"))
     grid, _ = config_grid(cfg)
-    # recount hourly series from the raw events as a cross-check
+    # recount each run's outcome blocks from its raw events as a cross-check
     for i, path in enumerate(event_files):
-        outcomes = fold_events(path, cfg.t_max, cfg.horizon)
-        if hourly_series(outcomes, cfg.horizon) != report["runs"][i]["hourly"]:
-            raise ValidationError(f"event log {path.name} disagrees with report.json")
+        recount = outcome_blocks(cfg, grid, fold_events(path, cfg.t_max))
+        for block, value in recount.items():
+            if report["runs"][i].get(block) != value:
+                raise ValidationError(f"event log {path.name} disagrees with report.json runs[{i}].{block}")
     export_report(report, log_dir, grid)
     print(f"rendered outputs in {log_dir}")
     return 0

@@ -14,7 +14,6 @@ per-minute offsets, for the engine to slice.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from datetime import datetime
@@ -22,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError, check_int, check_number, check_path
+from .errors import ConfigError, ParseError, Table, ValidationError, check_int, check_number, check_path
 
 INTENSITY_COLS = ("segment_id", "interval_start", "count", "geohash7", "overlap_fraction")
 SERIES_COLS = ("cell", "minute", "group", "count")
@@ -83,59 +82,32 @@ class ArrivalSeries:
         return np.repeat(rows.cells, rows.counts), before[first_row].tolist()
 
 
-def parse_intensity(source, label_to_cell=None) -> list[IntensityRecord]:
-    """Materialize intensity rows; malformed rows are reported with line
-    numbers. A count must lie in [0, 2**40), the bound `load_series` uses,
-    so the minute bins fit their int64 columns.
-
-    `label_to_cell` maps geohash labels to cell indices; when None, labels
-    must already be integer cell indices. The per-segment overlap fractions
-    must sum to 1 for each interval.
+def parse_intensity(source, label_to_cell: dict[str, int]) -> list[IntensityRecord]:
+    """Materialize the intensity rows of `source`, a path or a `Table` read
+    from one; a bad row is reported with its line. `label_to_cell` maps
+    geohash labels to cell indices. The per-segment overlap fractions must
+    sum to 1 for each interval.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty intensity file")
-    delim = "\t" if "\t" in lines[0] else ","
-    reader = csv.DictReader(io.StringIO(text), delimiter=delim)
-    for col in INTENSITY_COLS:
-        if col not in (reader.fieldnames or []):
-            raise ParseError(f"intensity file missing column {col!r}")
-
+    table = source if isinstance(source, Table) else Table(source)
     records = []
-    for lineno, row in enumerate(reader, start=2):
+    for line, row in table.rows("intensity", INTENSITY_COLS, ("count",)):
         try:
             ts = datetime.fromisoformat(row["interval_start"])
-        except (TypeError, ValueError):
-            raise ParseError(f"bad ISO-8601 timestamp {row['interval_start']!r}", line=lineno) from None
+        except ValueError:
+            raise ParseError(f"bad ISO-8601 timestamp {row['interval_start']!r}", line) from None
+        if records and (ts.tzinfo is None) != (records[0].interval_start.tzinfo is None):
+            raise ParseError("timestamps with and without a UTC offset are mixed", line)
         if ts.minute % 15 or ts.second or ts.microsecond:
-            raise ParseError(f"timestamp {ts.isoformat()} not 15-minute aligned", line=lineno)
+            raise ParseError(f"timestamp {ts.isoformat()} not 15-minute aligned", line)
         try:
-            count = int(row["count"])
             frac = float(row["overlap_fraction"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad numeric field: {exc}", line=lineno) from None
-        if not 0 <= count < 2**40:
-            raise ValidationError(f"line {lineno}: count {count} outside 0..2**40")
+        except ValueError:
+            raise ParseError(f"overlap_fraction {row['overlap_fraction']!r} is not a number", line) from None
         if not (0.0 < frac <= 1.0):
-            raise ValidationError(f"line {lineno}: overlap_fraction {frac} outside (0, 1]")
-        label = row["geohash7"]
-        if label_to_cell is not None:
-            if label not in label_to_cell:
-                raise ValidationError(f"line {lineno}: unknown geohash {label!r}")
-            cell = label_to_cell[label]
-        else:
-            try:
-                cell = int(label)
-            except ValueError:
-                raise ValidationError(f"line {lineno}: geohash {label!r} needs a label mapping") from None
-        records.append(IntensityRecord(row["segment_id"], ts, count, cell, frac))
+            raise ValidationError(f"line {line}: overlap_fraction {frac} outside (0, 1]")
+        if row["geohash7"] not in label_to_cell:
+            raise ValidationError(f"line {line}: unknown geohash {row['geohash7']!r}")
+        records.append(IntensityRecord(row["segment_id"], ts, row["count"], label_to_cell[row["geohash7"]], frac))
 
     sums: dict[tuple[str, datetime], float] = {}
     for rec in records:
@@ -160,15 +132,15 @@ def largest_remainder(total: int, slots: int) -> list[int]:
     return [base + 1 if s < rem else base for s in range(slots)]
 
 
-def disaggregate(records: list[IntensityRecord], origin: datetime | None = None) -> MinuteCounts:
+def disaggregate(records: list[IntensityRecord]) -> MinuteCounts:
     """Minute-level counts per cell.
 
     Each record contributes round(count * overlap_fraction) vehicles, split
     uniformly over its 15 one-minute bins by largest-remainder apportionment;
     records that share a (cell, minute) add up. Minute indices are offsets
-    from `origin` (default: midnight of the earliest record's day).
+    from midnight of the earliest record's day.
     """
-    if origin is None and records:
+    if records:
         first = min(r.interval_start for r in records)
         origin = first.replace(hour=0, minute=0, second=0, microsecond=0)
     rows = []
@@ -177,8 +149,6 @@ def disaggregate(records: list[IntensityRecord], origin: datetime | None = None)
         if target == 0:
             continue
         start_min = int((rec.interval_start - origin).total_seconds() // 60)
-        if start_min < 0:
-            raise ValidationError(f"record at {rec.interval_start} precedes origin {origin}")
         rows += [(rec.cell, start_min + offset, c) for offset, c in enumerate(largest_remainder(target, 15))]
     return MinuteCounts.of(rows)
 
@@ -273,12 +243,8 @@ class ArrivalsConfig:
         check_path("arrivals.path", self.path)
         if self.pattern not in PATTERNS:
             raise ConfigError(f"arrivals.pattern must be one of {', '.join(PATTERNS)}, got {self.pattern!r}")
-        check_number("arrivals.magnitude", self.magnitude)
-        check_number("arrivals.decay", self.decay)
-        if not (math.isfinite(self.magnitude) and self.magnitude >= 0):
-            raise ConfigError(f"arrivals.magnitude must be >= 0 and finite, got {self.magnitude}")
-        if not (math.isfinite(self.decay) and self.decay > 0):
-            raise ConfigError(f"arrivals.decay must be a finite number > 0, got {self.decay}")
+        check_number("arrivals.magnitude", self.magnitude, 0)
+        check_number("arrivals.decay", self.decay, 0, above=True)
         _check_centers("arrivals.centers", self.centers)
         _check_centers("arrivals.static_centers", self.static_centers)
         for name, lo in (("peak_minute", None), ("n_centers", 1), ("rotate_every", 0)):
@@ -324,7 +290,12 @@ def synth_demand(a: ArrivalsConfig, n: int, horizon: int, shares: tuple[float, f
     counts exact within rounding); the participant stream then takes its
     share of that integer stream by a second cumulative floor, so group
     totals stay within one vehicle of the configured split per cell.
+    A center off the grid is a ConfigError.
     """
+    for name in ("centers", "static_centers"):
+        for i, j in getattr(a, name) or ():
+            if not (0 <= i < n and 0 <= j < n):
+                raise ConfigError(f"arrivals.{name} holds [{i}, {j}], off the {n}x{n} grid")
     rates = _synth_rates(a, n, horizon, seed)
     total_share = shares[0] + shares[1]
     if total_share <= 0:
@@ -371,34 +342,17 @@ def save_series(path, series: ArrivalSeries):
 
 
 def load_series(source, n_cells: int) -> ArrivalSeries:
-    """Read a `save_series` file for a grid of `n_cells` cells; repeated rows
-    add up. A cell outside [0, n_cells), a minute or count outside [0, 2**40)
-    (the columns are int64), or an unknown group is reported with its line."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    reader = csv.DictReader(io.StringIO(text))
-    for col in SERIES_COLS:
-        if col not in (reader.fieldnames or []):
-            raise ParseError(f"series file missing column {col!r}")
+    """Read a `save_series` table from `source`, a path or a `Table` read
+    from one, for a grid of `n_cells` cells; repeated rows add up. A cell
+    off the grid or an unknown group is reported with its line."""
+    table = source if isinstance(source, Table) else Table(source)
     rows = {"participant": [], "competitor": []}
     horizon = 0
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            cell, minute, count = int(row["cell"]), int(row["minute"]), int(row["count"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad series row: {exc}", line=lineno) from None
-        if not 0 <= count < 2**40:
-            raise ValidationError(f"line {lineno}: count {count} outside 0..2**40")
-        if not 0 <= cell < n_cells:
-            raise ValidationError(f"line {lineno}: cell {cell} outside the grid's cells 0..{n_cells - 1}")
-        if not 0 <= minute < 2**40:
-            raise ValidationError(f"line {lineno}: minute {minute} outside 0..2**40")
-        group = row["group"]
-        if group not in rows:
-            raise ValidationError(f"line {lineno}: unknown group {group!r}")
-        rows[group].append((cell, minute, count))
-        horizon = max(horizon, minute + 1)
+    for line, row in table.rows("series", SERIES_COLS, ("cell", "minute", "count")):
+        if row["cell"] >= n_cells:
+            raise ValidationError(f"line {line}: cell {row['cell']} outside the grid's cells 0..{n_cells - 1}")
+        if row["group"] not in rows:
+            raise ValidationError(f"line {line}: unknown group {row['group']!r}")
+        rows[row["group"]].append((row["cell"], row["minute"], row["count"]))
+        horizon = max(horizon, row["minute"] + 1)
     return ArrivalSeries(horizon, MinuteCounts.of(rows["participant"]), MinuteCounts.of(rows["competitor"]))

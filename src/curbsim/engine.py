@@ -44,7 +44,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -55,7 +54,7 @@ from . import demand as demand_mod
 from . import metrics as metrics_mod
 from .agents import DwellSpec, sample_dwell_batch, step_competitors_batch, step_toward_batch
 from .demand import ArrivalsConfig, ArrivalSeries, scale_series, synth_demand
-from .errors import ConfigError, ValidationError, check_int, check_number, check_path
+from .errors import ConfigError, Table, ValidationError, check_int, check_number, check_path
 from .grid import GridSpec, OccupancyState, load_grid
 from .metrics import GROUPS, STATUS_CENSORED, STATUS_FAILED, STATUS_PARKED
 from .predictor import (
@@ -112,22 +111,18 @@ class SimConfig:
         self.peak_window = tuple(self.peak_window)
         for name, lo in (("r", 0), ("horizon", 0), ("runs", 1), ("t_max", 1), ("seed", None)):
             check_int(name, getattr(self, name), lo)
-        for name in ("initial_occupancy", "demand_scale"):
-            check_number(name, getattr(self, name))
+        # Python's json reads NaN and Infinity; check_number rejects both
+        check_number("initial_occupancy", self.initial_occupancy, 0, 1)
+        check_number("demand_scale", self.demand_scale, 0)
         for x in self.shares:
-            check_number("shares", x)
+            check_number("shares", x, 0)
+        if len(self.shares) != 2 or sum(self.shares) > 1:
+            raise ConfigError(f"shares must be two fractions with a sum <= 1, got {list(self.shares)}")
         if not isinstance(self.log_moves, bool):
             raise ConfigError(f"log_moves must be true or false, got {self.log_moves!r}")
-        if not (0.0 <= self.initial_occupancy <= 1.0):
-            raise ConfigError("initial_occupancy must be in [0, 1]")
         check_int("weekday", self.weekday, 0)
         if self.weekday > 6:
             raise ConfigError(f"weekday must be in 0..6, got {self.weekday}")
-        # Python's json reads NaN and Infinity; either would spawn no agent
-        if not (math.isfinite(self.demand_scale) and self.demand_scale >= 0):
-            raise ConfigError(f"demand_scale must be >= 0 and finite, got {self.demand_scale}")
-        if len(self.shares) != 2 or not all(math.isfinite(x) and x >= 0 for x in self.shares) or sum(self.shares) > 1:
-            raise ConfigError(f"shares must be two finite fractions >= 0 with a sum <= 1, got {list(self.shares)}")
         for x in self.peak_window:
             check_int("peak_window", x)
         if len(self.peak_window) != 2 or not 0 <= self.peak_window[0] < self.peak_window[1]:
@@ -179,7 +174,6 @@ class RunResult:
     outcomes: RunOutcomes
     availability: np.ndarray  # free fraction sampled at dispatch time, per tick
     spawned: tuple[int, int]
-    events_path: str | None = None
 
 
 class _Columns:
@@ -623,14 +617,13 @@ def build_arrivals(cfg: SimConfig, grid: GridSpec, master_seed: int) -> ArrivalS
     else:  # "file"; ArrivalsConfig admits no other kind
         if not a.path:
             raise ConfigError("arrivals.kind=file requires arrivals.path")
-        with open(a.path, "r", encoding="utf-8") as fh:
-            header = fh.readline()
-        if "segment_id" in header:
-            records = demand_mod.parse_intensity(a.path, grid.label_to_cell)
+        table = Table(a.path)
+        if "segment_id" in table.columns:
+            records = demand_mod.parse_intensity(table, grid.label_to_cell)
             counts = demand_mod.disaggregate(records)
             series = demand_mod.split_demand(counts, cfg.shares[0], cfg.shares[1], horizon=cfg.horizon)
         else:
-            series = demand_mod.load_series(a.path, grid.n * grid.n)
+            series = demand_mod.load_series(table, grid.n * grid.n)
             if series.horizon > cfg.horizon:
                 raise ConfigError(
                     f"arrival series spans {series.horizon} minutes, beyond horizon {cfg.horizon}"
@@ -683,11 +676,9 @@ def run_simulation(
     for run_idx in range(cfg.runs):
         run_seed = derive_seed(cfg.seed, 1, run_idx)
         sink = None
-        events_path = None
         if out_path is not None:
             name = "events.ndjson" if cfg.runs == 1 else f"events_r{run_idx}.ndjson"
-            events_path = out_path / name
-            sink = open(events_path, "w", encoding="utf-8")
+            sink = open(out_path / name, "w", encoding="utf-8")
         # runs share the template's columns: update_history rebinds them, never writes
         corpus = replace(corpus_template) if corpus_template is not None else None
         sim = Simulation(grid, capacity, series, cfg, run_seed, sink, corpus)
@@ -702,7 +693,6 @@ def run_simulation(
                 outcomes=outcomes,
                 availability=sim.availability,
                 spawned=(sim.spawned[0], sim.spawned[1]),
-                events_path=str(events_path) if events_path else None,
             )
         )
 

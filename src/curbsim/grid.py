@@ -7,13 +7,12 @@ Manhattan distance, one cell per tick. Spots are fungible within a cell.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ParseError, ValidationError
+from .errors import CapacityError, Table, ValidationError
 
 
 class CellCoord(NamedTuple):
@@ -104,49 +103,13 @@ class OccupancyState:
 
 # --- grid definition file: columns k, geohash7, i, j, capacity[, zone_id] ---
 
-_REQUIRED_COLS = ("k", "geohash7", "i", "j", "capacity")
+GRID_COLS = ("k", "geohash7", "i", "j", "capacity")
 
 
-def _detect_delimiter(header_line: str) -> str:
-    return "\t" if "\t" in header_line else ","
-
-
-def load_grid(source) -> tuple[GridSpec, np.ndarray]:
-    """Read a grid definition table; returns (spec, capacity array).
-
-    `source` is a path or a text file object. Header row required;
-    zone_id column optional.
-    """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty grid file")
-    delim = _detect_delimiter(lines[0])
-    reader = csv.DictReader(io.StringIO(text), delimiter=delim)
-    cols = reader.fieldnames or []
-    for col in _REQUIRED_COLS:
-        if col not in cols:
-            raise ParseError(f"grid file missing column {col!r}")
-    has_zone = "zone_id" in cols
-
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            k = int(row["k"])
-            i = int(row["i"])
-            j = int(row["j"])
-            cap = int(row["capacity"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad grid row: {exc}", line=lineno) from None
-        if cap < 0:
-            raise ValidationError(f"line {lineno}: negative capacity {cap}")
-        zone = row.get("zone_id") if has_zone else None
-        rows.append((k, row["geohash7"], i, j, cap, zone))
-
+def load_grid(path) -> tuple[GridSpec, np.ndarray]:
+    """Read a grid definition table (see `Table`); returns (spec, capacity
+    array). The zone_id column is optional."""
+    rows = list(Table(path).rows("grid", GRID_COLS, ("k", "i", "j", "capacity")))
     count = len(rows)
     n = int(round(count ** 0.5))
     if n * n != count:
@@ -155,16 +118,17 @@ def load_grid(source) -> tuple[GridSpec, np.ndarray]:
     capacity = np.zeros(count, dtype=np.int64)
     zone_map: dict[int, str] = {}
     seen = set()
-    for k, label, i, j, cap, zone in rows:
-        if not (0 <= k < count) or k in seen:
-            raise ValidationError(f"bad or duplicate cell index k={k}")
-        if k != i * n + j:
-            raise ValidationError(f"cell k={k} inconsistent with (i={i}, j={j}) for n={n}")
+    for line, row in rows:
+        k = row["k"]
+        if k >= count or k in seen:
+            raise ValidationError(f"line {line}: bad or duplicate cell index k={k}")
+        if k != row["i"] * n + row["j"]:
+            raise ValidationError(f"line {line}: cell k={k} inconsistent with (i={row['i']}, j={row['j']}) for n={n}")
         seen.add(k)
-        labels[k] = label
-        capacity[k] = cap
-        if zone not in (None, ""):
-            zone_map[k] = zone
+        labels[k] = row["geohash7"]
+        capacity[k] = row["capacity"]
+        if row.get("zone_id"):
+            zone_map[k] = row["zone_id"]
     spec = GridSpec(n, labels, zone_map or None)
     return spec, capacity
 
@@ -172,7 +136,7 @@ def load_grid(source) -> tuple[GridSpec, np.ndarray]:
 def save_grid(path, spec: GridSpec, capacity: np.ndarray):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         has_zone = spec.zone_map is not None
-        cols = list(_REQUIRED_COLS) + (["zone_id"] if has_zone else [])
+        cols = list(GRID_COLS) + (["zone_id"] if has_zone else [])
         writer = csv.writer(fh, delimiter="\t")
         writer.writerow(cols)
         for k in range(spec.n * spec.n):

@@ -130,30 +130,38 @@ def hourly_series(outcomes, horizon: int) -> list[dict]:
     return rows
 
 
+def outcome_blocks(cfg, grid: GridSpec, outcomes) -> dict:
+    """The per-run report blocks that depend on the outcomes alone, so that
+    `curbsim report` can recount them from an event log: peak, full_day,
+    hourly and zones."""
+    window = tuple(cfg.peak_window)
+    blocks = {
+        "peak": {},
+        "full_day": {},
+        "hourly": hourly_series(outcomes, cfg.horizon),
+        "zones": zone_report(outcomes, grid.zones(), window),
+    }
+    for code, name in enumerate(GROUPS):
+        for label, win in (("peak", window), ("full_day", (0, cfg.horizon))):
+            blocks[label][name] = {
+                "success_ratio": success_ratio(outcomes, code, win),
+                "avg_search_time": avg_search_time(outcomes, code, win),
+                **group_counts(outcomes, code, win),
+            }
+    return blocks
+
+
 def build_report(cfg, grid: GridSpec, results) -> dict:
     """Assemble the full multi-run report dict (json-serializable)."""
-    window = tuple(cfg.peak_window)
-    full = (0, cfg.horizon)
-    runs = []
-    for res in results:
-        o = res.outcomes
-        run = {
+    runs = [
+        {
             "seed": res.seed,
-            "peak": {},
-            "full_day": {},
-            "hourly": hourly_series(o, cfg.horizon),
-            "regimes": regime_gap(o, res.availability),
-            "zones": zone_report(o, grid.zones(), window),
+            **outcome_blocks(cfg, grid, res.outcomes),
+            "regimes": regime_gap(res.outcomes, res.availability),
             "mean_availability": float(res.availability.mean()) if len(res.availability) else None,
         }
-        for code, name in enumerate(GROUPS):
-            for label, win in (("peak", window), ("full_day", full)):
-                run[label][name] = {
-                    "success_ratio": success_ratio(o, code, win),
-                    "avg_search_time": avg_search_time(o, code, win),
-                    **group_counts(o, code, win),
-                }
-        runs.append(run)
+        for res in results
+    ]
 
     aggregate = {"peak": {}, "full_day": {}, "regimes": {}}
     for name in GROUPS:
@@ -309,7 +317,7 @@ def _integer(value, name: str) -> int:
     return value
 
 
-def fold_events(path, t_max: int, horizon: int):
+def fold_events(path, t_max: int):
     """Rebuild outcome arrays from an event log; independent of the engine's
     in-memory bookkeeping, used for recount checks and `report`."""
     from .engine import RunOutcomes

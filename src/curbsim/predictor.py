@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, SchemaError, SingularityError, ValidationError
+from .errors import ConfigError, ParseError, SchemaError, SingularityError, Table, ValidationError
 
 BUCKET_MINUTES = 60
 CLAMP_LO = 0.01
@@ -302,39 +302,30 @@ def retrain(corpus: HistoryCorpus) -> RidgeModel:
 
 # --- persistence ---
 
+HISTORY_COLS = ("k", "bucket_start", "rho", "attempts")
+
+
 def save_corpus(path, corpus: HistoryCorpus):
     columns = (corpus.cells, corpus.starts, corpus.rho, corpus.attempts)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,bucket_start,rho,attempts\n")
+        fh.write(",".join(HISTORY_COLS) + "\n")
         for cell, start, rho, attempts in zip(*(col.tolist() for col in columns)):
             fh.write(f"{cell},{start},{rho!r},{attempts}\n")
 
 
-def load_corpus(source, n_cells: int, base_weekday: int = 0) -> HistoryCorpus:
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "k,bucket_start,rho,attempts":
-        raise ValidationError("history file must start with header k,bucket_start,rho,attempts")
+def load_corpus(path, n_cells: int, base_weekday: int = 0) -> HistoryCorpus:
+    """Read a `save_corpus` table (see `Table`); a rho outside [0, 1] or a
+    cell outside the schema's 0..n_cells-1 is reported with its line."""
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValidationError(f"line {lineno}: expected 4 fields")
+    for line, row in Table(path).rows("history", HISTORY_COLS, ("k", "bucket_start", "attempts")):
         try:
-            cell, bucket, rho, attempts = int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])
-        except ValueError as exc:
-            raise ParseError(f"bad history row: {exc}", line=lineno) from None
+            rho = float(row["rho"])
+        except ValueError:
+            raise ParseError(f"rho {row['rho']!r} is not a number", line) from None
         if not (0.0 <= rho <= 1.0):
-            raise ValidationError(f"line {lineno}: rho {rho} outside [0, 1]")
-        if not (0 <= cell < n_cells):
-            raise SchemaError(f"line {lineno}: cell {cell} outside grid with {n_cells} cells")
-        if attempts < 0:
-            raise ValidationError(f"line {lineno}: attempts {attempts} is negative")
-        rows.append((cell, bucket, rho, attempts))
+            raise ValidationError(f"line {line}: rho {rho} outside [0, 1]")
+        if row["k"] >= n_cells:
+            raise SchemaError(f"line {line}: cell {row['k']} outside grid with {n_cells} cells")
+        rows.append((row["k"], row["bucket_start"], rho, row["attempts"]))
     cells, starts, rhos, attempts = zip(*rows) if rows else ((), (), (), ())
     return HistoryCorpus(n_cells, base_weekday, cells, starts, rhos, attempts)

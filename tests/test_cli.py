@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 from curbsim.cli import build_parser, main
+from curbsim.demand import INTENSITY_COLS, SERIES_COLS
 from curbsim.errors import ValidationError
+from curbsim.grid import GRID_COLS
 from curbsim.metrics import fold_events
-from curbsim.predictor import HistoryCorpus, save_corpus
+from curbsim.predictor import HISTORY_COLS, HistoryCorpus, save_corpus
 
 REPO = Path(__file__).resolve().parents[1]
 EXAMPLE_CONFIG = REPO / "configs" / "example.json"
@@ -255,6 +257,14 @@ def test_validate_out_of_range_field(tmp_path, short_config, capsys, field, valu
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["centers", "static_centers"])
+def test_validate_rejects_arrival_centers_off_the_grid(tmp_path, short_config, capsys, field):
+    # centers off the grid used to pass validate, and run spawned no agent
+    fields = {"arrivals.centers": [[2, 2]], f"arrivals.{field}": [[99, 99], [-5, 3]]}
+    assert _validate(tmp_path, short_config, **fields) == 2
+    assert capsys.readouterr().err == f"error: arrivals.{field} holds [99, 99], off the 10x10 grid\n"
+
+
 def test_validate_non_numeric_history_field(tmp_path, short_config, capsys):
     # only cord-approx loads its history file
     hist = tmp_path / "hist.csv"
@@ -264,6 +274,103 @@ def test_validate_non_numeric_history_field(tmp_path, short_config, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: ")
     assert "Traceback" not in err
+
+
+# Per loader: the config field naming its table, the other fields that make
+# `validate` read it, a valid table, and the integer column the failure
+# cases spoil. The grid is the shipped 10x10 example, tab-separated; the
+# others are comma-separated.
+TABLES = {
+    "grid": ("grid_file", {}, EXAMPLE_GRID.read_text().splitlines(), "capacity"),
+    "intensity": ("arrivals.path", {"arrivals.kind": "file"},
+                  ["segment_id,interval_start,count,geohash7,overlap_fraction",
+                   "s1,2024-04-18T00:00:00,30,g000005,1.0", "s2,2024-04-18T00:15:00,20,g000006,1.0"], "count"),
+    "series": ("arrivals.path", {"arrivals.kind": "file"},
+               ["cell,minute,group,count", "5,1,participant,1", "7,2,competitor,2"], "minute"),
+    "history": ("history_file", {"strategy": "cord-approx"},
+                ["k,bucket_start,rho,attempts", "0,0,0.5,2", "3,60,1.0,1"], "bucket_start"),
+}
+
+
+def _spoil(lines, column, value):
+    """lines with the second data row's `column` field set to value."""
+    delim = "\t" if "\t" in lines[0] else ","
+    fields = lines[2].split(delim)
+    fields[lines[0].split(delim).index(column)] = value
+    return [*lines[:2], delim.join(fields), *lines[3:]]
+
+
+def _missing_column(lines, column):
+    return [lines[0].replace(column, "bogus"), *lines[1:]], 1
+
+
+def _extra_field(lines, column):
+    delim = "\t" if "\t" in lines[0] else ","
+    return [*lines[:2], lines[2] + delim + "9", *lines[3:]], 3
+
+
+def _non_integer(lines, column):
+    return _spoil(lines, column, "x"), 3
+
+
+def _past_the_bound(lines, column):
+    return _spoil(lines, column, str(2**70)), 3
+
+
+def _after_blank_lines(lines, column):
+    return [lines[0], "", "", *_spoil(lines, column, "-1")[1:]], 5
+
+
+@pytest.mark.parametrize("failure", [_missing_column, _extra_field, _non_integer, _past_the_bound,
+                                     _after_blank_lines], ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize("loader", sorted(TABLES))
+def test_validate_names_the_physical_line_of_a_bad_table(tmp_path, short_config, capsys, loader, failure):
+    # past the bound: a grid capacity or history bucket_start of 2**70 used
+    # to end in an OverflowError traceback; after blank lines: the grid,
+    # intensity and series loaders named line 3, not 5; extra field: the
+    # grid, intensity and series loaders dropped it
+    path_field, fields, lines, column = TABLES[loader]
+    bad, line = failure(lines, column)
+    table = tmp_path / f"{loader}.txt"
+    table.write_text("\n".join(bad) + "\n")
+    assert _validate(tmp_path, short_config, **{path_field: str(table)}, **fields) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("delim, order", [(None, 1), ("\t", -1), (",", -1)], ids=["as-is", "tsv-reversed", "csv-reversed"])
+@pytest.mark.parametrize("loader", sorted(TABLES))
+def test_validate_reads_each_table_in_either_delimiter_and_any_column_order(tmp_path, short_config, loader, delim, order):
+    path_field, fields, lines, _ = TABLES[loader]
+    if delim is not None:
+        split = "\t" if "\t" in lines[0] else ","
+        lines = [delim.join(line.split(split)[::order]) for line in lines]
+    table = tmp_path / f"{loader}.txt"
+    table.write_text("\n".join(lines) + "\n")
+    assert _validate(tmp_path, short_config, **{path_field: str(table)}, **fields) == 0
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"k,geohash7,i,j,capacity\n0,\xe9,0,0,1\n", "is not UTF-8 text"),
+    (b"k,geohash7,i,j,capacity\n0," + b"a" * 200_000 + b",0,0,1\n", "line 2: field larger than field limit"),
+], ids=["not-utf8", "field-past-csv-limit"])
+def test_validate_rejects_a_grid_file_that_is_no_text_table(tmp_path, short_config, capsys, content, message):
+    # each used to end in a UnicodeDecodeError or csv.Error traceback
+    grid = tmp_path / "grid.csv"
+    grid.write_bytes(content)
+    assert _validate(tmp_path, short_config, grid_file=str(grid)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_validate_rejects_a_history_count_past_the_bound(tmp_path, short_config, capsys):
+    # 23 digits used to end in an OverflowError traceback
+    hist = tmp_path / "hist.csv"
+    hist.write_text("k,bucket_start,rho,attempts\n0,0,0.5,2\n0,60,0.5,99999999999999999999999\n")
+    assert _validate(tmp_path, short_config, strategy="cord-approx", history_file=str(hist)) == 2
+    assert capsys.readouterr().err == "error: line 3: attempts 99999999999999999999999 outside 0..2**40\n"
 
 
 def _arrival_file_config(tmp_path, short_config, row):
@@ -383,6 +490,28 @@ def test_report_rejects_a_malformed_report(tmp_path, short_config, capsys, edit,
     capsys.readouterr()
     assert main(["report", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_report_recounts_spawned_and_censored_agents(tmp_path, short_config, capsys):
+    # hourly n counts parked and failed agents only: a spawn that stays
+    # censored used to pass the recount, which compared hourly alone
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(short_config), "--out", str(out)]) == 0
+    with open(out / "events.ndjson", "a", encoding="utf-8") as fh:
+        fh.write('{"tick": 119, "agent_id": 5000000, "group": "competitor", "event": "spawn", "cell": 3}\n')
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 2
+    assert capsys.readouterr().err == "error: event log events.ndjson disagrees with report.json runs[0].peak\n"
+
+
+@pytest.mark.parametrize("block", ["peak", "full_day"])
+def test_report_reads_a_missing_outcome_block_as_a_mismatch(tmp_path, short_config, capsys, block):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(short_config), "--out", str(out)]) == 0
+    _break_report(out, lambda report: {**report, "runs": [{k: v for k, v in report["runs"][0].items() if k != block}]})
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: event log events.ndjson disagrees with report.json runs[0].{block}\n"
 
 
 def test_report_of_a_run_that_still_has_the_checks_field(tmp_path, short_config, capsys):
@@ -529,7 +658,7 @@ def test_report_names_the_malformed_event_line(tmp_path, short_config, capsys, l
     assert err.startswith(f"error: {events}: line {n_lines + 1}: malformed event (")
     assert "Traceback" not in err
     with pytest.raises(ValidationError, match=f"line {n_lines + 1}: "):
-        fold_events(events, 30, 120)
+        fold_events(events, 30)
 
 
 @pytest.mark.parametrize("line", [
@@ -589,3 +718,11 @@ def test_readme_names_only_existing_commands_and_flags():
         for word in words[2:]:
             if word.startswith("--"):
                 assert word.partition("=")[0] in flags, (words[1], word)
+
+
+def test_readme_gives_each_tables_loader_columns():
+    # the columns cell of each row of README's input-table table
+    rows = re.findall(r"^\| (\w+) \| `[\w.]+` \| (.*) \|$", (REPO / "README.md").read_text(), re.M)
+    assert {table: tuple(re.findall(r"`(\w+)`", cols)) for table, cols in rows} == {
+        "grid": GRID_COLS, "intensity": INTENSITY_COLS, "series": SERIES_COLS, "history": HISTORY_COLS,
+    }

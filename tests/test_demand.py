@@ -1,4 +1,3 @@
-import io
 import math
 from datetime import datetime, timedelta
 
@@ -35,61 +34,75 @@ from curbsim.errors import ConfigError, ParseError, ValidationError
 
 SHARES = (0.015, 0.08)
 HEADER = "segment_id,interval_start,count,geohash7,overlap_fraction\n"
+LABELS = {str(k): k for k in range(16)}  # geohash "k" is cell k
 
 
-def test_parse_empty_file():
-    assert parse_intensity(io.StringIO(HEADER)) == []
+def _parse(tmp_path, text):
+    path = tmp_path / "intensity.csv"
+    path.write_text(text)
+    return parse_intensity(path, LABELS)
 
 
-def test_parse_one_row():
-    rows = parse_intensity(io.StringIO(HEADER + "s1,2024-04-18T08:00:00,30,7,1.0\n"))
+def test_parse_empty_file(tmp_path):
+    assert _parse(tmp_path, HEADER) == []
+
+
+def test_parse_one_row(tmp_path):
+    rows = _parse(tmp_path, HEADER + "s1,2024-04-18T08:00:00,30,7,1.0\n")
     assert len(rows) == 1 and rows[0].count == 30 and rows[0].cell == 7
 
 
-def test_parse_negative_count():
+def test_parse_negative_count(tmp_path):
     with pytest.raises(ValidationError):
-        parse_intensity(io.StringIO(HEADER + "s1,2024-04-18T08:00:00,-1,7,1.0\n"))
+        _parse(tmp_path, HEADER + "s1,2024-04-18T08:00:00,-1,7,1.0\n")
 
 
-def test_parse_count_past_int64_columns():
+def test_parse_count_past_int64_columns(tmp_path):
     with pytest.raises(ValidationError, match=r"^line 2: count 1099511627776 outside 0..2\*\*40$"):
-        parse_intensity(io.StringIO(HEADER + f"s1,2024-04-18T08:00:00,{2**40},7,1.0\n"))
-    assert parse_intensity(io.StringIO(HEADER + f"s1,2024-04-18T08:00:00,{2**40 - 1},7,1.0\n"))[0].count == 2**40 - 1
+        _parse(tmp_path, HEADER + f"s1,2024-04-18T08:00:00,{2**40},7,1.0\n")
+    assert _parse(tmp_path, HEADER + f"s1,2024-04-18T08:00:00,{2**40 - 1},7,1.0\n")[0].count == 2**40 - 1
 
 
-def test_parse_missing_column():
+def test_parse_missing_column(tmp_path):
     with pytest.raises(ParseError):
-        parse_intensity(io.StringIO("segment_id,interval_start,count,geohash7\ns,x,1,7\n"))
+        _parse(tmp_path, "segment_id,interval_start,count,geohash7\ns,x,1,7\n")
 
 
-def test_parse_bad_timestamp_reports_line():
+def test_parse_bad_timestamp_reports_line(tmp_path):
     with pytest.raises(ParseError) as err:
-        parse_intensity(io.StringIO(HEADER + "s1,not-a-date,3,7,1.0\n"))
+        _parse(tmp_path, HEADER + "s1,not-a-date,3,7,1.0\n")
     assert "line 2" in str(err.value)
 
 
-def test_parse_overlap_sum_enforced():
+def test_parse_rejects_mixed_naive_and_offset_timestamps(tmp_path):
+    # used to end in a TypeError from disaggregate's min()
+    text = HEADER + "s1,2024-04-18T08:00:00,3,7,1.0\ns2,2024-04-18T08:00:00+02:00,3,7,1.0\n"
+    with pytest.raises(ParseError, match="^line 3: "):
+        _parse(tmp_path, text)
+
+
+def test_parse_overlap_sum_enforced(tmp_path):
     text = HEADER + "s1,2024-04-18T08:00:00,30,7,0.5\n"
     with pytest.raises(ValidationError):
-        parse_intensity(io.StringIO(text))
+        _parse(tmp_path, text)
 
 
-def _records(count, fraction, when="2024-04-18T08:00:00"):
+def _records(tmp_path, count, fraction, when="2024-04-18T08:00:00"):
     text = HEADER
     rest = 1.0 - fraction
     text += f"s1,{when},{count},3,{fraction}\n"
     if rest > 0:
         text += f"s1,{when},{count},4,{rest}\n"
-    return parse_intensity(io.StringIO(text))
+    return _parse(tmp_path, text)
 
 
-def test_disaggregate_exact_division():
-    out = dict_of(disaggregate(_records(30, 1.0)))
+def test_disaggregate_exact_division(tmp_path):
+    out = dict_of(disaggregate(_records(tmp_path, 30, 1.0)))
     bins = [out.get((3, 480 + m), 0) for m in range(15)]
     assert bins == [2] * 15
 
 
-def test_disaggregate_largest_remainder_oracle():
+def test_disaggregate_largest_remainder_oracle(tmp_path):
     # independent oracle: floor quotas, then distribute the remainder to the
     # largest fractional parts (all equal under uniform split -> earliest bins)
     for total in (10, 7, 29, 44):
@@ -100,21 +113,21 @@ def test_disaggregate_largest_remainder_oracle():
         want = [base[i] + (1 if i < remainder else 0) for i in range(15)]
         assert got == want
         assert sum(got) == total
-    out = dict_of(disaggregate(_records(10, 1.0)))
+    out = dict_of(disaggregate(_records(tmp_path, 10, 1.0)))
     bins = [out.get((3, 480 + m), 0) for m in range(15)]
     assert sum(bins) == 10 and set(bins) <= {0, 1}
 
 
-def test_disaggregate_zero_count():
-    assert dict_of(disaggregate(_records(0, 1.0))) == {}
+def test_disaggregate_zero_count(tmp_path):
+    assert dict_of(disaggregate(_records(tmp_path, 0, 1.0))) == {}
 
 
-def test_disaggregate_conservation_property():
+def test_disaggregate_conservation_property(tmp_path):
     rng = np.random.default_rng(2)
     for _ in range(100):
         count = int(rng.integers(0, 300))
         frac = float(rng.uniform(0.05, 1.0))
-        out = dict_of(disaggregate(_records(count, frac)))
+        out = dict_of(disaggregate(_records(tmp_path, count, frac)))
         total = sum(v for (cell, _), v in out.items() if cell == 3)
         assert total == int(math.floor(count * frac + 0.5))
 
@@ -283,9 +296,10 @@ def test_series_file_survives_load_save_byte_for_byte(tmp_path):
     assert len(first.read_bytes().splitlines()) > 100
 
 
-def test_load_series_sums_repeated_rows():
-    text = "cell,minute,group,count\n3,4,participant,2\n3,4,participant,5\n3,4,competitor,0\n"
-    series = dict_series(load_series(io.StringIO(text), 9))
+def test_load_series_sums_repeated_rows(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("cell,minute,group,count\n3,4,participant,2\n3,4,participant,5\n3,4,competitor,0\n")
+    series = dict_series(load_series(path, 9))
     assert series.participants == {(3, 4): 7} and series.competitors == {}
     assert series.horizon == 5
 
@@ -299,7 +313,8 @@ def test_load_series_sums_repeated_rows():
     ("4,1,competitor,-2", "count -2"),
     ("4,1,competitor,99999999999999999999", "count 99999999999999999999"),
 ])
-def test_load_series_rejects_rows_off_the_grid_or_clock(row, what):
-    text = "cell,minute,group,count\n0,0,participant,1\n" + row + "\n"
+def test_load_series_rejects_rows_off_the_grid_or_clock(tmp_path, row, what):
+    path = tmp_path / "series.csv"
+    path.write_text("cell,minute,group,count\n0,0,participant,1\n" + row + "\n")
     with pytest.raises(ValidationError, match=f"line 3: .*{what}"):
-        load_series(io.StringIO(text), 100)
+        load_series(path, 100)

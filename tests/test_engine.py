@@ -481,7 +481,7 @@ def test_engine_invariants_on_random_small_configs(case):
         events = Path(tmp) / "events.ndjson"
         assert events.read_text(encoding="utf-8") == buf.getvalue()
         stored = json.loads((Path(tmp) / "report.json").read_text())
-        folded = fold_events(events, cfg.t_max, cfg.horizon)
+        folded = fold_events(events, cfg.t_max)
         assert hourly_series(folded, cfg.horizon) == stored["runs"][0]["hourly"]
 
     def rows(o):

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -80,14 +78,17 @@ def test_grid_file_roundtrip(tmp_path):
     assert (caps2 == caps).all()
 
 
-def test_grid_file_errors():
+def test_grid_file_errors(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text("k,geohash7,i,j\n")  # missing capacity column
     with pytest.raises(ParseError):
-        load_grid(io.StringIO("k,geohash7,i,j\n"))  # missing capacity column
+        load_grid(path)
+    path.write_text("k,geohash7,i,j,capacity\n0,aaaaaaa,0,0,1\n1,bbbbbbb,0,1,1\n")
     with pytest.raises(ValidationError):
-        load_grid(io.StringIO("k,geohash7,i,j,capacity\n0,aaaaaaa,0,0,1\n1,bbbbbbb,0,1,1\n"))
-    bad = "k,geohash7,i,j,capacity\n0,aaaaaaa,0,0,-2\n"
+        load_grid(path)
+    path.write_text("k,geohash7,i,j,capacity\n0,aaaaaaa,0,0,-2\n")
     with pytest.raises(ValidationError):
-        load_grid(io.StringIO(bad))
+        load_grid(path)
 
 
 def test_occupancy_bounds_checked():

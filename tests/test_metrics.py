@@ -144,7 +144,7 @@ def test_multirun_series_has_per_run_columns(tmp_path):
 
 def test_fold_events_matches_engine(tmp_path):
     grid, cfg, report, results = _small_report(tmp_path / "log")
-    folded = fold_events(tmp_path / "log" / "events.ndjson", cfg.t_max, cfg.horizon)
+    folded = fold_events(tmp_path / "log" / "events.ndjson", cfg.t_max)
     o = results[0].outcomes
 
     def rows(out):

@@ -1,4 +1,3 @@
-import io
 from dataclasses import replace
 from pathlib import Path
 
@@ -270,12 +269,18 @@ def test_corpus_roundtrip(tmp_path):
         assert getattr(back, name).tolist() == getattr(corpus, name).tolist()
 
 
-def test_load_corpus_rejects_negative_cell_and_attempts():
+def test_load_corpus_rejects_negative_cell_and_attempts(tmp_path):
     header = "k,bucket_start,rho,attempts\n"
-    with pytest.raises(SchemaError, match="line 3"):
-        load_corpus(io.StringIO(header + "0,0,0.5,2\n-1,0,0.5,2\n"), 4)
+    path = tmp_path / "hist.csv"
+    path.write_text(header + "0,0,0.5,2\n-1,0,0.5,2\n")
+    with pytest.raises(ValidationError, match="^line 3: k -1 outside"):
+        load_corpus(path, 4)
+    path.write_text(header + "0,0,0.5,2\n4,0,0.5,2\n")
+    with pytest.raises(SchemaError, match="^line 3: cell 4 outside"):
+        load_corpus(path, 4)
+    path.write_text(header + "1,0,0.5,-2\n")
     with pytest.raises(ValidationError, match="line 2"):
-        load_corpus(io.StringIO(header + "1,0,0.5,-2\n"), 4)
+        load_corpus(path, 4)
 
 
 def test_history_file_roundtrip_is_byte_identical(bootstrap_history, tmp_path):
