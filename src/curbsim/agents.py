@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, check_int, check_number
-from .grid import manhattan_matrix
+from .grid import SightView
 
 
 @dataclass
@@ -83,16 +83,20 @@ def _neighbour_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 def step_competitors_batch(
     pos: np.ndarray,
     free_cells: np.ndarray,
+    sight: SightView | None,
     r: int,
     n: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One tick of competitor movement for all searchers at once.
 
-    free_cells is the (nf,2) array of cells holding at least one free spot.
-    Draw order: one tie-break uniform per (competitor, free cell) for target
-    choice, one per competitor for the step (random walkers consume the step
-    draw). A walker with no in-bounds neighbour (a 1x1 grid) stays put.
+    free_cells is the (nf,2) array of cells holding at least one free spot,
+    and sight the SightView of pos against them (None when there is none).
+    Draw order, unchanged by the view: one tie-break uniform per (competitor,
+    free cell) for target choice, drawn as the full (m, nf) matrix though
+    only the rows that see a free cell read it, then one per competitor for
+    the step (random walkers consume the step draw). A walker with no
+    in-bounds neighbour (a 1x1 grid) stays put.
     """
     m = len(pos)
     if m == 0:
@@ -100,15 +104,15 @@ def step_competitors_batch(
     out = np.empty_like(pos)
     sees = np.zeros(m, dtype=bool)
     if len(free_cells):
-        dist = manhattan_matrix(pos, free_cells)
-        score = rng.random((len(pos), len(free_cells)))
-        sees = dist.min(axis=1) <= r
+        u = rng.random((m, len(free_cells)))
+        sees = sight.best <= r
         rows = sees.nonzero()[0]
         if len(rows):
             # dist + u*0.9 picks uniformly among minimal-distance cells
+            score = u.take(rows, axis=0)
             score *= 0.9
-            score += dist
-            pick = score.argmin(axis=1).take(rows)
+            score += sight.dist.take(rows, axis=1).T
+            pick = score.argmin(axis=1)
             out[rows] = step_toward_batch(pos.take(rows, axis=0), free_cells.take(pick, axis=0), rng)
     rows = (~sees).nonzero()[0]
     if len(rows):

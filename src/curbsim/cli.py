@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -140,6 +141,23 @@ def _check_report(report, n_logs: int):
             raise ValidationError(f"report.json runs[{i}] has no zones")
 
 
+_EVENT_LOG = re.compile(r"events(?:_r(\d+))?\.ndjson")
+
+
+def _event_logs(log_dir: Path) -> list[tuple[int, Path]]:
+    """The run directory's event logs as (run index, path), by index:
+    run_simulation names run i's log events_r<i>.ndjson, or events.ndjson
+    when there is one run. A name sort would put events_r10 before
+    events_r2."""
+    logs = []
+    for path in log_dir.glob("events*.ndjson"):
+        match = _EVENT_LOG.fullmatch(path.name)
+        if match is None:
+            raise ValidationError(f"{path.name} is no event log name (events.ndjson or events_r<i>.ndjson)")
+        logs.append((int(match.group(1) or 0), path))
+    return sorted(logs)
+
+
 def cmd_report(args) -> int:
     log_dir = Path(args.log_dir)
     report_path = log_dir / "report.json"
@@ -147,12 +165,14 @@ def cmd_report(args) -> int:
         raise ValidationError(f"no report.json in {log_dir}")
     with open(report_path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
-    event_files = sorted(log_dir.glob("events*.ndjson"))
-    _check_report(report, len(event_files))
+    event_logs = _event_logs(log_dir)
+    _check_report(report, len(event_logs))
     cfg = SimConfig.from_dict(report.get("config"))
     grid, _ = config_grid(cfg)
     # recount each run's outcome blocks from its raw events as a cross-check
-    for i, path in enumerate(event_files):
+    for i, path in event_logs:
+        if i >= len(report["runs"]):
+            raise ValidationError(f"event log {path.name} has no report.json runs[{i}]")
         recount = outcome_blocks(cfg, grid, fold_events(path, cfg.t_max))
         for block, value in recount.items():
             if report["runs"][i].get(block) != value:

@@ -8,9 +8,12 @@
 3. `_free_spots`: one view of the free spots (count per cell, the cells
    holding one, their coordinates and counts), and the availability
    sample; dispatch, movement and claims all read it, since nothing parks
-   or departs between dispatch and claim resolution;
+   or departs between dispatch and claim resolution. When a free spot
+   exists, the active competitors' sight view (`grid.sight_view`: their
+   cell-major distances to the free cells and nearest free cell) is built
+   once, for the oracle's pricing and the competitor step;
 4. `_dispatch`: when an active participant and a free spot exist, hand
-   each strategy its information (cord-oracle: competitor positions and R;
+   each strategy its information (cord-oracle: the sight view and R;
    cord-approx: the availability predictions); `strategies.dispatch`
    prices and assigns, the oracle's competitor capture allocation
    included, and returns (participant row, free-cell index) pairs sorted
@@ -55,7 +58,7 @@ from . import metrics as metrics_mod
 from .agents import DwellSpec, sample_dwell_batch, step_competitors_batch, step_toward_batch
 from .demand import ArrivalsConfig, ArrivalSeries, scale_series, synth_demand
 from .errors import ConfigError, Table, ValidationError, check_int, check_number, check_path
-from .grid import GridSpec, OccupancyState, load_grid
+from .grid import GridSpec, OccupancyState, SightView, load_grid, sight_view
 from .metrics import GROUPS, STATUS_CENSORED, STATUS_FAILED, STATUS_PARKED
 from .predictor import (
     BUCKET_MINUTES,
@@ -322,8 +325,11 @@ class Simulation:
         spots = self._free_spots(t)
         act_p = self._active(self.participants, t)
         act_c = self._active(self.competitors, t)
-        self._dispatch(t, act_p, act_c, spots)
-        self._move(t, act_p, act_c, spots.cells)
+        sight = None
+        if len(spots.k):
+            sight = sight_view(self.competitors.pos.take(act_c.nonzero()[0], axis=0), spots.cells)
+        self._dispatch(t, act_p, spots, sight)
+        self._move(t, act_p, act_c, spots.cells, sight)
         won = self._resolve(t, act_p, act_c, spots.free)
         self._expire(t, won)
         self._check_conservation()
@@ -422,7 +428,7 @@ class Simulation:
         self.availability[t] = counts.sum() / b if b else 0.0
         return _FreeSpots(free, k, self._coords.take(k, axis=0), counts)
 
-    def _dispatch(self, t, act_p, act_c, spots: _FreeSpots):
+    def _dispatch(self, t, act_p, spots: _FreeSpots, sight: SightView | None):
         """Dispatch the active participants, when there are any and a free
         spot. Each strategy gets only its own information: the oracle alone
         knows the live competitor positions (for the others Eq. 1 plays out
@@ -435,7 +441,7 @@ class Simulation:
             return
         info = {}
         if cfg.strategy is StrategyKind.CORD_ORACLE:
-            info = dict(c_pos=self.competitors.pos.take(act_c.nonzero()[0], axis=0), r=cfg.r)
+            info = dict(sight=sight, r=cfg.r)
         elif cfg.strategy is StrategyKind.CORD_APPROX:
             info["p_hat"] = predict_many(
                 self.model, spots.k, self.minute0 + t, self._trend, self.n * self.n, cfg.weekday,
@@ -451,7 +457,7 @@ class Simulation:
             p.target[rows] = self._coords.take(k, axis=0)
             self._emit(t, "assign", p.ids.take(rows), GROUP_PARTICIPANT, k)
 
-    def _move(self, t, act_p, act_c, free_cells):
+    def _move(self, t, act_p, act_c, free_cells, sight: SightView | None):
         """Step every active searcher. Never-dispatched participants cruise
         like blind searchers, so a tick without an assignment is
         repositioning, not a lost minute."""
@@ -467,11 +473,11 @@ class Simulation:
             rows = (act_p & ~assigned).nonzero()[0]
             if len(rows):
                 pos = p.pos.take(rows, axis=0)
-                self._relocate(t, p, rows, step_competitors_batch(pos, _NO_CELLS, cfg.r, self.n, mrng))
+                self._relocate(t, p, rows, step_competitors_batch(pos, _NO_CELLS, None, cfg.r, self.n, mrng))
         rows = act_c.nonzero()[0]
         if len(rows):
             pos = c.pos.take(rows, axis=0)
-            self._relocate(t, c, rows, step_competitors_batch(pos, free_cells, cfg.r, self.n, mrng))
+            self._relocate(t, c, rows, step_competitors_batch(pos, free_cells, sight, cfg.r, self.n, mrng))
 
     def _relocate(self, t, agents: _Agents, rows, new_pos):
         if self.cfg.log_moves and self.sink is not None:

@@ -32,6 +32,38 @@ def manhattan_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a[:, None, 0] - b[None, :, 0]) + np.abs(a[:, None, 1] - b[None, :, 1])
 
 
+class SightView(NamedTuple):
+    """Searchers against one tick's free cells, built once per tick and read
+    by the oracle's capture allocation and pricing and by competitor
+    stepping."""
+
+    pos: np.ndarray  # (m, 2) searcher positions
+    dist: np.ndarray  # (nf, m) int64 Manhattan distances, cell-major
+    best: np.ndarray  # (m,) distance to the nearest free cell
+    nearest: np.ndarray  # (m,) index of the first nearest free cell
+
+
+def sight_view(pos, cells) -> SightView:
+    """The SightView of searchers pos (m, 2) against free cells (nf, 2).
+
+    The distances are cell-major because the readers reduce over the cells:
+    a reduction down nf columns m wide is several times cheaper than one
+    along m rows nf wide. One min over dist * nf + cell index gives each
+    searcher's nearest distance and, among equally near cells, the lowest
+    index, as argmin does. With no free cell, best is the int64 maximum, so
+    no searcher sees one, and nearest is 0.
+    """
+    pos = np.asarray(pos, dtype=np.int64).reshape(-1, 2)
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+    nf = len(cells)
+    dist = np.abs(cells[:, 0, None] - pos[:, 0])
+    dist += np.abs(cells[:, 1, None] - pos[:, 1])
+    key = dist * nf
+    key += np.arange(nf)[:, None]
+    best, nearest = np.divmod(key.min(axis=0, initial=np.iinfo(np.int64).max), max(nf, 1))
+    return SightView(pos, dist, best, nearest)
+
+
 @dataclass
 class GridSpec:
     """Static lattice definition: dimension, cell labels, optional zones."""

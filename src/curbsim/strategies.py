@@ -13,8 +13,15 @@ cord-approx Hungarian match on travel time divided by the predicted
 
 Each strategy receives only its own information: every one sees the free
 spots and the participants' positions, cord-oracle adds the active
-competitors' positions and the visibility radius R, cord-approx adds the
+competitors' sight view and the visibility radius R, cord-approx adds the
 per-cell availability predictions. `dispatch` owns every pricing step.
+
+The sight view (`grid.SightView`) holds the competitors' positions, their
+cell-major distances to the free cells and each one's nearest free cell; the
+engine builds it once per tick and competitor stepping reads it too. The
+oracle computes no competitor distance of its own: `capture_limits` reads
+the nearest cells, and `oracle_cost_matrix` reads the blind competitors'
+columns plus the participant matrix `dispatch` already holds.
 
 The oracle first allocates captures (`capture_limits`): each competitor that
 sees a free cell is committed to its nearest one, at most one competitor per
@@ -40,7 +47,7 @@ import functools
 import numpy as np
 
 from .errors import ConfigError
-from .grid import CellCoord, manhattan, manhattan_matrix
+from .grid import CellCoord, SightView, manhattan, manhattan_matrix
 from .matching import CostMatrix, hungarian_assign
 
 
@@ -113,7 +120,7 @@ def capture_prob_table(r: int) -> np.ndarray:
     return table
 
 
-def capture_limits(free_cells, free_counts, c_pos, r):
+def capture_limits(sight: SightView, free_counts, r):
     """Capacity-aware capture estimate for the oracle's offer.
 
     Each competitor that can see a free cell is allocated to its nearest
@@ -123,20 +130,15 @@ def capture_limits(free_cells, free_counts, c_pos, r):
     distance (unit j of a cell is lost to a participant strictly farther
     than the j-th capturer; inf where the cell has fewer capturers), and
     the mask of unallocated competitors; allocated ones are committed
-    this tick and leave the pricing.
+    this tick and leave the pricing. sight gives each competitor's nearest
+    distance and cell.
     """
     limit = np.full(int(free_counts.sum()), np.inf)
-    nc = len(c_pos)
-    if len(free_cells) == 0 or nc == 0:
-        return limit, np.ones(nc, dtype=bool)
-    dc = manhattan_matrix(c_pos, free_cells)
-    nearest = dc.argmin(axis=1)
-    best = dc.min(axis=1)
-    sees = best <= r
+    sees = sight.best <= r
     capturers = sees.nonzero()[0]
     if len(capturers) == 0:
         return limit, ~sees
-    cell, dist = nearest.take(capturers), best.take(capturers)
+    cell, dist = sight.nearest.take(capturers), sight.best.take(capturers)
     order = np.lexsort((dist, cell))
     cell, dist = cell.take(order), dist.take(order)
     # rank of each capturer within its cell; a cell keeps free_counts of them
@@ -147,40 +149,40 @@ def capture_limits(free_cells, free_counts, c_pos, r):
     return limit, ~sees
 
 
-def oracle_cost_matrix(d_pos, cells, comp_pos, r):
-    """(nd, nf) competitor-aware cost matrix; inf marks infeasible pairs."""
-    d_pos = np.ascontiguousarray(d_pos, dtype=np.int64).reshape(-1, 2)
-    cells = np.ascontiguousarray(cells, dtype=np.int64).reshape(-1, 2)
-    comp_pos = np.ascontiguousarray(comp_pos, dtype=np.int64).reshape(-1, 2)
-    nd, nf, ncp = len(d_pos), len(cells), len(comp_pos)
-    td = manhattan_matrix(d_pos, cells).astype(np.float64)
-    if ncp == 0 or nd == 0 or nf == 0:
-        return td
-    adx = np.abs(comp_pos[:, 0, None] - cells[None, :, 0])
-    ady = np.abs(comp_pos[:, 1, None] - cells[None, :, 1])
-    tc_mat = adx + ady  # (ncp, nf)
-    min_c = tc_mat.min(axis=0)
-    cond2 = (min_c <= r)[None, :] & (min_c[None, :] < td)
+def oracle_cost_matrix(tau, tc, comp_pos, cells, r):
+    """(nd, nf) competitor-aware cost matrix; inf marks infeasible pairs.
+
+    tau is the (nd, nf) int64 participant travel-time matrix, tc the
+    (nf, nc) cell-major distances from the free cells (nf, 2) to the
+    competitors at comp_pos (nc, 2).
+    """
+    nf = len(cells)
+    if tc.size == 0:
+        return tau.astype(np.float64)
+    min_c = tc.min(axis=1)
+    cond2 = (min_c <= r)[None, :] & (min_c[None, :] < tau)
     # bucket the blind competitors that can capture (R < distance <= 2R) by
-    # (cell, distance) with one flat bincount, in the C order of
-    # (competitor, cell) so each bucket sums in competitor order, then
-    # prefix-sum so sum_{tau_c < tau_d} is a single gather; farther
-    # competitors would only add exact zeros
+    # (cell, distance) with one flat bincount; the cell-major nonzero visits
+    # each bucket's entries in ascending competitor order, so each bucket
+    # sums in competitor order. Then prefix-sum so sum_{tau_c < tau_d} is a
+    # single gather; farther competitors would only add exact zeros
     width = 2 * r + 1
-    near = (tc_mat > r) & (tc_mat <= 2 * r)
-    bucket = (np.arange(nf) * width + tc_mat)[near]
-    td_int = td.astype(np.int64)
-    below = np.arange(nf) * width + np.minimum(np.maximum(td_int - 1, 0), 2 * r)
+    near = (tc > r) & (tc <= 2 * r)
+    cell, comp = near.nonzero()
+    bucket = cell * width + tc[near]
+    adx = np.abs(comp_pos[:, 0].take(comp) - cells[:, 0].take(cell))
+    ady = np.abs(comp_pos[:, 1].take(comp) - cells[:, 1].take(cell))
+    below = np.arange(nf) * width + np.minimum(np.maximum(tau - 1, 0), 2 * r)
     # the participant's budget min(tau_d - R - 1, R), 0 where tau_d <= R + 1
-    t_of = np.minimum(np.maximum(td_int - (r + 1), 0), r)
+    t_of = np.minimum(np.maximum(tau - (r + 1), 0), r)
     p_table = capture_prob_table(r)
-    psum = np.zeros(td.shape)
+    psum = np.zeros(tau.shape)
     for t_c in range(1, r + 1):
-        pvals = p_table[t_c, adx[near], ady[near]]
+        pvals = p_table[t_c, adx, ady]
         cum = np.bincount(bucket, pvals, minlength=nf * width).reshape(nf, width).cumsum(axis=1)
         eligible = t_of == t_c
         psum[eligible] = cum.ravel()[below[eligible]]
-    out = td * (1.0 + psum)
+    out = tau * (1.0 + psum)
     out[cond2] = np.inf
     return out
 
@@ -191,7 +193,7 @@ def dispatch(
     free_cells: np.ndarray,
     free_counts: np.ndarray,
     rng: np.random.Generator,
-    c_pos: np.ndarray | None = None,
+    sight: SightView | None = None,
     r: int | None = None,
     p_hat: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -201,9 +203,10 @@ def dispatch(
 
     free_cells/free_counts describe the spot units offered to the strategy.
     A cell with f free spots contributes f identical columns, so each spot
-    unit serves at most one participant. cord-oracle needs the active
-    competitors' positions c_pos and the visibility radius r; cord-approx
-    needs p_hat, the predicted availability of each free cell.
+    unit serves at most one participant. cord-oracle needs sight, the
+    SightView of the active competitors against free_cells, and the
+    visibility radius r; cord-approx needs p_hat, the predicted
+    availability of each free cell.
     """
     d_pos = np.asarray(d_pos, dtype=np.int64).reshape(-1, 2)
     free_cells = np.asarray(free_cells, dtype=np.int64).reshape(-1, 2)
@@ -222,11 +225,12 @@ def dispatch(
     if kind is StrategyKind.CORD_AGN:
         cost = tau.astype(np.float64)
     elif kind is StrategyKind.CORD_ORACLE:
-        if c_pos is None or r is None or r < 0:
-            raise ConfigError("cord-oracle dispatch requires competitor positions and a radius R >= 0")
-        c_pos = np.asarray(c_pos, dtype=np.int64).reshape(-1, 2)
-        limit, unallocated = capture_limits(free_cells, free_counts, c_pos, r)
-        cost = oracle_cost_matrix(d_pos, free_cells, c_pos.take(unallocated.nonzero()[0], axis=0), r)
+        if sight is None or r is None or r < 0:
+            raise ConfigError("cord-oracle dispatch requires the competitors' sight view and a radius R >= 0")
+        limit, unallocated = capture_limits(sight, free_counts, r)
+        blind = unallocated.nonzero()[0]
+        cost = oracle_cost_matrix(tau, sight.dist.take(blind, axis=1), sight.pos.take(blind, axis=0),
+                                  free_cells, r)
     elif kind is StrategyKind.CORD_APPROX:
         if p_hat is None:
             raise ConfigError("cord-approx dispatch requires per-cell availability predictions")

@@ -17,7 +17,7 @@ from reference import (
 
 from curbsim.agents import DwellSpec, sample_dwell_batch, step_competitors_batch, step_toward_batch
 from curbsim.errors import ConfigError
-from curbsim.grid import CellCoord, OccupancyState
+from curbsim.grid import CellCoord, OccupancyState, sight_view
 
 
 def _state(n, free_cells):
@@ -138,7 +138,7 @@ def test_batch_competitors_stay_in_bounds():
     pos = rng.integers(0, n, (200, 2))
     free = rng.integers(0, n, (5, 2))
     for _ in range(50):
-        pos = step_competitors_batch(pos, free, 1, n, rng)
+        pos = step_competitors_batch(pos, free, sight_view(pos, free), 1, n, rng)
         assert (pos >= 0).all() and (pos < n).all()
 
 
@@ -146,10 +146,11 @@ def test_batch_competitor_grabs_visible():
     rng = np.random.default_rng(11)
     pos = np.array([[2, 2]])
     free = np.array([[2, 3]])
-    out = step_competitors_batch(pos, free, 1, 6, rng)
+    out = step_competitors_batch(pos, free, sight_view(pos, free), 1, 6, rng)
     assert (out == [[2, 3]]).all()
     # co-located with a free spot: stays put
-    out2 = step_competitors_batch(np.array([[2, 3]]), free, 1, 6, rng)
+    at = np.array([[2, 3]])
+    out2 = step_competitors_batch(at, free, sight_view(at, free), 1, 6, rng)
     assert (out2 == [[2, 3]]).all()
 
 
@@ -177,7 +178,7 @@ def test_batch_competitors_equal_the_reference_draw_for_draw(case):
     the number and order of draws are pinned too."""
     pos, free, r, n, seed = case
     rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = step_competitors_batch(pos, free, r, n, rng)
+    got = step_competitors_batch(pos, free, sight_view(pos, free), r, n, rng)
     assert np.array_equal(got, reference.step_competitors_batch(pos, free, r, n, want_rng))
     assert rng.bit_generator.state == want_rng.bit_generator.state
 

@@ -534,6 +534,29 @@ def test_report_rejects_more_event_logs_than_runs(tmp_path, short_config, capsys
     assert capsys.readouterr().err == "error: report.json holds 1 run(s) for 2 event log(s)\n"
 
 
+def test_report_pairs_each_event_log_with_its_run_past_ten_runs(tmp_path, short_config, capsys):
+    # a name sort put events_r10 before events_r2 and compared it with runs[2]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(short_config), "--runs", "11", "--horizon", "60", "--out", str(out)]) == 0
+    assert (out / "events_r10.ndjson").exists()
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_report_rejects_an_event_log_past_the_runs_or_with_another_name(tmp_path, short_config, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(short_config), "--out", str(out)]) == 0
+    (out / "events.ndjson").rename(out / "events_r3.ndjson")
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 2
+    assert capsys.readouterr().err == "error: event log events_r3.ndjson has no report.json runs[3]\n"
+    (out / "events_r3.ndjson").rename(out / "events_old.ndjson")
+    assert main(["report", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: events_old.ndjson is no event log name (events.ndjson or events_r<i>.ndjson)\n")
+
+
 def _validate_and_run(tmp_path, path, capsys):
     """Exit codes and stderr of `validate` and `run` on one config file;
     checks that run wrote nothing."""

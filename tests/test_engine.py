@@ -13,6 +13,7 @@ import reference
 from conftest import bench_config, draw_cells
 from reference import dict_series, resolve_parking, series_of
 
+from curbsim import engine as engine_mod
 from curbsim import strategies
 from curbsim.demand import ArrivalSeries
 from curbsim.engine import (
@@ -25,7 +26,7 @@ from curbsim.engine import (
     run_simulation,
 )
 from curbsim.errors import ConfigError
-from curbsim.grid import CellCoord, make_grid, manhattan_matrix
+from curbsim.grid import CellCoord, make_grid, manhattan_matrix, sight_view
 from curbsim.metrics import STATUS_PARKED, fold_events, hourly_series
 from curbsim.rng import RngStreams, derive_seed
 from curbsim.strategies import StrategyKind
@@ -360,7 +361,8 @@ def test_oracle_unit_blocking_equals_the_blocker_lists(case):
     loop (tests/reference.py), and dispatch returns the reference pairs
     sorted by participant row, with the same strategy draws."""
     n, r, d_pos, free_cells, counts, c_pos, seed = case
-    limit, unallocated = strategies.capture_limits(free_cells, counts, c_pos, r)
+    sight = sight_view(c_pos, free_cells)
+    limit, unallocated = strategies.capture_limits(sight, counts, r)
     blockers, want_unallocated = reference.capture_blockers(free_cells, counts, c_pos, r)
     assert np.array_equal(unallocated, want_unallocated)
     want_limit = [float(b[j]) if j < len(b) else np.inf for b, cnt in zip(blockers, counts) for j in range(cnt)]
@@ -371,7 +373,7 @@ def test_oracle_unit_blocking_equals_the_blocker_lists(case):
     strategies.hungarian_assign = lambda m: seen.append(m.entries) or solve(m)
     try:
         rng = np.random.default_rng(seed)
-        got = strategies.dispatch(StrategyKind.CORD_ORACLE, d_pos, free_cells, counts, rng, c_pos=c_pos, r=r)
+        got = strategies.dispatch(StrategyKind.CORD_ORACLE, d_pos, free_cells, counts, rng, sight=sight, r=r)
     finally:
         strategies.hungarian_assign = solve
 
@@ -502,6 +504,40 @@ def test_blind_walker_on_a_1x1_grid_stays_on_it():
     events = [json.loads(line) for line in buf.getvalue().splitlines()]
     assert [e["event"] for e in events][:1] == ["spawn"]
     assert {e["cell"] for e in events} == {0}
+
+
+def test_the_engine_builds_one_sight_view_per_tick_with_a_free_spot(bench_city, monkeypatch):
+    grid, caps = bench_city
+    cfg = replace(bench_config("cord-oracle", seed=3), horizon=120)
+    sim = Simulation(grid, caps, build_arrivals(cfg, grid, cfg.seed), cfg, cfg.seed)
+    built = []
+    build = engine_mod.sight_view
+    monkeypatch.setattr(engine_mod, "sight_view", lambda pos, cells: built.append(sim.occ.tick) or build(pos, cells))
+    sim.run()
+    assert built == (sim.availability > 0).nonzero()[0].tolist() != []
+
+
+def test_an_oracle_tick_without_active_competitors_prices_with_zero_columns(monkeypatch):
+    """The view always exists when a free spot does: with no competitor it
+    has zero columns, and the oracle prices as the dense reference does."""
+    grid, caps = make_grid(6, capacity=1)
+    series = series_of(12, participants={(0, 0): 2, (35, 1): 1, (14, 3): 2, (21, 5): 1})
+    cfg = base_cfg(strategy="cord-oracle", horizon=12, r=1)
+    offers, priced = [], []
+    dispatch, price = engine_mod.dispatch, strategies.oracle_cost_matrix
+
+    def spy_dispatch(kind, d_pos, free_cells, free_counts, rng, **info):
+        offers.append((d_pos, free_cells, info["sight"]))
+        return dispatch(kind, d_pos, free_cells, free_counts, rng, **info)
+
+    monkeypatch.setattr(engine_mod, "dispatch", spy_dispatch)
+    monkeypatch.setattr(strategies, "oracle_cost_matrix", lambda *args: priced.append(price(*args)) or priced[-1])
+    sim_with(grid, caps, series, cfg).run()
+    assert offers and len(priced) == len(offers)
+    table = reference.capture_prob_table(1, 10)
+    for (d_pos, free_cells, sight), got in zip(offers, priced):
+        assert sight.dist.shape == (len(free_cells), 0) and sight.pos.shape == (0, 2)
+        assert np.array_equal(got, reference.oracle_cost_matrix(d_pos, free_cells, sight.pos, 1, table))
 
 
 @settings(max_examples=200, deadline=None)

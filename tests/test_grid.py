@@ -1,10 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import draw_cells
 from reference import free_spots, occupy, release
 
 from curbsim.errors import CapacityError, ParseError, ValidationError
-from curbsim.grid import CellCoord, GridSpec, OccupancyState, load_grid, make_grid, manhattan, save_grid
+from curbsim.grid import (
+    CellCoord,
+    GridSpec,
+    OccupancyState,
+    load_grid,
+    make_grid,
+    manhattan,
+    manhattan_matrix,
+    save_grid,
+    sight_view,
+)
 
 
 def test_manhattan_examples():
@@ -19,6 +32,39 @@ def test_manhattan_symmetry_and_triangle():
         a, b, c = (CellCoord(*rng.integers(0, 22, 2)) for _ in range(3))
         assert manhattan(a, b) == manhattan(b, a)
         assert manhattan(a, c) <= manhattan(a, b) + manhattan(b, c)
+
+
+@st.composite
+def searchers_and_cells(draw):
+    """Searchers and free cells (unique, possibly none) on an n x n grid."""
+    n = draw(st.integers(1, 8))
+    return draw_cells(draw, n, max_size=20), draw_cells(draw, n, max_size=10, unique=True)
+
+
+NO_CELLS = np.zeros((0, 2), np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(searchers_and_cells())
+@example((NO_CELLS, np.array([[0, 1], [2, 2]])))  # no searcher
+@example((np.array([[0, 0], [3, 1]]), NO_CELLS))  # no free cell
+@example((np.array([[0, 0], [3, 1]]), np.array([[2, 2]])))  # one free cell
+@example((np.array([[2, 2], [2, 2]]), np.array([[1, 2], [3, 2], [2, 1], [2, 3]])))  # all distances equal
+def test_sight_view_equals_the_dense_references(case):
+    """The cell-major distances are the dense matrix transposed; best and
+    nearest are its row min and argmin, the first index on ties."""
+    pos, cells = case
+    view = sight_view(pos, cells)
+    dense = manhattan_matrix(pos, cells)
+    assert np.array_equal(view.pos, pos)
+    assert view.dist.dtype == np.int64 and view.dist.shape == (len(cells), len(pos))
+    assert np.array_equal(view.dist, dense.T)
+    if len(cells) == 0:
+        # no free cell: no searcher sees one, whatever the radius
+        assert view.best.tolist() == [np.iinfo(np.int64).max] * len(pos)
+        return
+    assert np.array_equal(view.best, dense.min(axis=1))
+    assert np.array_equal(view.nearest, dense.argmin(axis=1))
 
 
 def test_free_spots_examples():

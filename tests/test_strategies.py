@@ -9,7 +9,7 @@ from reference import approx_cost, oracle_cost
 
 from curbsim import strategies
 from curbsim.errors import ConfigError
-from curbsim.grid import CellCoord
+from curbsim.grid import CellCoord, manhattan_matrix, sight_view
 from curbsim.strategies import (
     StrategyKind,
     capture_prob_table,
@@ -43,6 +43,13 @@ def cost_matrix(kind, d_pos, cells, **info):
     out = np.empty_like(seen[0])
     out[np.ix_(rows, cols)] = seen[0]
     return out
+
+
+def oracle_matrix(d_pos, cells, comp_pos, r):
+    """oracle_cost_matrix fed the participant matrix and the competitors'
+    sight view, as dispatch feeds it."""
+    sight = sight_view(comp_pos, cells)
+    return oracle_cost_matrix(manhattan_matrix(d_pos, cells), sight.dist, sight.pos, cells, r)
 
 
 def cord_agn_matrix(d_pos, cells):
@@ -192,7 +199,7 @@ def test_oracle_matrix_agrees_with_scalar():
             d = rng.integers(0, 12, (3, 2))
             f = rng.integers(0, 12, (4, 2))
             c = rng.integers(0, 12, (int(rng.integers(0, 5)), 2))
-            mat = oracle_cost_matrix(d, f, c, r)
+            mat = oracle_matrix(d, f, c, r)
             for i in range(3):
                 for j in range(4):
                     want = oracle_cost(CellCoord(*d[i]), CellCoord(*f[j]), c, r)
@@ -215,7 +222,7 @@ def oracle_inputs(draw):
 @given(oracle_inputs())
 def test_oracle_matrix_equals_the_scatter_add_reference(case):
     d, f, c, r, n = case
-    got = oracle_cost_matrix(d, f, c, r)
+    got = oracle_matrix(d, f, c, r)
     table = reference.capture_prob_table(r, 2 * (n - 1))
     assert np.array_equal(got, reference.oracle_cost_matrix(d, f, c, r, table))
 
@@ -280,7 +287,7 @@ def test_dispatch_oracle_all_blocked():
         np.array([[0, 1]]),
         np.array([1]),
         rng,
-        c_pos=np.array([[0, 1]]),
+        sight=sight_view(np.array([[0, 1]]), np.array([[0, 1]])),
         r=1,
     )
     assert out.dtype == np.int64 and out.shape == (0, 2)
@@ -323,7 +330,7 @@ def test_oracle_equals_agn_without_competitors():
         agn = dispatch(StrategyKind.CORD_AGN, d, cells, counts, np.random.default_rng(5))
         oracle = dispatch(
             StrategyKind.CORD_ORACLE, d, cells, counts, np.random.default_rng(5),
-            c_pos=np.zeros((0, 2)), r=1,
+            sight=sight_view(np.zeros((0, 2)), cells), r=1,
         )
         assert np.array_equal(agn, oracle)
 

@@ -3,6 +3,8 @@ package; a rename in src/ must fail here, not only under --trace."""
 import io
 from dataclasses import replace
 
+import numpy as np
+
 from curbsim.engine import Simulation, build_arrivals
 from curbsim.grid import make_grid
 from perfbench.tracing import SPANS, Tracer
@@ -67,3 +69,30 @@ def test_tracer_counts_one_assignment_per_dispatch_target_row():
     layers = tracer.layer_metrics(days=1)
     assert layers["strategies.dispatch_calls"] > 0
     assert layers["strategies.assigned_share"] == 1.0
+
+
+def test_tracer_counts_competitor_pairs_and_oracle_entries_exactly(monkeypatch):
+    """Both counters read positional arguments: step_competitors_batch's
+    (pos, free_cells) and oracle_cost_matrix's first two lengths (nd, nf)."""
+    cfg = replace(city22_config("cord-oracle", 7), horizon=30)
+    grid, _ = make_grid(22, capacity=1, zones=3)
+    seen = []
+    free_spots = Simulation._free_spots
+
+    def spy(sim, t):
+        spots = free_spots(sim, t)
+        active = [int(np.count_nonzero(sim._active(agents, t))) for agents in (sim.participants, sim.competitors)]
+        seen.append((len(spots.k), *active))
+        return spots
+
+    monkeypatch.setattr(Simulation, "_free_spots", spy)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        Simulation(grid, lattice_capacity(22), build_arrivals(cfg, grid, cfg.seed), cfg, cfg.seed).run()
+    finally:
+        tracer.uninstall()
+    layers = tracer.layer_metrics(days=1)
+    assert len(seen) == 30
+    assert layers["agents.step_competitors_pairs"] == sum(nf * nc for nf, _, nc in seen) > 0
+    assert layers["strategies.oracle_matrix_entries"] == sum(nf * nd for nf, nd, _ in seen) > 0
