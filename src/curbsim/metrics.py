@@ -1,5 +1,6 @@
 """Evaluation metrics and report/export machinery.
 
+Every statistic is read off one summary of a set of agents (`_summary`).
 Success ratio = parked within budget / resolved spawns (agents still
 searching at horizon end are censored and excluded from both numerator and
 denominator). Search time averages successful attempts only. Regime deltas
@@ -44,30 +45,31 @@ def _window_mask(outcomes, group_code, window):
     )
 
 
+def _summary(outcomes, mask) -> dict:
+    """Outcome counts of the agents in mask, their success ratio (parked over
+    resolved) and their average search time (parked agents only)."""
+    rows = mask.nonzero()[0]
+    status = outcomes.status.take(rows)
+    # one count per status code, in code order (STATUS_* above)
+    parked, failed, censored = np.bincount(status, minlength=3).tolist()
+    park = rows[status == STATUS_PARKED]
+    search = outcomes.terminal.take(park) - outcomes.spawn.take(park)
+    return {
+        "success_ratio": parked / (parked + failed) if parked + failed else None,
+        "avg_search_time": float(np.mean(search)) if parked else None,
+        "spawned": len(rows),
+        "parked": parked,
+        "failed": failed,
+        "censored": censored,
+    }
+
+
 def success_ratio(outcomes, group_code: int, window: tuple[int, int]) -> float | None:
-    m = _window_mask(outcomes, group_code, window)
-    resolved = m & (outcomes.status != STATUS_CENSORED)
-    n = int(resolved.sum())
-    if n == 0:
-        return None
-    return float((outcomes.status[resolved] == STATUS_PARKED).sum() / n)
+    return _summary(outcomes, _window_mask(outcomes, group_code, window))["success_ratio"]
 
 
 def avg_search_time(outcomes, group_code: int, window: tuple[int, int]) -> float | None:
-    m = _window_mask(outcomes, group_code, window) & (outcomes.status == STATUS_PARKED)
-    if not m.any():
-        return None
-    return float(np.mean(outcomes.terminal[m] - outcomes.spawn[m]))
-
-
-def group_counts(outcomes, group_code: int, window: tuple[int, int]) -> dict:
-    m = _window_mask(outcomes, group_code, window)
-    return {
-        "spawned": int(m.sum()),
-        "parked": int((m & (outcomes.status == STATUS_PARKED)).sum()),
-        "failed": int((m & (outcomes.status == STATUS_FAILED)).sum()),
-        "censored": int((m & (outcomes.status == STATUS_CENSORED)).sum()),
-    }
+    return _summary(outcomes, _window_mask(outcomes, group_code, window))["avg_search_time"]
 
 
 def regime_gap(outcomes, availability: np.ndarray, bins=REGIME_BINS) -> dict[str, float | None]:
@@ -76,57 +78,35 @@ def regime_gap(outcomes, availability: np.ndarray, bins=REGIME_BINS) -> dict[str
     Agents are binned by the availability fraction recorded at their spawn
     tick; spawns outside every bin are ignored.
     """
+    at_spawn = availability[np.clip(outcomes.spawn, 0, len(availability) - 1)]
     out: dict[str, float | None] = {}
     for label, lo, hi in bins:
-        tick_in = (availability >= lo) & (availability < hi)
-        deltas = []
-        for code in (0, 1):
-            m = (outcomes.group == code) & (outcomes.status != STATUS_CENSORED)
-            m &= tick_in[np.clip(outcomes.spawn, 0, len(availability) - 1)]
-            n = int(m.sum())
-            if n == 0:
-                deltas.append(None)
-            else:
-                deltas.append(float((outcomes.status[m] == STATUS_PARKED).sum() / n))
-        if deltas[0] is None or deltas[1] is None:
-            out[label] = None
-        else:
-            out[label] = deltas[0] - deltas[1]
+        in_bin = (at_spawn >= lo) & (at_spawn < hi)
+        p, c = (_summary(outcomes, in_bin & (outcomes.group == code))["success_ratio"] for code in (0, 1))
+        out[label] = None if p is None or c is None else p - c
     return out
 
 
 def zone_report(outcomes, zones: dict[str, list[int]], window: tuple[int, int]) -> dict:
     """Per-zone average search time for each group (parks in the zone only)."""
+    windowed = [_window_mask(outcomes, code, window) for code in range(len(GROUPS))]
     out = {}
     for zone_id in sorted(zones):
-        members = np.asarray(zones[zone_id], dtype=np.int64)
-        row = {}
-        for code, name in enumerate(GROUPS):
-            m = (
-                _window_mask(outcomes, code, window)
-                & (outcomes.status == STATUS_PARKED)
-                & np.isin(outcomes.park_cell, members)
-            )
-            row[name] = float(np.mean(outcomes.terminal[m] - outcomes.spawn[m])) if m.any() else None
-        out[zone_id] = row
+        in_zone = np.isin(outcomes.park_cell, np.asarray(zones[zone_id], dtype=np.int64))
+        out[zone_id] = {
+            name: _summary(outcomes, windowed[code] & in_zone)["avg_search_time"]
+            for code, name in enumerate(GROUPS)
+        }
     return out
 
 
 def hourly_series(outcomes, horizon: int) -> list[dict]:
     rows = []
     for hour in range(horizon // 60):
-        window = (hour * 60, (hour + 1) * 60)
         for code, name in enumerate(GROUPS):
-            counts = group_counts(outcomes, code, window)
-            rows.append(
-                {
-                    "hour": hour,
-                    "group": name,
-                    "success_ratio": success_ratio(outcomes, code, window),
-                    "avg_search_time": avg_search_time(outcomes, code, window),
-                    "n": counts["parked"] + counts["failed"],
-                }
-            )
+            s = _summary(outcomes, _window_mask(outcomes, code, (hour * 60, (hour + 1) * 60)))
+            rows.append({"hour": hour, "group": name, "success_ratio": s["success_ratio"],
+                         "avg_search_time": s["avg_search_time"], "n": s["parked"] + s["failed"]})
     return rows
 
 
@@ -143,11 +123,7 @@ def outcome_blocks(cfg, grid: GridSpec, outcomes) -> dict:
     }
     for code, name in enumerate(GROUPS):
         for label, win in (("peak", window), ("full_day", (0, cfg.horizon))):
-            blocks[label][name] = {
-                "success_ratio": success_ratio(outcomes, code, win),
-                "avg_search_time": avg_search_time(outcomes, code, win),
-                **group_counts(outcomes, code, win),
-            }
+            blocks[label][name] = _summary(outcomes, _window_mask(outcomes, code, win))
     return blocks
 
 
@@ -354,7 +330,8 @@ def fold_events(path, t_max: int):
     for aid, spawn in searching.items():
         resolved[aid] = (*spawn, STATUS_CENSORED, -1, -1)
     out = RunOutcomes.from_lists([resolved[aid] for aid in sorted(resolved)])
-    for park_t, spawn_t, status in zip(out.terminal, out.spawn, out.status):
-        if status == STATUS_PARKED and park_t - spawn_t > t_max:
-            raise ValidationError(f"parked search time {park_t - spawn_t} exceeds budget {t_max}")
+    search = out.terminal - out.spawn
+    bad = ((out.status == STATUS_PARKED) & (search > t_max)).nonzero()[0]
+    if len(bad):
+        raise ValidationError(f"parked search time {search[bad[0]]} exceeds budget {t_max}")
     return out

@@ -3,11 +3,10 @@
 unc-agn    every participant independently heads for its nearest free spot
            (conflicts allowed, per-participant ties uniform at random).
 cord-agn   Hungarian match on plain travel times.
-cord-oracle Hungarian match on competitor-aware piecewise costs: a pair costs
-           its travel time when the participant is strictly closest, is
-           infeasible when a competitor inside the visibility radius is
-           closer, and otherwise inflates travel time by the total capture
-           probability of nearer-but-blind competitors.
+cord-oracle Hungarian match on competitor-aware costs: travel time
+           inflated by the total capture probability of nearer-but-blind
+           competitors, with the spot units that seeing competitors will
+           capture withheld (below).
 cord-approx Hungarian match on travel time divided by the predicted
            availability of the spot's cell.
 
@@ -150,24 +149,24 @@ def capture_limits(sight: SightView, free_counts, r):
 
 
 def oracle_cost_matrix(tau, tc, comp_pos, cells, r):
-    """(nd, nf) competitor-aware cost matrix; inf marks infeasible pairs.
+    """(nd, nf) competitor-aware cost matrix over the competitors
+    `capture_limits` leaves unallocated.
 
     tau is the (nd, nf) int64 participant travel-time matrix, tc the
     (nf, nc) cell-major distances from the free cells (nf, 2) to the
-    competitors at comp_pos (nc, 2).
+    competitors at comp_pos (nc, 2). Each of them is more than r from every
+    free cell, so it inflates costs and makes no pair infeasible.
     """
     nf = len(cells)
     if tc.size == 0:
         return tau.astype(np.float64)
-    min_c = tc.min(axis=1)
-    cond2 = (min_c <= r)[None, :] & (min_c[None, :] < tau)
-    # bucket the blind competitors that can capture (R < distance <= 2R) by
-    # (cell, distance) with one flat bincount; the cell-major nonzero visits
-    # each bucket's entries in ascending competitor order, so each bucket
-    # sums in competitor order. Then prefix-sum so sum_{tau_c < tau_d} is a
+    # bucket the competitors that can capture (distance <= 2R) by (cell,
+    # distance) with one flat bincount; the cell-major nonzero visits each
+    # bucket's entries in ascending competitor order, so each bucket sums
+    # in competitor order. Then prefix-sum so sum_{tau_c < tau_d} is a
     # single gather; farther competitors would only add exact zeros
     width = 2 * r + 1
-    near = (tc > r) & (tc <= 2 * r)
+    near = tc <= 2 * r
     cell, comp = near.nonzero()
     bucket = cell * width + tc[near]
     adx = np.abs(comp_pos[:, 0].take(comp) - cells[:, 0].take(cell))
@@ -182,9 +181,7 @@ def oracle_cost_matrix(tau, tc, comp_pos, cells, r):
         cum = np.bincount(bucket, pvals, minlength=nf * width).reshape(nf, width).cumsum(axis=1)
         eligible = t_of == t_c
         psum[eligible] = cum.ravel()[below[eligible]]
-    out = tau * (1.0 + psum)
-    out[cond2] = np.inf
-    return out
+    return tau * (1.0 + psum)
 
 
 def dispatch(

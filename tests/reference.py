@@ -508,7 +508,9 @@ def capture_prob_table(r: int, max_disp: int) -> np.ndarray:
 def oracle_cost_matrix(d_pos, cells, comp_pos, r, p_table):
     """strategies.oracle_cost_matrix with np.add.at bucketing of every far
     competitor, a second distance matrix and a p_table that covers every
-    displacement (capture_prob_table above)."""
+    displacement (capture_prob_table above). It keeps the visible-competitor
+    rule (cond2: inf where a competitor within r is nearer than the
+    participant), which the blind competitors dispatch prices never meet."""
     d_pos = np.ascontiguousarray(d_pos, dtype=np.int64).reshape(-1, 2)
     cells = np.ascontiguousarray(cells, dtype=np.int64).reshape(-1, 2)
     comp_pos = np.ascontiguousarray(comp_pos, dtype=np.int64).reshape(-1, 2)

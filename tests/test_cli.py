@@ -504,6 +504,19 @@ def test_report_recounts_spawned_and_censored_agents(tmp_path, short_config, cap
     assert capsys.readouterr().err == "error: event log events.ndjson disagrees with report.json runs[0].peak\n"
 
 
+def test_report_rejects_a_park_past_the_search_budget(tmp_path, short_config, capsys):
+    # t_max is 30; of two parks past it, the message names the lower agent id's
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(short_config), "--out", str(out)]) == 0
+    with open(out / "events.ndjson", "a", encoding="utf-8") as fh:
+        for aid, spawn, park in ((5000001, 60, 100), (5000000, 80, 111)):
+            fh.write(f'{{"tick": {spawn}, "agent_id": {aid}, "group": "competitor", "event": "spawn", "cell": 3}}\n')
+            fh.write(f'{{"tick": {park}, "agent_id": {aid}, "group": "competitor", "event": "park", "cell": 3}}\n')
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 2
+    assert capsys.readouterr().err == "error: parked search time 31 exceeds budget 30\n"
+
+
 @pytest.mark.parametrize("block", ["peak", "full_day"])
 def test_report_reads_a_missing_outcome_block_as_a_mismatch(tmp_path, short_config, capsys, block):
     out = tmp_path / "out"

@@ -1,15 +1,20 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curbsim.engine import ArrivalsConfig, RunOutcomes, SimConfig, run_simulation
 from curbsim.grid import make_grid
 from curbsim.metrics import (
+    GROUPS,
     REGIME_BINS,
     avg_search_time,
     export_report,
     fold_events,
+    outcome_blocks,
     regime_gap,
     success_ratio,
     zone_report,
@@ -160,3 +165,88 @@ def test_report_structure(tmp_path):
     assert report["strategy"] == "cord-agn"
     assert len(report["runs"][0]["hourly"]) == 2 * (cfg.horizon // 60)
     json.loads(blob)
+
+
+# --- every report statistic against a per-agent recount ---
+
+# cells 6..8 form a zone no agent parks in
+RECOUNT_ZONES = {"a": [0, 1, 2], "b": [3, 4, 5], "c": [6, 7, 8]}
+# availability values on and around the regime bin edges
+AVAILABILITY = (0.0, 0.03, 0.05, 0.2, 0.22, 0.25, 0.4, 0.44, 0.45, 0.7)
+
+
+@st.composite
+def recount_case(draw):
+    horizon = draw(st.integers(0, 200))
+    lo = draw(st.integers(0, horizon))
+    window = (lo, draw(st.integers(lo, horizon)))
+    availability = np.array(draw(st.lists(st.sampled_from(AVAILABILITY), min_size=horizon, max_size=horizon)))
+    rows = []
+    for _ in range(draw(st.integers(0, 60)) if horizon else 0):
+        group = draw(st.integers(0, 1))
+        spawn = draw(st.integers(0, horizon - 1))
+        status = draw(st.integers(0, 2))
+        if status == 0:
+            rows.append((group, spawn, 0, spawn + draw(st.integers(0, 30)), draw(st.integers(0, 5))))
+        elif status == 1:
+            rows.append((group, spawn, 1, spawn + 31, -1))
+        else:
+            rows.append((group, spawn, 2, -1, -1))
+    return horizon, window, availability, rows
+
+
+def _recount(rows, group, window, cells=None):
+    """The outcome block of one group over spawns in window, agent by agent;
+    cells, when given, keeps only parks in them."""
+    lo, hi = window
+    mine = [r for r in rows if r[0] == group and lo <= r[1] < hi]
+    parked = [r for r in mine if r[2] == 0 and (cells is None or r[4] in cells)]
+    failed = sum(r[2] == 1 for r in mine)
+    resolved = len(parked) + failed
+    return {
+        "success_ratio": len(parked) / resolved if resolved else None,
+        "avg_search_time": sum(r[3] - r[1] for r in parked) / len(parked) if parked else None,
+        "spawned": len(mine),
+        "parked": len(parked),
+        "failed": failed,
+        "censored": sum(r[2] == 2 for r in mine),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(recount_case())
+def test_outcome_blocks_and_regimes_equal_a_per_agent_recount(case):
+    # integer counts and sums stay exact in float64, so every ratio and mean
+    # is the one correctly rounded double and equality is exact
+    horizon, window, availability, rows = case
+    o = outcomes_from(rows)
+    cfg = SimpleNamespace(peak_window=window, horizon=horizon)
+    grid = SimpleNamespace(zones=lambda: RECOUNT_ZONES)
+    blocks = outcome_blocks(cfg, grid, o)
+
+    want = {"peak": {}, "full_day": {}, "hourly": [], "zones": {}}
+    for code, name in enumerate(GROUPS):
+        want["peak"][name] = _recount(rows, code, window)
+        want["full_day"][name] = _recount(rows, code, (0, horizon))
+    for hour in range(horizon // 60):
+        for code, name in enumerate(GROUPS):
+            got = _recount(rows, code, (hour * 60, hour * 60 + 60))
+            want["hourly"].append({
+                "hour": hour, "group": name, "success_ratio": got["success_ratio"],
+                "avg_search_time": got["avg_search_time"], "n": got["parked"] + got["failed"],
+            })
+    for zone_id, cells in RECOUNT_ZONES.items():
+        want["zones"][zone_id] = {
+            name: _recount(rows, code, window, cells)["avg_search_time"]
+            for code, name in enumerate(GROUPS)
+        }
+    assert blocks == want
+    assert set(blocks["zones"]["c"].values()) == {None}
+
+    gaps = regime_gap(o, availability)
+    for label, lo, hi in REGIME_BINS:
+        ratios = [
+            _recount([r for r in rows if lo <= availability[r[1]] < hi], code, (0, horizon))["success_ratio"]
+            for code in (0, 1)
+        ]
+        assert gaps[label] == (None if None in ratios else ratios[0] - ratios[1])
