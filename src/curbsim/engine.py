@@ -24,7 +24,9 @@
 7. `_expire`: agents over the search budget fail, and each searching store
    drops its parked and failed agents in one compaction;
 8. `_learn`: on bucket ends, merge the observations into the predictor
-   history and retrain on schedule (cord-approx only).
+   history, retrain on schedule and predict every cell's availability for
+   the next bucket, which `_dispatch` gathers at the free cells
+   (cord-approx only).
 
 Departures run before dispatch so freed spots are assignable the same minute.
 Every phase is array-wide and skips its numpy work when its group is
@@ -310,7 +312,7 @@ class Simulation:
             if len(self.corpus):
                 self.minute0 = (int(self.corpus.starts.max()) // 1440 + 1) * 1440
             self.model = retrain(self.corpus) if len(self.corpus) else uniform_model(self.n * self.n)
-            self._trend = self.corpus.trend_vector(self.minute0)
+            self._forecast(0)
             self._attempts = np.zeros(self.n * self.n, np.int64)
             self._successes = np.zeros(self.n * self.n, np.int64)
 
@@ -443,9 +445,7 @@ class Simulation:
         if cfg.strategy is StrategyKind.CORD_ORACLE:
             info = dict(sight=sight, r=cfg.r)
         elif cfg.strategy is StrategyKind.CORD_APPROX:
-            info["p_hat"] = predict_many(
-                self.model, spots.k, self.minute0 + t, self._trend, self.n * self.n, cfg.weekday,
-            )
+            info["p_hat"] = self._p_hat.take(spots.k)
         targets = dispatch(cfg.strategy, p.pos.take(rows, axis=0), spots.cells, spots.counts,
                            self.streams.stream("strategy"), **info)
         if len(targets):
@@ -578,15 +578,25 @@ class Simulation:
 
     def _learn(self, end):
         """At each bucket end (cord-approx only): merge the bucket's outcomes
-        into the history, refresh the trend, and retrain on schedule."""
+        into the history, retrain on schedule, and predict the next bucket."""
         if self.cfg.strategy is not StrategyKind.CORD_APPROX or end % BUCKET_MINUTES:
             return
         update_history(self.corpus, self.minute0 + end - BUCKET_MINUTES, self._attempts, self._successes)
         self._attempts[:] = 0
         self._successes[:] = 0
-        self._trend = self.corpus.trend_vector(self.minute0 + end)
         if end % self.cfg.retrain_every == 0 and len(self.corpus):
             self.model = retrain(self.corpus)
+        self._forecast(end)
+
+    def _forecast(self, start):
+        """Predict every cell's availability for the bucket that starts at
+        tick start. The predictions depend only on the bucket, the model and
+        the trend, which change only at bucket ends, so dispatch gathers a
+        tick's free cells from this one vector."""
+        n_cells = self.n * self.n
+        trend = self.corpus.trend_vector(self.minute0 + start)
+        self._p_hat = predict_many(self.model, np.arange(n_cells), self.minute0 + start, trend, n_cells,
+                                   self.cfg.weekday)
 
     def _check_conservation(self):
         for agents in (self.participants, self.competitors):

@@ -4,6 +4,7 @@ raise them, and `Table`, the one reader of the input tables."""
 import csv
 import math
 import numbers
+import os
 
 
 class CurbsimError(Exception):
@@ -90,12 +91,16 @@ def _table_int(text, name, line):
 class Table:
     """An input table read whole from a path: a header line naming the
     columns, then one row per line. Fields split on tabs when the header
-    line holds a tab, on commas otherwise."""
+    line holds a tab, on commas otherwise. A relative path resolves against
+    the working directory, which a missing file's ConfigError names."""
 
     def __init__(self, path):
         try:
             with open(path, "r", encoding="utf-8", newline="") as fh:
                 lines = fh.readlines()
+        except FileNotFoundError:
+            raise ConfigError(f"{path}: no such file (input paths resolve against the working directory, "
+                              f"{os.getcwd()})") from None
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
         self._lines = self._split(csv.reader(lines, delimiter="\t" if lines and "\t" in lines[0] else ","))

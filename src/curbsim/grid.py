@@ -12,7 +12,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, Table, ValidationError
+from .errors import CapacityError, ConfigError, Table, ValidationError
 
 
 class CellCoord(NamedTuple):
@@ -136,11 +136,15 @@ class OccupancyState:
 # --- grid definition file: columns k, geohash7, i, j, capacity[, zone_id] ---
 
 GRID_COLS = ("k", "geohash7", "i", "j", "capacity")
+# the engine holds per-spot rows (the phantom occupants among them), so a
+# grid's summed capacity is bounded where the file is read
+MAX_TOTAL_CAPACITY = 2**22
 
 
 def load_grid(path) -> tuple[GridSpec, np.ndarray]:
     """Read a grid definition table (see `Table`); returns (spec, capacity
-    array). The zone_id column is optional."""
+    array). The zone_id column is optional. A grid whose capacities sum past
+    MAX_TOTAL_CAPACITY spots is a ConfigError naming the row that passes it."""
     rows = list(Table(path).rows("grid", GRID_COLS, ("k", "i", "j", "capacity")))
     count = len(rows)
     n = int(round(count ** 0.5))
@@ -150,6 +154,7 @@ def load_grid(path) -> tuple[GridSpec, np.ndarray]:
     capacity = np.zeros(count, dtype=np.int64)
     zone_map: dict[int, str] = {}
     seen = set()
+    total = 0
     for line, row in rows:
         k = row["k"]
         if k >= count or k in seen:
@@ -159,6 +164,9 @@ def load_grid(path) -> tuple[GridSpec, np.ndarray]:
         seen.add(k)
         labels[k] = row["geohash7"]
         capacity[k] = row["capacity"]
+        total += row["capacity"]
+        if total > MAX_TOTAL_CAPACITY:
+            raise ConfigError(f"line {line}: grid capacity sums past {MAX_TOTAL_CAPACITY} spots")
         if row.get("zone_id"):
             zone_map[k] = row["zone_id"]
     spec = GridSpec(n, labels, zone_map or None)

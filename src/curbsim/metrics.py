@@ -313,7 +313,9 @@ def fold_events(path, t_max: int):
                 aid = ev["agent_id"]
                 kind = ev["event"]
                 if kind == "spawn":
-                    searching[_integer(aid, "agent_id")] = (groups[ev["group"]], _integer(ev["tick"], "tick"))
+                    if _integer(aid, "agent_id") in searching or aid in resolved:
+                        raise ValueError(f"second spawn of agent {aid}")
+                    searching[aid] = (groups[ev["group"]], _integer(ev["tick"], "tick"))
                 elif kind == "park" or kind == "fail":
                     parked = kind == "park"
                     tick = _integer(ev["tick"], "tick")
@@ -321,11 +323,14 @@ def fold_events(path, t_max: int):
                     spawn = searching.pop(_integer(aid, "agent_id"), None)
                     if spawn is None:
                         raise ValueError(f"{kind} of agent {aid}, which is not searching")
+                    if tick < spawn[1]:
+                        raise ValueError(f"{kind} of agent {aid} at tick {tick}, before its spawn at tick {spawn[1]}")
                     resolved[aid] = (*spawn, STATUS_PARKED if parked else STATUS_FAILED, tick, cell)
         except (ValueError, KeyError, TypeError) as exc:
             # a missing key, an unknown group, a non-object line, bad JSON, a
-            # non-integer field of a kept event, or a park or fail of an agent
-            # with no spawn or with an earlier park or fail
+            # non-integer field of a kept event, a second spawn of an agent, or
+            # a park or fail of an agent with no spawn, with an earlier park or
+            # fail, or at a tick before its spawn
             raise ValidationError(f"{path}: line {lineno}: malformed event ({type(exc).__name__}: {exc})") from None
     for aid, spawn in searching.items():
         resolved[aid] = (*spawn, STATUS_CENSORED, -1, -1)

@@ -4,6 +4,14 @@ Maintains a corpus of hourly per-cell parking success ratios, builds
 time-of-day / weekday / cell / trend features, fits closed-form ridge
 regression (intercept unpenalized) with deterministic cross-validated
 regularization, and serves predictions clamped to [0.01, 1].
+
+A retrain never builds the design matrix. It sums the normal equations per
+fold over the cells the corpus holds, solves and scores every (lambda,
+fold) fit of the cross-validation from those sums in one batched pass, and
+solves the final fit from the totals scattered to full width, so a model's
+bits do not depend on which cells were observed. No sum runs in BLAS.
+Predictions depend only on the hour bucket, the model and the trend, so the
+engine asks for every cell's once per bucket.
 """
 from __future__ import annotations
 
@@ -212,18 +220,22 @@ class _NormalEquations(NamedTuple):
         """Sum of the folds that the boolean mask keep selects."""
         return _NormalEquations(*(block[keep].sum(axis=0) for block in self))
 
-    def solve(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    def solve(self, lam) -> tuple[np.ndarray, np.ndarray]:
         """(dense, cell) coefficients at lam > 0; the intercept is unpenalized.
 
         The diagonal cell block diag(d + lam) is eliminated through its Schur
         complement S = a + lam*P - b diag(1/(d + lam)) b', so only an 11x11
         system is solved; the cell coefficients follow by back-substitution.
+        lam is a scalar, or an array that broadcasts against d: its leading
+        axes then lead the coefficients', one 11x11 system per entry.
         """
+        lam = np.asarray(lam, dtype=np.float64)
         w = 1.0 / (self.d + lam)
-        bw = self.b * w
-        s = self.a + lam * _DENSE_PENALTY - np.einsum("ic,jc->ij", bw, self.b)
-        beta_a = np.linalg.solve(s, self.r_a - np.einsum("ic,c->i", bw, self.r_c))
-        beta_c = (self.r_c - np.einsum("ic,i->c", self.b, beta_a)) * w
+        bw = self.b * w[..., None, :]
+        s = self.a + lam[..., None] * _DENSE_PENALTY - np.einsum("...ic,...jc->...ij", bw, self.b)
+        rhs = self.r_a - np.einsum("...ic,...c->...i", bw, self.r_c)
+        beta_a = np.linalg.solve(s, rhs[..., None])[..., 0]
+        beta_c = (self.r_c - np.einsum("...ic,...i->...c", self.b, beta_a)) * w
         return beta_a, beta_c
 
 
@@ -250,29 +262,34 @@ def _fold_equations(dense: np.ndarray, cells: np.ndarray, y: np.ndarray, n_cells
                             d.reshape(folds, n_cells), r_c.reshape(folds, n_cells))
 
 
-def _select_lambda(eqs: _NormalEquations, dense: np.ndarray, cells: np.ndarray, y: np.ndarray,
-                   grid, folds: int) -> float:
+def _select_lambda(eqs: _NormalEquations, y: np.ndarray, grid) -> float:
     """Grid value minimizing mean fold MSE; ties go to the smaller lambda.
 
     Each fold's model is solved from the other folds' summed blocks and
-    scored on the fold's own records. Mean MSEs closer to the minimum than
+    scored from the fold's own blocks: its squared error is
+    y'y - 2 beta'X'y + beta'X'X beta over the fold's records. All lambdas
+    and folds go in one pass: the train blocks come from one gather and one
+    solve covers a (lambdas, folds) stack of 11x11 systems, so no record is
+    visited past the fold sums of y*y. Mean MSEs closer to the minimum than
     TIE_RTOL times the mean squared target tie, so rounding cannot pick
     between lambdas that fit equally well (as on a corpus whose dense
-    columns are all constant).
+    columns are all constant); that band also covers the rounding of the
+    expanded squared error.
     """
-    fold = np.arange(len(y)) % folds
-    trains = [eqs.total(np.arange(folds) != f) for f in range(folds)]
-    mses = []
-    for lam in grid:
-        errs = []
-        for f, train in enumerate(trains):
-            test = fold == f
-            beta_a, beta_c = train.solve(lam)
-            pred = np.einsum("ri,i->r", dense[test], beta_a) + beta_c[cells[test]]
-            errs.append(float(np.mean((y[test] - pred) ** 2)))
-        mses.append(float(np.mean(errs)))
-    band = min(mses) + TIE_RTOL * float(np.mean(y * y))
-    return float(min(lam for lam, mse in zip(grid, mses) if mse <= band))
+    lams = np.asarray(grid, dtype=np.float64)
+    folds = len(eqs.a)
+    others = np.array([[g for g in range(folds) if g != f] for f in range(folds)])
+    train = _NormalEquations(*(block[others].sum(axis=1) for block in eqs))
+    beta_a, beta_c = train.solve(lams[:, None, None])  # (lambdas, folds, ...)
+    a, r_a, b, d, r_c = eqs
+    # X'X beta - 2 X'y per fold, its dense and its cell part
+    xa = np.einsum("fij,lfj->lfi", a, beta_a) + np.einsum("fic,lfc->lfi", b, beta_c) - 2 * r_a
+    xc = np.einsum("fic,lfi->lfc", b, beta_a) + d * beta_c - 2 * r_c
+    yy = np.bincount(np.arange(len(y)) % folds, weights=y * y, minlength=folds)
+    sse = yy + np.einsum("lfi,lfi->lf", beta_a, xa) + np.einsum("lfc,lfc->lf", beta_c, xc)
+    mses = (sse / d.sum(axis=1)).mean(axis=1)
+    band = mses.min() + TIE_RTOL * float(np.mean(y * y))
+    return float(lams[mses <= band].min())
 
 
 def retrain(corpus: HistoryCorpus) -> RidgeModel:
@@ -281,8 +298,11 @@ def retrain(corpus: HistoryCorpus) -> RidgeModel:
     The model is fit_ridge of rho on the feature_schema design, with lambda
     chosen from DEFAULT_LAMBDA_GRID by deterministic cross-validation: fold
     k holds the records whose index is k modulo FOLDS. The design is never
-    built: per-fold normal-equation blocks are accumulated once and every
-    fit solves an 11x11 system.
+    built: per-fold normal-equation blocks are accumulated once, over the
+    cells the corpus holds, and the lambda selection solves and scores every
+    (lambda, fold) fit from them in one batched pass. The final fit scatters
+    the observed cells' totals into full-width blocks and solves those, so
+    its rounding does not depend on which cells were observed.
 
     Empty corpus falls back to the uniform 0.5 prior. Corpora smaller than
     the fold count skip CV and use lambda = 1.0.
@@ -293,9 +313,13 @@ def retrain(corpus: HistoryCorpus) -> RidgeModel:
     y = corpus.rho
     trends = trailing_trend(corpus, cells, corpus.starts)
     dense = _dense_columns(corpus.starts, trends, corpus.base_weekday)
-    eqs = _fold_equations(dense, cells, y, corpus.n_cells, FOLDS)
-    lam = 1.0 if len(y) < FOLDS else _select_lambda(eqs, dense, cells, y, DEFAULT_LAMBDA_GRID, FOLDS)
-    beta_a, beta_c = eqs.total(np.ones(FOLDS, dtype=bool)).solve(lam)
+    present, local = np.unique(cells, return_inverse=True)
+    eqs = _fold_equations(dense, local, y, len(present), FOLDS)
+    lam = 1.0 if len(y) < FOLDS else _select_lambda(eqs, y, DEFAULT_LAMBDA_GRID)
+    a, r_a, b, d, r_c = eqs.total(np.ones(FOLDS, dtype=bool))
+    full = np.zeros((13, corpus.n_cells))  # b's 11 rows, then d and r_c
+    full[:, present] = np.vstack([b, d, r_c])
+    beta_a, beta_c = _NormalEquations(a, r_a, full[:11], full[11], full[12]).solve(lam)
     coefficients = np.concatenate([beta_a[1:10], beta_c, beta_a[10:]])
     return RidgeModel(coefficients, float(beta_a[0]), float(lam), feature_schema(corpus.n_cells))
 

@@ -272,6 +272,26 @@ def retrain_reference(corpus, grid=DEFAULT_LAMBDA_GRID, folds: int = 5) -> Ridge
     return fit_ridge(x, y, lam, schema=feature_schema(corpus.n_cells))
 
 
+def fold_mses(eqs, dense: np.ndarray, cells: np.ndarray, y: np.ndarray, grid, folds: int) -> list[float]:
+    """Mean fold MSE per grid lambda from the normal-equation blocks, one
+    (lambda, fold) fit at a time: each fold's model is solved from the other
+    folds' summed blocks (`_NormalEquations.solve`) and scored on the fold's
+    own records. predictor._select_lambda solves these fits in one batch and
+    scores them from each fold's blocks instead of its records."""
+    fold = np.arange(len(y)) % folds
+    trains = [eqs.total(np.arange(folds) != f) for f in range(folds)]
+    mses = []
+    for lam in grid:
+        errs = []
+        for f, train in enumerate(trains):
+            test = fold == f
+            beta_a, beta_c = train.solve(lam)
+            pred = np.einsum("ri,i->r", dense[test], beta_a) + beta_c[cells[test]]
+            errs.append(float(np.mean((y[test] - pred) ** 2)))
+        mses.append(float(np.mean(errs)))
+    return mses
+
+
 # --- demand: {(cell, minute): count} dicts ---
 
 

@@ -292,6 +292,18 @@ TABLES = {
 }
 
 
+@pytest.mark.parametrize("loader", sorted(TABLES))
+def test_a_missing_input_file_names_the_working_directory(tmp_path, short_config, capsys, monkeypatch, loader):
+    # used to print only "error: [Errno 2] No such file or directory: 'configs/nope.tsv'"
+    path_field, fields, _, _ = TABLES[loader]
+    config = _edited_config(tmp_path, short_config, **{path_field: "configs/nope.tsv"}, **fields)
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: configs/nope.tsv: no such file (input paths resolve against the working "
+                   f"directory, {tmp_path})\n")
+
+
 def _spoil(lines, column, value):
     """lines with the second data row's `column` field set to value."""
     delim = "\t" if "\t" in lines[0] else ","
@@ -720,6 +732,36 @@ def test_report_rejects_a_non_integer_event_field(tmp_path, short_config, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"error: {events}: line {n_lines + 1}: malformed event (TypeError: ")
     assert "must be an integer" in err and "Traceback" not in err
+
+
+SPAWN_5M = '{"tick": 100, "agent_id": 5000000, "group": "competitor", "event": "spawn", "cell": 3}'
+
+
+@pytest.mark.parametrize("lines, message", [
+    # agent 0 parks at tick 7 in this run
+    (['{"tick": 9, "agent_id": 0, "group": "participant", "event": "spawn", "cell": 3}'],
+     "second spawn of agent 0"),
+    ([SPAWN_5M, SPAWN_5M.replace('"tick": 100', '"tick": 119')], "second spawn of agent 5000000"),
+    ([SPAWN_5M, '{"tick": 50, "agent_id": 5000000, "group": "competitor", "event": "park", "cell": 3}'],
+     "park of agent 5000000 at tick 50, before its spawn at tick 100"),
+    ([SPAWN_5M, '{"tick": 99, "agent_id": 5000000, "group": "competitor", "event": "fail"}'],
+     "fail of agent 5000000 at tick 99, before its spawn at tick 100"),
+], ids=["spawn-of-a-parked-agent", "spawn-of-a-searching-agent", "park-before-spawn", "fail-before-spawn"])
+def test_report_rejects_a_second_spawn_or_an_end_before_the_spawn(tmp_path, short_config, capsys, lines, message):
+    # a second spawn used to replace the first silently; a park before its
+    # spawn was recorded with a negative search time, and report named no line
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(short_config), "--out", str(out)]) == 0
+    events = out / "events.ndjson"
+    bad_line = len(events.read_text().splitlines()) + len(lines)
+    with open(events, "a", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {events}: line {bad_line}: malformed event (ValueError: {message})\n"
+    with pytest.raises(ValidationError, match=f"line {bad_line}: "):
+        fold_events(events, 30)
 
 
 def test_sweep_comparison_follows_each_cells_strategy(tmp_path, short_config):

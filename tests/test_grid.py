@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from conftest import draw_cells
 from reference import free_spots, occupy, release
 
-from curbsim.errors import CapacityError, ParseError, ValidationError
+from curbsim.errors import CapacityError, ConfigError, ParseError, ValidationError
 from curbsim.grid import (
     CellCoord,
+    MAX_TOTAL_CAPACITY,
     GridSpec,
     OccupancyState,
     load_grid,
@@ -134,6 +135,22 @@ def test_grid_file_errors(tmp_path):
         load_grid(path)
     path.write_text("k,geohash7,i,j,capacity\n0,aaaaaaa,0,0,-2\n")
     with pytest.raises(ValidationError):
+        load_grid(path)
+
+
+def test_load_grid_bounds_the_total_capacity(tmp_path):
+    # a cell of capacity 10**9 used to load, and a run with initial
+    # occupancy then held one int64 row per phantom occupant: gigabytes
+    path = tmp_path / "grid.csv"
+    header = "k,geohash7,i,j,capacity\n"
+    path.write_text(header + f"0,a,0,0,{MAX_TOTAL_CAPACITY}\n")
+    assert load_grid(path)[1].tolist() == [MAX_TOTAL_CAPACITY]
+    path.write_text(header + "0,a,0,0,1000000000\n")
+    with pytest.raises(ConfigError, match="^line 2: grid capacity sums past 4194304 spots$"):
+        load_grid(path)
+    half = MAX_TOTAL_CAPACITY // 2
+    path.write_text(header + f"0,a,0,0,{half}\n1,b,0,1,{half}\n2,c,1,0,0\n3,d,1,1,1\n")
+    with pytest.raises(ConfigError, match="^line 5: "):
         load_grid(path)
 
 

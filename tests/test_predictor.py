@@ -3,22 +3,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import (
     corpus_design,
     cv_mse,
+    fold_mses,
     predict_availability,
     retrain_reference,
     select_lambda,
     trend,
 )
 
+from curbsim import engine
 from curbsim.engine import Simulation, build_arrivals
 from curbsim.errors import ConfigError, SchemaError, SingularityError, ValidationError
 from curbsim.grid import make_grid
 from curbsim.predictor import (
     BUCKET_MINUTES,
+    DEFAULT_LAMBDA_GRID,
+    FOLDS,
+    TIE_RTOL,
     HistoryCorpus,
     RidgeModel,
     feature_dim,
@@ -31,6 +36,8 @@ from curbsim.predictor import (
     trailing_trend,
     uniform_model,
     update_history,
+    _dense_columns,
+    _fold_equations,
 )
 from perfbench.workloads import city22_config, lattice_capacity
 
@@ -336,6 +343,9 @@ def test_predict_many_matches_dense_reference(case, data):
     got = predict_many(model, cells, tick, corpus.trend_vector(bucket), n, corpus.base_weekday)
     want = [predict_availability(model, int(k), tick, corpus) for k in cells]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # the engine predicts every cell once per bucket and gathers the free ones
+    every = predict_many(model, np.arange(n), tick, corpus.trend_vector(bucket), n, corpus.base_weekday)
+    assert np.array_equal(every.take(cells), got)
 
 
 def assert_matches_reference(corpus, rtol=1e-9):
@@ -387,3 +397,60 @@ def test_retrain_matches_dense_reference_on_city_day():
     assert len(corpus) > 1000
     for hour in range(1, cfg.horizon // BUCKET_MINUTES + 1):
         assert_matches_reference(take(corpus, np.flatnonzero(corpus.starts < hour * BUCKET_MINUTES)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(corpora())
+# every lambda fits a constant target exactly: a tie across the whole grid
+@example(HistoryCorpus(3, 0, [0, 1, 2] * 4, [0, 0, 0, 60, 60, 60, 120, 120, 120, 180, 180, 180], [0.5] * 12, [4] * 12))
+def test_retrain_picks_the_per_fold_lambda_and_solves_the_full_width_blocks(corpus):
+    """retrain's blocks span the observed cells only and its lambda search is
+    one batched pass. It must pick the smallest lambda in the tie band of one
+    fit per (lambda, fold) over the full-width blocks, up to rounding at the
+    band's edge, and its model must equal bit for bit the full-width fit at
+    that lambda."""
+    got = retrain(corpus)
+    if not len(corpus):
+        return
+    cells, y = corpus.cells, corpus.rho
+    dense = _dense_columns(corpus.starts, trailing_trend(corpus, cells, corpus.starts), corpus.base_weekday)
+    eqs = _fold_equations(dense, cells, y, corpus.n_cells, FOLDS)
+    if len(y) >= FOLDS:
+        mses = dict(zip(DEFAULT_LAMBDA_GRID, fold_mses(eqs, dense, cells, y, DEFAULT_LAMBDA_GRID, FOLDS)))
+        width = TIE_RTOL * float(np.mean(y * y))
+        band = min(mses.values()) + width
+        assert mses[got.lam] <= band + width / 2
+        assert all(mse > band - width / 2 for lam, mse in mses.items() if lam < got.lam)
+    beta_a, beta_c = eqs.total(np.ones(FOLDS, dtype=bool)).solve(got.lam)
+    assert np.array_equal(got.coefficients, np.concatenate([beta_a[1:10], beta_c, beta_a[10:]]))
+    assert got.intercept == beta_a[0]
+
+
+def test_bucket_predictions_equal_per_tick_predictions(monkeypatch):
+    """Over three hours of the 22x22 city, two of them after a retrain, the
+    predictions each tick's dispatch gets equal predict_many over that
+    tick's free cells with the tick's model and trend."""
+    cfg = replace(city22_config("cord-approx", 7), horizon=180)
+    grid, _ = make_grid(22, capacity=1, zones=3)
+    sim = Simulation(grid, lattice_capacity(22), build_arrivals(cfg, grid, cfg.seed), cfg, cfg.seed)
+    free_spots, dispatch = Simulation._free_spots, engine.dispatch
+    spots_seen, checked = [], []
+
+    def spy_spots(self, t):
+        spots_seen.append(free_spots(self, t))
+        return spots_seen[-1]
+
+    def spy_dispatch(*args, p_hat):
+        t = sim.occ.tick
+        start = sim.minute0 + (t // BUCKET_MINUTES) * BUCKET_MINUTES
+        want = predict_many(sim.model, spots_seen[-1].k, sim.minute0 + t, sim.corpus.trend_vector(start),
+                            sim.n * sim.n, cfg.weekday)
+        assert np.array_equal(p_hat, want), t
+        checked.append(t)
+        return dispatch(*args, p_hat=p_hat)
+
+    monkeypatch.setattr(Simulation, "_free_spots", spy_spots)
+    monkeypatch.setattr(engine, "dispatch", spy_dispatch)
+    sim.run()
+    assert {t // BUCKET_MINUTES for t in checked} == {0, 1, 2}
+    assert len(checked) > 150
