@@ -49,7 +49,6 @@ def cmd_run(args) -> int:
 
 def _sweep_cell(payload):
     cfg, out_dir = payload
-    _require_history(cfg)
     report, _ = run_simulation(cfg, out_dir=out_dir)
     return report
 
@@ -80,7 +79,9 @@ def cmd_sweep(args) -> int:
         if name in cells:
             raise ConfigError(f"two sweep cells share the directory cells/{name}: "
                               f"give distinct strategies, seeds and scales")
-        cells[name] = (replace(cfg, strategy=strategy, seed=seed, demand_scale=scale), str(out_root / "cells" / name))
+        cell_cfg = replace(cfg, strategy=strategy, seed=seed, demand_scale=scale)
+        _require_history(cell_cfg)
+        cells[name] = (cell_cfg, str(out_root / "cells" / name))
     out_root.mkdir(parents=True, exist_ok=True)
 
     results: dict[str, dict] = {}

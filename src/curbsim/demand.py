@@ -8,8 +8,8 @@ directly from documented closed-form intensities.
 Every per-(cell, minute) table is one `MinuteCounts`: three int64 columns
 `cells`, `minutes`, `counts`, rows sorted by (minute, cell), no repeated
 (cell, minute) pair and no zero count. `ArrivalSeries` holds one per driver
-group; `ArrivalSeries.arrivals` lists a group's arrivals one by one with
-per-minute offsets, for the engine to slice.
+group; `ArrivalSeries.arrivals` lists both groups' arrivals one by one in one
+list with per-minute offsets, for the engine to slice.
 """
 from __future__ import annotations
 
@@ -72,14 +72,20 @@ class ArrivalSeries:
     def total(self, group: str) -> int:
         return int(self.group(group).counts.sum())
 
-    def arrivals(self, group: str, horizon: int) -> tuple[np.ndarray, list[int]]:
-        """The group's arrivals one by one: every arrival's cell in (minute,
-        cell) order, and for each minute 0..horizon the index of its first
-        arrival, so minute t's arrivals are cells[first[t]:first[t + 1]]."""
-        rows = self.group(group)
-        first_row = np.searchsorted(rows.minutes, np.arange(horizon + 1))
-        before = np.concatenate([[0], np.cumsum(rows.counts)])
-        return np.repeat(rows.cells, rows.counts), before[first_row].tolist()
+    def arrivals(self, horizon: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Both groups' arrivals one by one in one list: every arrival's cell
+        and group code (0 participant, 1 competitor), ordered by minute, each
+        minute's participants first and each group's in cell order; and for
+        each minute 0..horizon the index of its first arrival, so minute t's
+        arrivals are rows first[t]:first[t + 1]. A run numbers its agents by
+        their row in this list."""
+        groups = (self.participants, self.competitors)
+        minutes = np.concatenate([np.repeat(rows.minutes, rows.counts) for rows in groups])
+        cells = np.concatenate([np.repeat(rows.cells, rows.counts) for rows in groups])
+        codes = np.repeat(np.arange(len(groups)), [rows.counts.sum() for rows in groups])
+        order = np.argsort(minutes, kind="stable")  # participants first, each group in cell order
+        first = np.searchsorted(minutes.take(order), np.arange(horizon + 1))
+        return cells.take(order), codes.take(order), first.tolist()
 
 
 def parse_intensity(source, label_to_cell: dict[str, int]) -> list[IntensityRecord]:

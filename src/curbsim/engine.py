@@ -2,7 +2,7 @@
 
 `Simulation.tick` runs one minute as a fixed sequence of phases:
 
-1. `_spawn`: the minute's arrivals join the searching pools, sliced from
+1. `_spawn`: the minute's arrivals join the searching store, one slice of
    the arrival list `ArrivalSeries.arrivals` builds once at start;
 2. `_depart`: parked stays count down and finished ones free their spots;
 3. `_free_spots`: one view of the free spots (count per cell, the cells
@@ -21,7 +21,7 @@
 5. `_move`: every active searcher takes one step;
 6. `_resolve`: claims per cell with uniform tie-breaks, parking, and the
    cord-approx observations;
-7. `_expire`: agents over the search budget fail, and each searching store
+7. `_expire`: agents over the search budget fail, and the searching store
    drops its parked and failed agents in one compaction;
 8. `_learn`: on bucket ends, merge the observations into the predictor
    history, retrain on schedule and predict every cell's availability for
@@ -29,15 +29,18 @@
    (cord-approx only).
 
 Departures run before dispatch so freed spots are assignable the same minute.
-Every phase is array-wide and skips its numpy work when its group is
-empty; `_emit` writes one event line, one sink write, per agent, and only
-when an event sink is attached.
+Every phase is array-wide, runs once over both driver groups and skips its
+numpy work when it has no rows; `_emit` writes one event line, one sink
+write, per agent, and only when an event sink is attached.
 
-Agents, parked spots and outcomes live in `_Columns` stores: int64 columns
-in capacity-doubling buffers with a live length, so a spawn or a park
-writes into spare rows instead of reallocating every column. The invariant
-checks still run every tick: agent conservation after the tick's phases,
-and the occupancy bounds after every departure and every parking.
+Searching agents, parked spots and outcomes live in `_Columns` stores: int64
+columns in capacity-doubling buffers with a live length, so a spawn or a
+park writes into spare rows instead of reallocating every column. One store
+holds both groups' searchers, the group a column. Where the groups' order
+shows (the outcome rows, events and dwell draws of winners, failures and
+censored agents), participants come first. The invariant checks still run
+every tick: agent conservation per group after the tick's phases, and the
+occupancy bounds after every departure and every parking.
 
 Determinism: every stochastic concern draws from its own seeded stream
 (demand, strategy ties, movement, parking ties, dwell), in a fixed order
@@ -186,7 +189,8 @@ class _Columns:
     filtered together. Each column lives in a capacity-doubling buffer, and
     the attribute named after it is a view of the buffer's live rows,
     rebound after every append and keep, so writes through it land in the
-    store."""
+    store. `Simulation.searching` is one: both groups' searchers in id
+    order, an id being the agent's row in the run's arrival list."""
 
     def __init__(self, **shapes):
         # column name -> shape of one row: () for a number, (2,) for a cell
@@ -225,22 +229,6 @@ class _Columns:
             buf[:len(rows)] = buf.take(rows, axis=0)
         self._len = len(rows)
         self._rebind()
-
-
-class _Agents(_Columns):
-    """One searching group; participants also carry their dispatched target
-    ((-1, -1) until the first assignment)."""
-
-    def __init__(self, group: int):
-        self.group = group
-        shapes = dict(ids=(), pos=(2,), spawn=())
-        if group == GROUP_PARTICIPANT:
-            shapes["target"] = (2,)
-        super().__init__(**shapes)
-
-    def append(self, ids, pos, spawn):
-        # zip in _Columns.append drops the target fill for competitors
-        super().append(ids, pos, spawn, -1)
 
 
 class _Parked(_Columns):
@@ -288,19 +276,19 @@ class Simulation:
         self.occ = OccupancyState(self.n, np.asarray(capacity, dtype=np.int64).copy())
         self.streams = RngStreams(seed)
         self.sink = event_sink
-        self.participants = _Agents(GROUP_PARTICIPANT)
-        self.competitors = _Agents(GROUP_COMPETITOR)
+        # target (-1, -1): a competitor, or a participant never assigned
+        self.searching = _Columns(ids=(), group=(), pos=(2,), spawn=(), target=(2,))
         self.parked = _Parked()
         self.availability = np.zeros(cfg.horizon)
         self._outcomes = _Columns(spawn=(), group=(), status=(), terminal=(), park_cell=())
-        self._arrivals = [series.arrivals(name, cfg.horizon) for name in GROUPS]
+        self._arrivals = series.arrivals(cfg.horizon)
         self._coords = _coord_table(self.n)
         self._flat = np.array([self.n, 1])  # (i, j) . _flat = cell index k
         self._total_capacity = self.occ.total_capacity
-        self.next_id = 0
-        self.spawned = [0, 0]
-        self.parked_count = [0, 0]
-        self.failed_count = [0, 0]
+        # per group: [participants, competitors]
+        self.spawned = np.zeros(2, np.int64)
+        self.parked_count = np.zeros(2, np.int64)
+        self.failed_count = np.zeros(2, np.int64)
 
         # predictor state (cord-approx)
         self.corpus = corpus
@@ -325,14 +313,15 @@ class Simulation:
         self._spawn(t)
         self._depart(t)
         spots = self._free_spots(t)
-        act_p = self._active(self.participants, t)
-        act_c = self._active(self.competitors, t)
+        act = self._active(t)
+        is_p = self.searching.group == GROUP_PARTICIPANT
+        act_p, act_c = act & is_p, act & ~is_p
         sight = None
         if len(spots.k):
-            sight = sight_view(self.competitors.pos.take(act_c.nonzero()[0], axis=0), spots.cells)
+            sight = sight_view(self.searching.pos.take(act_c.nonzero()[0], axis=0), spots.cells)
         self._dispatch(t, act_p, spots, sight)
         self._move(t, act_p, act_c, spots.cells, sight)
-        won = self._resolve(t, act_p, act_c, spots.free)
+        won = self._resolve(t, act, spots.free)
         self._expire(t, won)
         self._check_conservation()
         self.occ.tick = t + 1
@@ -341,32 +330,33 @@ class Simulation:
     # --- helpers ---
 
     def _emit(self, t, event, ids, group, cells):
-        """One event line, and one sink write, per agent; group is one code
-        for all of them or one per agent."""
+        """One event line, and one sink write, per agent; group holds each
+        agent's group code."""
         if self.sink is None:
             return
         write = self.sink.write
         head = f'{{"tick": {t}, "agent_id": '
-        if isinstance(group, int):
-            tail = f', "group": "{GROUPS[group]}", "event": "{event}", "cell": '
-            for aid, k in zip(ids.tolist(), cells.tolist()):
-                write(f"{head}{aid}{tail}{k}}}\n")
-        else:
-            tails = [f', "group": "{name}", "event": "{event}", "cell": ' for name in GROUPS]
-            for aid, g, k in zip(ids.tolist(), group.tolist(), cells.tolist()):
-                write(f"{head}{aid}{tails[g]}{k}}}\n")
+        tails = [f', "group": "{name}", "event": "{event}", "cell": ' for name in GROUPS]
+        for aid, g, k in zip(ids.tolist(), group.tolist(), cells.tolist()):
+            write(f"{head}{aid}{tails[g]}{k}}}\n")
 
     def _record(self, spawn, groups, status, t, cells):
         """One outcome row (group, spawn, status, terminal tick, cell) per
         agent; every argument but spawn may be one value for all."""
         self._outcomes.append(spawn, groups, status, t, cells)
 
-    def _active(self, agents: _Agents, t: int) -> np.ndarray:
-        """Spawned before this tick and within the search budget, so a
-        distance-d target costs exactly d minutes of search time; over-budget
-        agents are inert in their final tick and fail in _expire."""
-        spawn = agents.spawn
+    def _active(self, t: int) -> np.ndarray:
+        """The searching rows spawned before this tick and within the search
+        budget, so a distance-d target costs exactly d minutes of search
+        time; over-budget agents are inert in their final tick and fail in
+        _expire."""
+        spawn = self.searching.spawn
         return (spawn < t) & (spawn >= t - self.cfg.t_max)
+
+    def _by_group(self, rows) -> np.ndarray:
+        """Searching rows reordered participants first, each group's rows in
+        their given order: the order of outcome rows, events and dwell draws."""
+        return rows.take(np.argsort(self.searching.group.take(rows), kind="stable"))
 
     def _place_phantoms(self):
         """Background occupants so a run can start inside a target availability
@@ -396,16 +386,15 @@ class Simulation:
     # --- phases, in tick order ---
 
     def _spawn(self, t):
-        for agents, (cells, first) in zip((self.participants, self.competitors), self._arrivals):
-            lo, hi = first[t], first[t + 1]
-            if lo == hi:
-                continue
-            ks = cells[lo:hi]
-            ids = np.arange(self.next_id, self.next_id + hi - lo, dtype=np.int64)
-            self.next_id += hi - lo
-            agents.append(ids, self._coords.take(ks, axis=0), t)
-            self.spawned[agents.group] += hi - lo
-            self._emit(t, "spawn", ids, agents.group, ks)
+        cells, group, first = self._arrivals
+        lo, hi = first[t], first[t + 1]
+        if lo == hi:
+            return
+        ks, group = cells[lo:hi], group[lo:hi]
+        ids = np.arange(lo, hi, dtype=np.int64)
+        self.searching.append(ids, group, self._coords.take(ks, axis=0), t, -1)
+        self.spawned += np.bincount(group, minlength=2)
+        self._emit(t, "spawn", ids, group, ks)
 
     def _depart(self, t):
         parked = self.parked
@@ -437,7 +426,7 @@ class Simulation:
         physically at resolution time), and cord-approx alone gets
         availability predictions."""
         cfg = self.cfg
-        p = self.participants
+        s = self.searching
         rows = act_p.nonzero()[0]
         if len(rows) == 0 or len(spots.k) == 0:
             return
@@ -446,83 +435,84 @@ class Simulation:
             info = dict(sight=sight, r=cfg.r)
         elif cfg.strategy is StrategyKind.CORD_APPROX:
             info["p_hat"] = self._p_hat.take(spots.k)
-        targets = dispatch(cfg.strategy, p.pos.take(rows, axis=0), spots.cells, spots.counts,
+        targets = dispatch(cfg.strategy, s.pos.take(rows, axis=0), spots.cells, spots.counts,
                            self.streams.stream("strategy"), **info)
         if len(targets):
             # sorted by participant row, which follows spawn order: agent ids ascend
             rows = rows.take(targets[:, 0])
             k = spots.k.take(targets[:, 1])
-            changed = (k != p.target.take(rows, axis=0).dot(self._flat)).nonzero()[0]
+            changed = (k != s.target.take(rows, axis=0).dot(self._flat)).nonzero()[0]
             rows, k = rows.take(changed), k.take(changed)
-            p.target[rows] = self._coords.take(k, axis=0)
-            self._emit(t, "assign", p.ids.take(rows), GROUP_PARTICIPANT, k)
+            s.target[rows] = self._coords.take(k, axis=0)
+            self._emit(t, "assign", s.ids.take(rows), s.group.take(rows), k)
 
     def _move(self, t, act_p, act_c, free_cells, sight: SightView | None):
-        """Step every active searcher. Never-dispatched participants cruise
-        like blind searchers, so a tick without an assignment is
-        repositioning, not a lost minute."""
+        """Step every active searcher: assigned participants, unassigned
+        participants, then competitors, in this draw order. Never-dispatched
+        participants cruise like blind searchers, so a tick without an
+        assignment is repositioning, not a lost minute."""
         cfg = self.cfg
         mrng = self.streams.stream("movement")
-        p, c = self.participants, self.competitors
-        if len(p):
-            assigned = p.target[:, 0] >= 0
-            rows = (act_p & assigned).nonzero()[0]
-            if len(rows):
-                pos, target = p.pos.take(rows, axis=0), p.target.take(rows, axis=0)
-                self._relocate(t, p, rows, step_toward_batch(pos, target, mrng))
-            rows = (act_p & ~assigned).nonzero()[0]
-            if len(rows):
-                pos = p.pos.take(rows, axis=0)
-                self._relocate(t, p, rows, step_competitors_batch(pos, _NO_CELLS, None, cfg.r, self.n, mrng))
+        s = self.searching
+        assigned = s.target[:, 0] >= 0  # only a participant ever holds a target
+        rows = (act_p & assigned).nonzero()[0]
+        if len(rows):
+            pos, target = s.pos.take(rows, axis=0), s.target.take(rows, axis=0)
+            self._relocate(t, rows, step_toward_batch(pos, target, mrng))
+        rows = (act_p & ~assigned).nonzero()[0]
+        if len(rows):
+            pos = s.pos.take(rows, axis=0)
+            self._relocate(t, rows, step_competitors_batch(pos, _NO_CELLS, None, cfg.r, self.n, mrng))
         rows = act_c.nonzero()[0]
         if len(rows):
-            pos = c.pos.take(rows, axis=0)
-            self._relocate(t, c, rows, step_competitors_batch(pos, free_cells, sight, cfg.r, self.n, mrng))
+            pos = s.pos.take(rows, axis=0)
+            self._relocate(t, rows, step_competitors_batch(pos, free_cells, sight, cfg.r, self.n, mrng))
 
-    def _relocate(self, t, agents: _Agents, rows, new_pos):
+    def _relocate(self, t, rows, new_pos):
+        s = self.searching
         if self.cfg.log_moves and self.sink is not None:
             k = new_pos.dot(self._flat)
-            moved = (k != agents.pos.take(rows, axis=0).dot(self._flat)).nonzero()[0]
-            self._emit(t, "move", agents.ids.take(rows.take(moved)), agents.group, k.take(moved))
-        agents.pos[rows] = new_pos
+            changed = (k != s.pos.take(rows, axis=0).dot(self._flat)).nonzero()[0]
+            moved = rows.take(changed)
+            self._emit(t, "move", s.ids.take(moved), s.group.take(moved), k.take(changed))
+        s.pos[rows] = new_pos
 
-    def _resolve(self, t, act_p, act_c, free) -> tuple[np.ndarray, np.ndarray]:
+    def _resolve(self, t, act, free) -> np.ndarray:
         """Claims, parking and the cord-approx observations; returns the
-        rows that parked, per group. A participant claims at its assigned
-        cell, or wherever it stands while unassigned; a competitor claims
-        wherever it stands."""
-        p, c = self.participants, self.competitors
-        if len(p) == 0 and len(c) == 0:
-            return _NO_ROWS, _NO_ROWS
-        p_k = p.pos.dot(self._flat)
-        c_k = c.pos.dot(self._flat)
-        at_target = p_k == p.target.dot(self._flat)  # (-1, -1), no target, is no cell
-        p_claim = act_p & (at_target | (p.target[:, 0] < 0)) & (free.take(p_k) > 0)
-        c_claim = act_c & (free.take(c_k) > 0)
-        p_rows, c_rows = p_claim.nonzero()[0], c_claim.nonzero()[0]
-        won_p = won_c = _NO_ROWS
-        if len(p_rows) or len(c_rows):
-            won_p, won_c = self._claim_winners(free, p_rows, p_k, c_rows, c_k)
-            self._park(t, won_p, won_c, p_k, c_k)
+        rows that parked. A participant claims at its assigned cell, or
+        wherever it stands while unassigned; a competitor, never assigned,
+        claims wherever it stands."""
+        s = self.searching
+        if len(s) == 0:
+            return _NO_ROWS
+        k = s.pos.dot(self._flat)
+        at_target = k == s.target.dot(self._flat)  # (-1, -1), no target, is no cell
+        rows = (act & (at_target | (s.target[:, 0] < 0)) & (free.take(k) > 0)).nonzero()[0]
+        won = _NO_ROWS
+        if len(rows):
+            won = self._claim_winners(free, rows, k)
+            self._park(t, won, k)
         if self.cfg.strategy is StrategyKind.CORD_APPROX:
             # an attempt is a participant's arrival at its target: the history
             # estimates exactly the availability cord-approx divides by
             n_cells = len(free)
-            self._attempts += np.bincount(p_k[act_p & at_target], minlength=n_cells)
-            self._successes += np.bincount(p_k[won_p[at_target[won_p]]], minlength=n_cells)
-        return won_p, won_c
+            self._attempts += np.bincount(k[act & at_target], minlength=n_cells)
+            self._successes += np.bincount(k[won[at_target[won]]], minlength=n_cells)
+        return won
 
-    def _claim_winners(self, free, p_rows, p_k, c_rows, c_k):
-        """Winning participant and competitor rows, in (cell, row) order. A
-        cell with more claims than free spots draws its winners uniformly
-        from the "ties" stream, one permutation per such cell, cells
-        ascending."""
-        rows = np.concatenate([p_rows, c_rows])
-        cells = np.concatenate([p_k.take(p_rows), c_k.take(c_rows)])
-        group = np.zeros(len(rows), np.int64)
-        group[len(p_rows):] = GROUP_COMPETITOR
-        order = np.lexsort((group, rows, cells))
-        rows, group = rows.take(order), group.take(order)
+    def _claim_winners(self, free, rows, k):
+        """The winning rows among the claiming ones, participants first, each
+        group's in (cell, row) order. A cell with more claims than free spots
+        draws its winners uniformly from the "ties" stream, one permutation
+        per such cell, cells ascending, over its claims keyed (row within
+        group, group)."""
+        codes = self.searching.group
+        competitors_upto = np.cumsum(codes).take(rows)  # competitor rows up to each claim, inclusive
+        group = codes.take(rows)
+        within = np.where(group, competitors_upto - 1, rows - competitors_upto)  # group 1: competitor
+        cells = k.take(rows)
+        order = np.lexsort((group, within, cells))
+        rows = rows.take(order)
         size = np.bincount(cells, minlength=len(free))
         contested = (size > free).nonzero()[0]
         if len(contested):
@@ -533,48 +523,42 @@ class Simulation:
                            free.take(contested).tolist())
             for first, claims, spots in per_cell:
                 lost[first + trng.permutation(claims)[spots:]] = True
-            won = ~lost
-            rows, group = rows[won], group[won]
-        is_p = group == GROUP_PARTICIPANT
-        return rows[is_p], rows[~is_p]
+            rows = rows[~lost]
+        return self._by_group(rows)
 
-    def _park(self, t, won_p, won_c, p_k, c_k):
-        """Occupy one spot per winner, participants first, with sampled dwell."""
-        p, c = self.participants, self.competitors
-        n_p = len(won_p)
-        ids = np.concatenate([p.ids.take(won_p), c.ids.take(won_c)])
-        groups = np.zeros(len(ids), np.int64)
-        groups[n_p:] = GROUP_COMPETITOR
-        cells = np.concatenate([p_k.take(won_p), c_k.take(won_c)])
+    def _park(self, t, won, k):
+        """Occupy one spot per winner, in the given order, with sampled dwell."""
+        s = self.searching
+        ids, group, cells = s.ids.take(won), s.group.take(won), k.take(won)
         dwell = sample_dwell_batch(self.cfg.dwell, len(ids), self.streams.stream("dwell"))
         self.occ.occupied += np.bincount(cells, minlength=self.n * self.n)
-        self.parked.append(ids, groups, cells, dwell)
-        self.parked_count[GROUP_PARTICIPANT] += n_p
-        self.parked_count[GROUP_COMPETITOR] += len(won_c)
-        self._record(np.concatenate([p.spawn.take(won_p), c.spawn.take(won_c)]), groups, STATUS_PARKED, t, cells)
-        self._emit(t, "park", ids[:n_p], GROUP_PARTICIPANT, cells[:n_p])
-        self._emit(t, "park", ids[n_p:], GROUP_COMPETITOR, cells[n_p:])
+        self.parked.append(ids, group, cells, dwell)
+        self.parked_count += np.bincount(group, minlength=2)
+        self._record(s.spawn.take(won), group, STATUS_PARKED, t, cells)
+        self._emit(t, "park", ids, group, cells)
         self.occ.check()
 
     def _expire(self, t, won):
-        """Agents over the search budget fail; then each searching store drops
-        its parked (won) and failed rows in one compaction."""
-        for agents, rows in zip((self.participants, self.competitors), won):
-            if len(agents) == 0:
-                continue
-            over = agents.spawn < t - self.cfg.t_max
-            failed = np.count_nonzero(over)
-            if failed:
-                self.failed_count[agents.group] += failed
-                self._record(agents.spawn[over], agents.group, STATUS_FAILED, t, -1)
-                if self.sink is not None:
-                    gone = over.nonzero()[0]
-                    cells = agents.pos.take(gone, axis=0).dot(self._flat)
-                    self._emit(t, "fail", agents.ids.take(gone), agents.group, cells)
-            if failed or len(rows):
-                keep = ~over
-                keep[rows] = False
-                agents.keep(keep)
+        """Agents over the search budget fail, participants first; then the
+        searching store drops its parked (won) and failed rows in one
+        compaction."""
+        s = self.searching
+        if len(s) == 0:
+            return
+        over = s.spawn < t - self.cfg.t_max
+        gone = over.nonzero()[0]
+        if len(gone):
+            gone = self._by_group(gone)
+            group = s.group.take(gone)
+            self.failed_count += np.bincount(group, minlength=2)
+            self._record(s.spawn.take(gone), group, STATUS_FAILED, t, -1)
+            if self.sink is not None:
+                cells = s.pos.take(gone, axis=0).dot(self._flat)
+                self._emit(t, "fail", s.ids.take(gone), group, cells)
+        if len(gone) or len(won):
+            keep = ~over
+            keep[won] = False
+            s.keep(keep)
 
     def _learn(self, end):
         """At each bucket end (cord-approx only): merge the bucket's outcomes
@@ -599,22 +583,21 @@ class Simulation:
                                    self.cfg.weekday)
 
     def _check_conservation(self):
-        for agents in (self.participants, self.competitors):
-            grp = agents.group
-            # parked_count is cumulative: departures stay inside it
-            total = len(agents) + self.parked_count[grp] + self.failed_count[grp]
-            if total != self.spawned[grp]:
-                raise ValidationError(
-                    f"agent conservation broken for {GROUPS[grp]}: "
-                    f"{self.spawned[grp]} spawned vs {total} accounted"
-                )
+        # parked_count is cumulative: departures stay inside it
+        total = np.bincount(self.searching.group, minlength=2) + self.parked_count + self.failed_count
+        if (total != self.spawned).any():
+            grp = int((total != self.spawned).argmax())
+            raise ValidationError(
+                f"agent conservation broken for {GROUPS[grp]}: {self.spawned[grp]} spawned vs {total[grp]} accounted"
+            )
         if int(self.occ.occupied.sum()) != len(self.parked):
             raise ValidationError("occupancy does not match the parked registry")
 
     def finish(self) -> RunOutcomes:
-        """Censor agents still searching at horizon end."""
-        for agents in (self.participants, self.competitors):
-            self._record(agents.spawn, agents.group, STATUS_CENSORED, -1, -1)
+        """Censor agents still searching at horizon end, participants first."""
+        s = self.searching
+        rows = self._by_group(np.arange(len(s)))
+        self._record(s.spawn.take(rows), s.group.take(rows), STATUS_CENSORED, -1, -1)
         o = self._outcomes
         return RunOutcomes(o.group, o.spawn, o.status, o.terminal, o.park_cell)
 
@@ -708,7 +691,7 @@ def run_simulation(
                 seed=run_seed,
                 outcomes=outcomes,
                 availability=sim.availability,
-                spawned=(sim.spawned[0], sim.spawned[1]),
+                spawned=tuple(sim.spawned.tolist()),
             )
         )
 

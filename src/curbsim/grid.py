@@ -101,7 +101,9 @@ class GridSpec:
 
 @dataclass
 class OccupancyState:
-    """Live per-cell occupancy against fixed capacities. Single-writer."""
+    """Live per-cell occupancy against fixed capacities. Single-writer.
+    Capacities summing past MAX_TOTAL_CAPACITY spots are a ConfigError, as
+    in `load_grid`, for a grid built through the API."""
 
     n: int
     capacity: np.ndarray
@@ -114,6 +116,9 @@ class OccupancyState:
             raise ValidationError("capacity must have one entry per cell")
         if (self.capacity < 0).any():
             raise ValidationError("capacities must be non-negative")
+        # the per-cell test first: a sum of huge capacities can wrap around int64
+        if (self.capacity > MAX_TOTAL_CAPACITY).any() or self.total_capacity > MAX_TOTAL_CAPACITY:
+            raise ConfigError(f"grid capacity sums past {MAX_TOTAL_CAPACITY} spots")
         if self.occupied is None:
             self.occupied = np.zeros_like(self.capacity)
         else:
@@ -137,7 +142,8 @@ class OccupancyState:
 
 GRID_COLS = ("k", "geohash7", "i", "j", "capacity")
 # the engine holds per-spot rows (the phantom occupants among them), so a
-# grid's summed capacity is bounded where the file is read
+# grid's summed capacity is bounded where the file is read and again where
+# OccupancyState takes it
 MAX_TOTAL_CAPACITY = 2**22
 
 

@@ -2,9 +2,10 @@
 library against: the per-agent movement, parking and dwell contracts, the
 per-cell occupancy operations, the scalar strategy costs, the dense
 predictor, the `{(cell, minute): count}` dict demand pipeline, the
-unbuffered engine column store, and the unvectorized dispatch kernels:
-assignment, the grid-sized capture probability table, oracle cost matrix,
-capture blocking and competitor stepping."""
+per-group arrival lists, the unbuffered engine column store, and the
+unvectorized dispatch kernels: assignment, the grid-sized capture
+probability table, oracle cost matrix, capture blocking and competitor
+stepping."""
 from __future__ import annotations
 
 import math
@@ -312,6 +313,16 @@ class DictSeries:
 
 def dict_series(series: ArrivalSeries) -> DictSeries:
     return DictSeries(series.horizon, dict_of(series.participants), dict_of(series.competitors))
+
+
+def group_arrivals(series: ArrivalSeries, group: str, horizon: int) -> tuple[np.ndarray, list[int]]:
+    """One group's arrivals one by one, as the engine sliced them when it
+    kept a store per group: every arrival's cell in (minute, cell) order,
+    and for each minute 0..horizon the index of its first arrival."""
+    rows = series.group(group)
+    first_row = np.searchsorted(rows.minutes, np.arange(horizon + 1))
+    before = np.concatenate([[0], np.cumsum(rows.counts)])
+    return np.repeat(rows.cells, rows.counts), before[first_row].tolist()
 
 
 def series_of(horizon: int, participants=None, competitors=None) -> ArrivalSeries:

@@ -126,17 +126,28 @@ def test_sweep_1x1_matches_run(tmp_path, short_config):
 
 def test_sweep_grid_and_partial_failure(tmp_path, short_config):
     out = tmp_path / "sweep"
+    config = _edited_config(tmp_path, short_config, history_file=str(tmp_path / "missing_history.csv"))
     code = main([
-        "sweep", "--config", str(short_config), "--out", str(out),
+        "sweep", "--config", str(config), "--out", str(out),
         "--strategies", "unc-agn,cord-agn,cord-approx",
         "--seeds", "1,2",
     ])
-    # cord-approx cells fail (no history); the others complete
+    # cord-approx cells fail when they load their missing history file; the others complete
     assert code == 1
     summary = json.loads((out / "sweep_summary.json").read_text())
     assert len(summary["failures"]) == 2
     assert len(summary["cells"]) == 4
     assert all("history" in msg for msg in summary["failures"].values())
+
+
+def test_sweep_checks_the_history_rule_before_any_cell_runs(tmp_path, short_config, capsys):
+    # the cord-agn cell used to run to its end before cord-approx's cell exited 1
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(short_config), "--out", str(out),
+                 "--strategies", "cord-agn,cord-approx"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: predictor requires history (set history_file for cord-approx)\n"
+    assert not (out / "cells").exists()
 
 
 def test_sweep_four_by_three(tmp_path, short_config):

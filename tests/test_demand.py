@@ -11,6 +11,7 @@ from reference import (
     dict_of,
     dict_series,
     disaggregate_dict,
+    group_arrivals,
     scale_series_dict,
     split_demand_dict,
     synth_demand_dict,
@@ -273,6 +274,24 @@ def test_scale_series_matches_dict_oracle(p_rows, c_rows, scale):
     series = ArrivalSeries(50, MinuteCounts.of(p_rows), MinuteCounts.of(c_rows))
     want = scale_series_dict(DictSeries(50, summed(p_rows), summed(c_rows)), scale)
     assert dict_series(scale_series(series, scale)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_st, rows_st, st.integers(0, 50))
+def test_merged_arrivals_split_by_group_into_the_per_group_lists(p_rows, c_rows, horizon):
+    """Each minute's slice of the one arrival list, split by group code,
+    holds the per-group lists' slices (tests/reference.py), participants
+    first; the rows up to the horizon are both groups' arrivals before it."""
+    series = ArrivalSeries(50, MinuteCounts.of(p_rows), MinuteCounts.of(c_rows))
+    cells, codes, first = series.arrivals(horizon)
+    want = [group_arrivals(series, name, horizon) for name in ("participant", "competitor")]
+    assert len(first) == horizon + 1 and first[0] == 0
+    assert first[horizon] == sum(w_first[horizon] for _, w_first in want)
+    for t in range(horizon):
+        minute_cells, minute_codes = cells[first[t]:first[t + 1]], codes[first[t]:first[t + 1]]
+        assert (np.diff(minute_codes) >= 0).all()
+        for code, (w_cells, w_first) in enumerate(want):
+            assert minute_cells[minute_codes == code].tolist() == w_cells[w_first[t]:w_first[t + 1]].tolist()
 
 
 @settings(max_examples=150, deadline=None)

@@ -17,6 +17,8 @@ from curbsim import engine as engine_mod
 from curbsim import strategies
 from curbsim.demand import ArrivalSeries
 from curbsim.engine import (
+    GROUP_COMPETITOR,
+    GROUP_PARTICIPANT,
     GROUP_PHANTOM,
     ArrivalsConfig,
     SimConfig,
@@ -49,6 +51,12 @@ def base_cfg(**kw):
     return SimConfig(**defaults)
 
 
+def add_searchers(sim, ids, group, pos, spawn):
+    """Append searching agents of one group code, or one code per agent,
+    without a target."""
+    sim.searching.append(np.asarray(ids), group, np.asarray(pos), np.asarray(spawn), -1)
+
+
 def competitor_captures(sim, r=None):
     """Eq.-1 capture set over the free cells: some active competitor within r
     (default: the config's R) and strictly closer than every active
@@ -57,11 +65,12 @@ def competitor_captures(sim, r=None):
     free_k = np.flatnonzero(sim.occ.capacity - sim.occ.occupied > 0)
     free_cells = np.stack([free_k // sim.n, free_k % sim.n], axis=1)
 
-    def active(agents):
-        age = sim.occ.tick - agents.spawn
-        return agents.pos[(age > 0) & (age <= sim.cfg.t_max)]
+    def active(group):
+        s = sim.searching
+        age = sim.occ.tick - s.spawn
+        return s.pos[(age > 0) & (age <= sim.cfg.t_max) & (s.group == group)]
 
-    c_pos, d_pos = active(sim.competitors), active(sim.participants)
+    c_pos, d_pos = active(GROUP_COMPETITOR), active(GROUP_PARTICIPANT)
     if len(c_pos) == 0:
         return set()
     min_c = manhattan_matrix(c_pos, free_cells).min(axis=0)
@@ -81,19 +90,19 @@ def test_captures_examples():
 
     # competitor adjacent, nearest participant far -> captured
     sim = at_tick_one(sim_with(grid, caps, series, cfg))
-    sim.competitors.append(np.array([10]), np.array([[0, 1]]), np.array([0]))
-    sim.participants.append(np.array([11]), np.array([[4, 4]]), np.array([0]))
+    add_searchers(sim, [10], GROUP_COMPETITOR, [[0, 1]], [0])
+    add_searchers(sim, [11], GROUP_PARTICIPANT, [[4, 4]], [0])
     assert CellCoord(0, 0) in competitor_captures(sim)
 
     # competitor outside the radius -> not captured
     sim = at_tick_one(sim_with(grid, caps, series, cfg))
-    sim.competitors.append(np.array([10]), np.array([[0, 2]]), np.array([0]))
+    add_searchers(sim, [10], GROUP_COMPETITOR, [[0, 2]], [0])
     assert CellCoord(0, 0) not in competitor_captures(sim)
 
     # equality with a participant defers to the arrival tie-break
     sim = at_tick_one(sim_with(grid, caps, series, cfg))
-    sim.competitors.append(np.array([10]), np.array([[0, 1]]), np.array([0]))
-    sim.participants.append(np.array([11]), np.array([[1, 0]]), np.array([0]))
+    add_searchers(sim, [10], GROUP_COMPETITOR, [[0, 1]], [0])
+    add_searchers(sim, [11], GROUP_PARTICIPANT, [[1, 0]], [0])
     assert CellCoord(0, 0) not in competitor_captures(sim)
 
 
@@ -104,7 +113,7 @@ def test_tick_noop():
     sim.tick()
     assert sim.occ.tick == 1
     assert (sim.occ.occupied == occ_before).all()
-    assert len(sim.participants) == 0 and len(sim.competitors) == 0
+    assert len(sim.searching) == 0
 
 
 def test_adjacent_participant_parks_next_tick():
@@ -158,17 +167,17 @@ def test_unassigned_keeps_stale_target():
     sim = sim_with(grid, caps, series, base_cfg(horizon=10))
     sim.tick()
     sim.tick()
-    assert tuple(sim.participants.target[0]) == (0, 0)
+    assert tuple(sim.searching.target[0]) == (0, 0)
     # a background occupant takes the spot for the rest of the run: no free
     # spots remain, and the engine's invariant checks still hold
     sim.parked.append(np.array([-1]), np.array([GROUP_PHANTOM]), np.array([0]), np.array([100]))
     sim.occ.occupied[0] = 1
-    pos_before = sim.participants.pos[0].copy()
+    pos_before = sim.searching.pos[0].copy()
     sim.tick()
     # dispatch had nothing to offer; the stale target still pulls the agent
-    assert tuple(sim.participants.target[0]) == (0, 0)
+    assert tuple(sim.searching.target[0]) == (0, 0)
     d_before = abs(pos_before[0] - 0) + abs(pos_before[1] - 0)
-    p = sim.participants.pos[0]
+    p = sim.searching.pos[0]
     assert abs(p[0]) + abs(p[1]) == d_before - 1
 
 
@@ -397,7 +406,8 @@ def test_oracle_unit_blocking_equals_the_blocker_lists(case):
 def test_resolve_matches_per_cell_scalar_draws():
     """The array-wide claim resolution picks the same winners as a per-cell
     loop over the scalar contract fed by a "ties" stream with the same seed:
-    claimants keyed by (row, group), cells ascending."""
+    claimants keyed by (row, group), cells ascending, where row counts the
+    agent's group only. The two groups interleave in the searching store."""
     contested_multi = 0
     for trial in range(300):
         rng = np.random.default_rng(trial)
@@ -407,37 +417,37 @@ def test_resolve_matches_per_cell_scalar_draws():
         sim = sim_with(grid, caps, empty_series(), base_cfg(strategy="unc-agn"), seed=trial)
         sim.occ.occupied = rng.integers(0, caps // 2 + 1)
         t = sim.occ.tick = 1
-        n_p, n_c = rng.integers(0, 16, 2)
+        m = int(rng.integers(0, 32))
+        group = rng.integers(0, 2, m)
         # spawn 1 is not yet active at tick 1 and must never claim
-        sim.participants.append(np.arange(n_p), rng.integers(0, n, (n_p, 2)), rng.integers(0, 2, n_p))
-        sim.competitors.append(np.arange(n_c) + 100, rng.integers(0, n, (n_c, 2)), rng.integers(0, 2, n_c))
-        # targets: at the agent (claims), elsewhere (does not) or none (claims where it stands)
-        p = sim.participants
-        kind = rng.integers(0, 3, n_p)
-        p.target[kind == 0] = p.pos[kind == 0]
-        p.target[kind == 1] = (p.pos[kind == 1] + 1) % n
+        add_searchers(sim, 100 + np.arange(m), group, rng.integers(0, n, (m, 2)), rng.integers(0, 2, m))
+        # targets: at the agent (claims), elsewhere (does not) or none (claims
+        # where it stands); a competitor never holds one
+        s = sim.searching
+        kind = np.where(group == GROUP_PARTICIPANT, rng.integers(0, 3, m), 2)
+        s.target[kind == 0] = s.pos[kind == 0]
+        s.target[kind == 1] = (s.pos[kind == 1] + 1) % n
 
         free = sim.occ.capacity - sim.occ.occupied
         claims: dict[int, list[tuple[int, int]]] = {}
-        for group, agents in ((0, p), (1, sim.competitors)):
-            for row in range(len(agents)):
-                k = int(agents.pos[row, 0] * n + agents.pos[row, 1])
-                claiming = group == 1 or kind[row] != 1
-                if agents.spawn[row] == 0 and claiming and free[k] > 0:
-                    claims.setdefault(k, []).append((row, group))
+        ids = {}
+        for code in (GROUP_PARTICIPANT, GROUP_COMPETITOR):
+            for row, i in enumerate((group == code).nonzero()[0].tolist()):
+                k = int(s.pos[i, 0] * n + s.pos[i, 1])
+                ids[(row, code)] = int(s.ids[i])
+                if s.spawn[i] == 0 and kind[i] != 1 and free[k] > 0:
+                    claims.setdefault(k, []).append((row, code))
         ties = RngStreams(trial).stream("ties")
         want: set[tuple[int, int]] = set()
         for k in sorted(claims):
             want |= resolve_parking(claims[k], int(free[k]), ties)
             contested_multi += 2 <= free[k] < len(claims[k])
 
-        ids = {(row, 0): aid for row, aid in enumerate(p.ids.tolist())}
-        ids.update({(row, 1): aid for row, aid in enumerate(sim.competitors.ids.tolist())})
-        sim._resolve(t, sim._active(p, t), sim._active(sim.competitors, t), free)
+        sim._resolve(t, sim._active(t), free)
         assert set(sim.parked.ids.tolist()) == {ids[key] for key in want}
-        assert sim.parked_count == [sum(g == 0 for _, g in want), sum(g == 1 for _, g in want)]
+        assert sim.parked_count.tolist() == [sum(g == 0 for _, g in want), sum(g == 1 for _, g in want)]
         assert (sim.occ.occupied <= caps).all()
-    # multi-spot cells with more claims than spots: 39 over these seeds
+    # multi-spot cells with more claims than spots: 44 over these seeds
     assert contested_multi >= 30
 
 
@@ -470,8 +480,9 @@ def test_engine_invariants_on_random_small_configs(case):
     for _ in range(cfg.horizon):
         sim.tick()
         assert ((0 <= sim.occ.occupied) & (sim.occ.occupied <= caps)).all()
-        for code, agents in enumerate((sim.participants, sim.competitors)):
-            assert len(agents) + sim.parked_count[code] + sim.failed_count[code] == sim.spawned[code]
+        for code in (GROUP_PARTICIPANT, GROUP_COMPETITOR):
+            searching = int(np.count_nonzero(sim.searching.group == code))
+            assert searching + sim.parked_count[code] + sim.failed_count[code] == sim.spawned[code]
     out = sim.finish()
     for code in (0, 1):
         assert (out.group == code).sum() == sim.spawned[code]

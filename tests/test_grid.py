@@ -154,6 +154,15 @@ def test_load_grid_bounds_the_total_capacity(tmp_path):
         load_grid(path)
 
 
+def test_occupancy_state_bounds_the_total_capacity():
+    # an API-built grid skips load_grid's check; 4e9 spots used to be accepted
+    assert OccupancyState(1, np.array([MAX_TOTAL_CAPACITY])).total_capacity == MAX_TOTAL_CAPACITY
+    with pytest.raises(ConfigError, match="^grid capacity sums past 4194304 spots$"):
+        OccupancyState(2, make_grid(2, capacity=10**9)[1])
+    with pytest.raises(ConfigError, match="sums past"):
+        OccupancyState(2, np.full(4, 2**62))  # sums to 2**64, which wraps to 0 in int64
+
+
 def test_occupancy_bounds_checked():
     with pytest.raises(CapacityError):
         OccupancyState(2, np.array([1, 1, 1, 1]), np.array([2, 0, 0, 0]))

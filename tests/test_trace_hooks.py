@@ -81,7 +81,7 @@ def test_tracer_counts_competitor_pairs_and_oracle_entries_exactly(monkeypatch):
 
     def spy(sim, t):
         spots = free_spots(sim, t)
-        active = [int(np.count_nonzero(sim._active(agents, t))) for agents in (sim.participants, sim.competitors)]
+        active = [int(np.count_nonzero(sim._active(t) & (sim.searching.group == code))) for code in (0, 1)]
         seen.append((len(spots.k), *active))
         return spots
 
