@@ -82,6 +82,9 @@ def cmd_sweep(args) -> int:
         cell_cfg = replace(cfg, strategy=strategy, seed=seed, demand_scale=scale)
         _require_history(cell_cfg)
         cells[name] = (cell_cfg, str(out_root / "cells" / name))
+    # the cells name the same input files; a cord-approx cell's config reads the history too
+    configs = [cell_cfg for cell_cfg, _ in cells.values()]
+    load_inputs(next((c for c in configs if c.strategy is StrategyKind.CORD_APPROX), configs[0]))
     out_root.mkdir(parents=True, exist_ok=True)
 
     results: dict[str, dict] = {}

@@ -576,11 +576,10 @@ class Simulation:
         """Predict every cell's availability for the bucket that starts at
         tick start. The predictions depend only on the bucket, the model and
         the trend, which change only at bucket ends, so dispatch gathers a
-        tick's free cells from this one vector."""
-        n_cells = self.n * self.n
+        tick's free cells from this one vector. The weekday is the corpus's,
+        the one retrain fits with."""
         trend = self.corpus.trend_vector(self.minute0 + start)
-        self._p_hat = predict_many(self.model, np.arange(n_cells), self.minute0 + start, trend, n_cells,
-                                   self.cfg.weekday)
+        self._p_hat = predict_many(self.model, self.minute0 + start, trend, self.corpus.base_weekday)
 
     def _check_conservation(self):
         # parked_count is cumulative: departures stay inside it

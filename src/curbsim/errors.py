@@ -33,10 +33,6 @@ class CapacityError(CurbsimError):
     """Occupancy bookkeeping breach: a cell's occupied count leaves [0, capacity]."""
 
 
-class SchemaError(CurbsimError):
-    """Model/feature schema mismatch (e.g. predicting for an unknown cell)."""
-
-
 class SingularityError(CurbsimError):
     """Unregularized fit on rank-deficient data."""
 

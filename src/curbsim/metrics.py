@@ -101,8 +101,10 @@ def zone_report(outcomes, zones: dict[str, list[int]], window: tuple[int, int]) 
 
 
 def hourly_series(outcomes, horizon: int) -> list[dict]:
+    """Per hour of the horizon and group, the outcomes of the agents spawned
+    in that hour; a partial last hour is a row of its own."""
     rows = []
-    for hour in range(horizon // 60):
+    for hour in range(-(-horizon // 60)):
         for code, name in enumerate(GROUPS):
             s = _summary(outcomes, _window_mask(outcomes, code, (hour * 60, (hour + 1) * 60)))
             rows.append({"hour": hour, "group": name, "success_ratio": s["success_ratio"],

@@ -10,8 +10,9 @@ fold over the cells the corpus holds, solves and scores every (lambda,
 fold) fit of the cross-validation from those sums in one batched pass, and
 solves the final fit from the totals scattered to full width, so a model's
 bits do not depend on which cells were observed. No sum runs in BLAS.
-Predictions depend only on the hour bucket, the model and the trend, so the
-engine asks for every cell's once per bucket.
+Predictions depend only on the hour bucket, the model and the trend, so
+`predict_many` serves every cell of one bucket at once. A model is fit and
+serves with the corpus's base weekday, the weekday of its minute 0.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, SchemaError, SingularityError, Table, ValidationError
+from .errors import ConfigError, ParseError, SingularityError, Table, ValidationError
 
 BUCKET_MINUTES = 60
 CLAMP_LO = 0.01
@@ -95,14 +96,6 @@ class RidgeModel:
     coefficients: np.ndarray
     intercept: float
     lam: float
-    schema: str
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
-
-
-def feature_schema(n_cells: int) -> str:
-    return f"tod2+wd7+cell{n_cells}+trend1"
 
 
 def feature_dim(n_cells: int) -> int:
@@ -124,14 +117,7 @@ def _dense_columns(bucket_starts: np.ndarray, trends: np.ndarray, base_weekday: 
     return d
 
 
-def _checked_cells(cells, n_cells: int) -> np.ndarray:
-    cells = np.asarray(cells, dtype=np.int64)
-    if (cells < 0).any() or (cells >= n_cells).any():
-        raise SchemaError(f"cell index outside schema range 0..{n_cells - 1}")
-    return cells
-
-
-def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float, schema: str = "raw") -> RidgeModel:
+def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float) -> RidgeModel:
     """Solve the penalized normal equations; the intercept is unpenalized."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -158,30 +144,26 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float, schema: str = "raw") -> 
     if lam == 0.0 and np.linalg.matrix_rank(design) < p + 1:
         rank = int(np.linalg.matrix_rank(design))
         raise SingularityError(f"normal equations singular at lambda=0: design rank {rank} < {p + 1}")
-    return RidgeModel(beta[1:], float(beta[0]), float(lam), schema)
+    return RidgeModel(beta[1:], float(beta[0]), float(lam))
 
 
-def predict_many(model: RidgeModel, cells: np.ndarray, tick: int, trend_vec: np.ndarray,
-                 n_cells: int, base_weekday: int = 0) -> np.ndarray:
-    """Clamped availability predictions for several cells at one tick.
+def predict_many(model: RidgeModel, start: int, trend: np.ndarray, base_weekday: int) -> np.ndarray:
+    """Every cell's clamped availability for the bucket that starts at
+    minute start, given the per-cell trend vector.
 
-    The cell one-hot is applied as a gather of the cell coefficients, so no
-    cells x feature_dim matrix is built.
+    The time-of-day and weekday columns are the same for every cell, so
+    they form one row; the cell one-hot is the cell coefficients
+    themselves, so no cells x feature_dim matrix is built.
     """
-    if model.schema != feature_schema(n_cells):
-        raise SchemaError(f"model schema {model.schema!r} does not cover {n_cells} cells")
-    cells = _checked_cells(cells, n_cells)
-    bucket = (tick // BUCKET_MINUTES) * BUCKET_MINUTES
-    dense = _dense_columns(np.full(len(cells), bucket), trend_vec[cells], base_weekday)
+    dense = _dense_columns(np.array([start]), np.zeros(1), base_weekday)
     beta = model.coefficients
-    raw = (model.intercept + np.einsum("ri,i->r", dense[:, 1:10], beta[:9])
-           + beta[9:-1][cells] + dense[:, 10] * beta[-1])
-    return np.clip(raw, CLAMP_LO, 1.0)
+    shared = model.intercept + np.einsum("ri,i->r", dense[:, 1:10], beta[:9])[0]
+    return np.clip(shared + beta[9:-1] + trend * beta[-1], CLAMP_LO, 1.0)
 
 
 def uniform_model(n_cells: int, p: float = 0.5) -> RidgeModel:
     """Constant-prediction fallback used before any history exists."""
-    return RidgeModel(np.zeros(feature_dim(n_cells)), p, 1.0, feature_schema(n_cells))
+    return RidgeModel(np.zeros(feature_dim(n_cells)), p, 1.0)
 
 
 def update_history(corpus: HistoryCorpus, bucket_start: int, attempts: np.ndarray,
@@ -295,7 +277,7 @@ def _select_lambda(eqs: _NormalEquations, y: np.ndarray, grid) -> float:
 def retrain(corpus: HistoryCorpus) -> RidgeModel:
     """Fresh ridge fit over the full corpus with cross-validated lambda.
 
-    The model is fit_ridge of rho on the feature_schema design, with lambda
+    The model is fit_ridge of rho on the feature_dim design, with lambda
     chosen from DEFAULT_LAMBDA_GRID by deterministic cross-validation: fold
     k holds the records whose index is k modulo FOLDS. The design is never
     built: per-fold normal-equation blocks are accumulated once, over the
@@ -309,7 +291,9 @@ def retrain(corpus: HistoryCorpus) -> RidgeModel:
     """
     if len(corpus) == 0:
         return uniform_model(corpus.n_cells)
-    cells = _checked_cells(corpus.cells, corpus.n_cells)
+    cells = corpus.cells
+    if (cells < 0).any() or (cells >= corpus.n_cells).any():
+        raise ValidationError(f"corpus cell outside the grid's 0..{corpus.n_cells - 1}")
     y = corpus.rho
     trends = trailing_trend(corpus, cells, corpus.starts)
     dense = _dense_columns(corpus.starts, trends, corpus.base_weekday)
@@ -321,7 +305,7 @@ def retrain(corpus: HistoryCorpus) -> RidgeModel:
     full[:, present] = np.vstack([b, d, r_c])
     beta_a, beta_c = _NormalEquations(a, r_a, full[:11], full[11], full[12]).solve(lam)
     coefficients = np.concatenate([beta_a[1:10], beta_c, beta_a[10:]])
-    return RidgeModel(coefficients, float(beta_a[0]), float(lam), feature_schema(corpus.n_cells))
+    return RidgeModel(coefficients, float(beta_a[0]), float(lam))
 
 
 # --- persistence ---
@@ -339,7 +323,7 @@ def save_corpus(path, corpus: HistoryCorpus):
 
 def load_corpus(path, n_cells: int, base_weekday: int = 0) -> HistoryCorpus:
     """Read a `save_corpus` table (see `Table`); a rho outside [0, 1] or a
-    cell outside the schema's 0..n_cells-1 is reported with its line."""
+    cell outside the grid's 0..n_cells-1 is reported with its line."""
     rows = []
     for line, row in Table(path).rows("history", HISTORY_COLS, ("k", "bucket_start", "attempts")):
         try:
@@ -349,7 +333,7 @@ def load_corpus(path, n_cells: int, base_weekday: int = 0) -> HistoryCorpus:
         if not (0.0 <= rho <= 1.0):
             raise ValidationError(f"line {line}: rho {rho} outside [0, 1]")
         if row["k"] >= n_cells:
-            raise SchemaError(f"line {line}: cell {row['k']} outside grid with {n_cells} cells")
+            raise ValidationError(f"line {line}: cell {row['k']} outside grid with {n_cells} cells")
         rows.append((row["k"], row["bucket_start"], rho, row["attempts"]))
     cells, starts, rhos, attempts = zip(*rows) if rows else ((), (), (), ())
     return HistoryCorpus(n_cells, base_weekday, cells, starts, rhos, attempts)

@@ -15,7 +15,7 @@ import numpy as np
 
 from curbsim.agents import DwellSpec, step_toward_batch
 from curbsim.demand import ArrivalSeries, MinuteCounts, _round_half_up, _synth_rates, largest_remainder
-from curbsim.errors import CapacityError, ConfigError, SchemaError, ValidationError
+from curbsim.errors import CapacityError, ConfigError, ValidationError
 from curbsim.grid import CellCoord, OccupancyState, manhattan, manhattan_matrix
 from curbsim.matching import INFEASIBLE
 from curbsim.predictor import (
@@ -26,7 +26,6 @@ from curbsim.predictor import (
     TREND_DEFAULT,
     RidgeModel,
     feature_dim,
-    feature_schema,
     fit_ridge,
     uniform_model,
 )
@@ -200,7 +199,7 @@ def build_features(cells, bucket_starts, trends, n_cells: int, base_weekday: int
     x = np.zeros((len(cells), feature_dim(n_cells)))
     for i, (cell, start, tr) in enumerate(zip(cells, bucket_starts, trends)):
         if not 0 <= cell < n_cells:
-            raise SchemaError(f"cell index outside schema range 0..{n_cells - 1}")
+            raise ValidationError(f"cell index outside the grid's 0..{n_cells - 1}")
         theta = 2.0 * np.pi * (start % 1440) / 1440.0
         x[i, 0] = np.sin(theta)
         x[i, 1] = np.cos(theta)
@@ -220,8 +219,6 @@ def corpus_design(corpus) -> tuple[np.ndarray, np.ndarray]:
 
 def predict_availability(model: RidgeModel, cell: int, tick: int, corpus) -> float:
     """Clamped availability probability for one cell at one tick."""
-    if model.schema != feature_schema(corpus.n_cells):
-        raise SchemaError(f"model schema {model.schema!r} does not cover this corpus")
     bucket = (tick // BUCKET_MINUTES) * BUCKET_MINUTES
     x = build_features([cell], [bucket], [trend(corpus, cell, bucket)], corpus.n_cells, corpus.base_weekday)
     raw = float(model.intercept + x[0] @ model.coefficients)
@@ -270,7 +267,7 @@ def retrain_reference(corpus, grid=DEFAULT_LAMBDA_GRID, folds: int = 5) -> Ridge
         return uniform_model(corpus.n_cells)
     x, y = corpus_design(corpus)
     lam = 1.0 if len(y) < folds else select_lambda(x, y, grid, folds)
-    return fit_ridge(x, y, lam, schema=feature_schema(corpus.n_cells))
+    return fit_ridge(x, y, lam)
 
 
 def fold_mses(eqs, dense: np.ndarray, cells: np.ndarray, y: np.ndarray, grid, folds: int) -> list[float]:

@@ -126,18 +126,33 @@ def test_sweep_1x1_matches_run(tmp_path, short_config):
 
 def test_sweep_grid_and_partial_failure(tmp_path, short_config):
     out = tmp_path / "sweep"
-    config = _edited_config(tmp_path, short_config, history_file=str(tmp_path / "missing_history.csv"))
+    hist = tmp_path / "hist.csv"
+    save_corpus(hist, HistoryCorpus(100))
+    config = _edited_config(tmp_path, short_config, history_file=str(hist))
+    # a plain file where a cord-approx cell's directory goes fails that cell at run time
+    (out / "cells").mkdir(parents=True)
+    for seed in (1, 2):
+        (out / "cells" / f"cord-approx_s{seed}").write_text("")
     code = main([
         "sweep", "--config", str(config), "--out", str(out),
         "--strategies", "unc-agn,cord-agn,cord-approx",
         "--seeds", "1,2",
     ])
-    # cord-approx cells fail when they load their missing history file; the others complete
     assert code == 1
     summary = json.loads((out / "sweep_summary.json").read_text())
     assert len(summary["failures"]) == 2
     assert len(summary["cells"]) == 4
-    assert all("history" in msg for msg in summary["failures"].values())
+    assert all(f"cells/{name}" in msg for name, msg in summary["failures"].items())
+
+
+def test_sweep_loads_every_input_file_before_any_cell_runs(tmp_path, short_config, capsys):
+    # the cord-agn cell used to run to its end before cord-approx's cell failed on the missing file
+    out = tmp_path / "sweep"
+    config = _edited_config(tmp_path, short_config, history_file=str(tmp_path / "nope.csv"))
+    code = main(["sweep", "--config", str(config), "--out", str(out), "--strategies", "cord-agn,cord-approx"])
+    assert code == 2
+    assert "nope.csv: no such file" in capsys.readouterr().err
+    assert not (out / "cells").exists()
 
 
 def test_sweep_checks_the_history_rule_before_any_cell_runs(tmp_path, short_config, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -228,7 +229,7 @@ def test_outcome_blocks_and_regimes_equal_a_per_agent_recount(case):
     for code, name in enumerate(GROUPS):
         want["peak"][name] = _recount(rows, code, window)
         want["full_day"][name] = _recount(rows, code, (0, horizon))
-    for hour in range(horizon // 60):
+    for hour in range(math.ceil(horizon / 60)):
         for code, name in enumerate(GROUPS):
             got = _recount(rows, code, (hour * 60, hour * 60 + 60))
             want["hourly"].append({
@@ -242,6 +243,9 @@ def test_outcome_blocks_and_regimes_equal_a_per_agent_recount(case):
         }
     assert blocks == want
     assert set(blocks["zones"]["c"].values()) == {None}
+    # the hours, a partial last one included, cover the day
+    resolved = sum(block["parked"] + block["failed"] for block in blocks["full_day"].values())
+    assert sum(row["n"] for row in blocks["hourly"]) == resolved
 
     gaps = regime_gap(o, availability)
     for label, lo, hi in REGIME_BINS:

@@ -17,7 +17,7 @@ from reference import (
 
 from curbsim import engine
 from curbsim.engine import Simulation, build_arrivals
-from curbsim.errors import ConfigError, SchemaError, SingularityError, ValidationError
+from curbsim.errors import ConfigError, SingularityError, ValidationError
 from curbsim.grid import make_grid
 from curbsim.predictor import (
     BUCKET_MINUTES,
@@ -27,7 +27,6 @@ from curbsim.predictor import (
     HistoryCorpus,
     RidgeModel,
     feature_dim,
-    feature_schema,
     fit_ridge,
     load_corpus,
     predict_many,
@@ -58,10 +57,10 @@ def take(corpus, rows):
 
 
 def predict(model, cell, tick, corpus):
-    """predict_many for one cell, with the trend vector of the tick's bucket."""
+    """predict_many's entry for one cell, with the trend vector of the tick's
+    bucket."""
     bucket = (tick // BUCKET_MINUTES) * BUCKET_MINUTES
-    return float(predict_many(model, np.array([cell]), tick, corpus.trend_vector(bucket),
-                              corpus.n_cells, corpus.base_weekday)[0])
+    return float(predict_many(model, bucket, corpus.trend_vector(bucket), corpus.base_weekday)[cell])
 
 
 def ridge_oracle(x, y, lam):
@@ -158,15 +157,6 @@ def test_predict_clamps():
     assert predict(high, 0, 30, corpus) == 1.0
 
 
-def test_predict_unknown_cell():
-    corpus = HistoryCorpus(4)
-    model = uniform_model(9)
-    with pytest.raises(SchemaError):
-        predict(model, 0, 0, corpus)
-    with pytest.raises(SchemaError):
-        predict_many(uniform_model(4), np.array([7]), 0, np.full(4, 0.5), 4)
-
-
 def test_update_history():
     corpus = HistoryCorpus(4)
     observe(corpus, 0, {2: (4, 3)})
@@ -255,6 +245,29 @@ def test_corpus_trend_window_matches_contract():
     assert vec[2] == pytest.approx(0.5)  # nothing observed: default
 
 
+def test_retrain_rejects_a_corpus_cell_off_the_grid():
+    corpus = HistoryCorpus(4, 0, [1, 4], [0, 0], [0.5, 0.5], [2, 2])
+    with pytest.raises(ValidationError, match="outside the grid's 0..3"):
+        retrain(corpus)
+
+
+def test_engine_predicts_with_the_weekday_the_model_was_fit_on():
+    """A warm start whose corpus begins on weekday 3, run under cfg.weekday
+    0: the engine's first predictions use weekday 3, as its model's fit did."""
+    cfg = replace(city22_config("cord-approx", 7), horizon=60, weekday=0)
+    grid, _ = make_grid(22, capacity=1, zones=3)
+    corpus = HistoryCorpus(grid.n * grid.n, base_weekday=3)
+    rng = np.random.default_rng(5)
+    for hour in range(7 * 24):
+        attempts = rng.integers(0, 3, corpus.n_cells)
+        update_history(corpus, hour * BUCKET_MINUTES, attempts, rng.binomial(attempts, 0.4 + 0.04 * (hour // 24)))
+    sim = Simulation(grid, lattice_capacity(22), build_arrivals(cfg, grid, cfg.seed), cfg, cfg.seed, corpus=corpus)
+    assert sim.minute0 == 7 * 1440
+    trend = corpus.trend_vector(sim.minute0)
+    assert np.array_equal(sim._p_hat, predict_many(sim.model, sim.minute0, trend, 3))
+    assert not np.array_equal(sim._p_hat, predict_many(sim.model, sim.minute0, trend, 0))
+
+
 def test_retrain_returns_fresh_model():
     corpus = HistoryCorpus(4)
     observe(corpus, 0, {0: (3, 2)})
@@ -262,7 +275,6 @@ def test_retrain_returns_fresh_model():
     observe(corpus, 60, {1: (3, 1)})
     m2 = retrain(corpus)
     assert m1 is not m2
-    assert m1.schema == m2.schema == feature_schema(4)
 
 
 def test_corpus_roundtrip(tmp_path):
@@ -283,7 +295,7 @@ def test_load_corpus_rejects_negative_cell_and_attempts(tmp_path):
     with pytest.raises(ValidationError, match="^line 3: k -1 outside"):
         load_corpus(path, 4)
     path.write_text(header + "0,0,0.5,2\n4,0,0.5,2\n")
-    with pytest.raises(SchemaError, match="^line 3: cell 4 outside"):
+    with pytest.raises(ValidationError, match="^line 3: cell 4 outside"):
         load_corpus(path, 4)
     path.write_text(header + "1,0,0.5,-2\n")
     with pytest.raises(ValidationError, match="line 2"):
@@ -335,17 +347,13 @@ def test_predict_many_matches_dense_reference(case, data):
     corpus, _ = case
     n = corpus.n_cells
     coef = st.floats(-0.3, 0.3)
-    model = RidgeModel(data.draw(st.lists(coef, min_size=feature_dim(n), max_size=feature_dim(n))),
-                       data.draw(st.floats(-0.2, 1.2)), 1.0, feature_schema(n))
-    cells = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=np.int64)
+    model = RidgeModel(np.array(data.draw(st.lists(coef, min_size=feature_dim(n), max_size=feature_dim(n)))),
+                       data.draw(st.floats(-0.2, 1.2)), 1.0)
     tick = data.draw(st.integers(0, 3 * 1440))
     bucket = (tick // BUCKET_MINUTES) * BUCKET_MINUTES
-    got = predict_many(model, cells, tick, corpus.trend_vector(bucket), n, corpus.base_weekday)
-    want = [predict_availability(model, int(k), tick, corpus) for k in cells]
+    got = predict_many(model, bucket, corpus.trend_vector(bucket), corpus.base_weekday)
+    want = [predict_availability(model, k, tick, corpus) for k in range(n)]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    # the engine predicts every cell once per bucket and gathers the free ones
-    every = predict_many(model, np.arange(n), tick, corpus.trend_vector(bucket), n, corpus.base_weekday)
-    assert np.array_equal(every.take(cells), got)
 
 
 def assert_matches_reference(corpus, rtol=1e-9):
@@ -359,10 +367,10 @@ def assert_matches_reference(corpus, rtol=1e-9):
         x, y = corpus_design(corpus)
         gap = abs(cv_mse(x, y, got.lam, 5) - cv_mse(x, y, want.lam, 5))
         assert gap <= rtol * np.mean(y * y), (got.lam, want.lam, gap)
-        want = fit_ridge(x, y, got.lam, want.schema)
+        want = fit_ridge(x, y, got.lam)
     g = np.concatenate([[got.intercept], got.coefficients])
     w = np.concatenate([[want.intercept], want.coefficients])
-    assert got.schema == want.schema
+    assert g.shape == w.shape
     assert np.max(np.abs(g - w)) <= rtol * np.max(np.abs(w))
 
 
@@ -443,8 +451,8 @@ def test_bucket_predictions_equal_per_tick_predictions(monkeypatch):
     def spy_dispatch(*args, p_hat):
         t = sim.occ.tick
         start = sim.minute0 + (t // BUCKET_MINUTES) * BUCKET_MINUTES
-        want = predict_many(sim.model, spots_seen[-1].k, sim.minute0 + t, sim.corpus.trend_vector(start),
-                            sim.n * sim.n, cfg.weekday)
+        want = predict_many(sim.model, start, sim.corpus.trend_vector(start), sim.corpus.base_weekday)
+        want = want.take(spots_seen[-1].k)
         assert np.array_equal(p_hat, want), t
         checked.append(t)
         return dispatch(*args, p_hat=p_hat)
