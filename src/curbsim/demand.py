@@ -62,7 +62,6 @@ NO_ARRIVALS = MinuteCounts(*(np.zeros(0, np.int64),) * 3)
 class ArrivalSeries:
     """Integer arrivals per (cell, minute) for each driver group."""
 
-    horizon: int
     participants: MinuteCounts = NO_ARRIVALS
     competitors: MinuteCounts = NO_ARRIVALS
 
@@ -88,13 +87,11 @@ class ArrivalSeries:
         return cells.take(order), codes.take(order), first.tolist()
 
 
-def parse_intensity(source, label_to_cell: dict[str, int]) -> list[IntensityRecord]:
-    """Materialize the intensity rows of `source`, a path or a `Table` read
-    from one; a bad row is reported with its line. `label_to_cell` maps
-    geohash labels to cell indices. The per-segment overlap fractions must
-    sum to 1 for each interval.
+def parse_intensity(table: Table, label_to_cell: dict[str, int]) -> list[IntensityRecord]:
+    """Materialize the intensity rows of `table`; a bad row is reported with
+    its line. `label_to_cell` maps geohash labels to cell indices. The
+    per-segment overlap fractions must sum to 1 for each interval.
     """
-    table = source if isinstance(source, Table) else Table(source)
     records = []
     for line, row in table.rows("intensity", INTENSITY_COLS, ("count",)):
         try:
@@ -178,23 +175,11 @@ def _diffuse(rows: MinuteCounts, factor: float) -> MinuteCounts:
     return MinuteCounts(cells[keep], minutes[keep], out[keep])
 
 
-def split_demand(minute_counts: MinuteCounts, participant_share: float, competitor_share: float,
-                 horizon: int | None = None) -> ArrivalSeries:
+def split_demand(minute_counts: MinuteCounts, participant_share: float, competitor_share: float) -> ArrivalSeries:
     """Split per-minute vehicle counts into the two searching groups, each
     share error-diffused per cell (`_diffuse`), so realized totals track the
-    configured share within one vehicle per cell over the horizon."""
-    if participant_share < 0 or competitor_share < 0:
-        raise ConfigError("shares must be non-negative")
-    if participant_share + competitor_share > 1.0 + 1e-12:
-        raise ConfigError("participant + competitor share must not exceed 1")
-    minutes = minute_counts.minutes
-    if horizon is None:
-        horizon = int(minutes.max(initial=-1)) + 1
-    if not len(minutes) or (participant_share == 0 and competitor_share == 0):
-        return ArrivalSeries(horizon)
-    if minutes[-1] >= horizon:
-        raise ValidationError(f"minute {minutes[-1]} outside horizon {horizon}")
-    return ArrivalSeries(horizon, *(_diffuse(minute_counts, f) for f in (participant_share, competitor_share)))
+    configured share within one vehicle per cell."""
+    return ArrivalSeries(*(_diffuse(minute_counts, f) for f in (participant_share, competitor_share)))
 
 
 PATTERNS = ("uniform", "diurnal", "hotspot")
@@ -305,7 +290,7 @@ def synth_demand(a: ArrivalsConfig, n: int, horizon: int, shares: tuple[float, f
     rates = _synth_rates(a, n, horizon, seed)
     total_share = shares[0] + shares[1]
     if total_share <= 0:
-        return ArrivalSeries(horizon)
+        return ArrivalSeries()
     p_frac = shares[0] / total_share
     rates[rates.sum(axis=1) <= 0] = 0.0  # cells without demand spawn nothing
     # cumulative (cells, minutes) tables, in place: exact integers in float64
@@ -313,7 +298,7 @@ def synth_demand(a: ArrivalsConfig, n: int, horizon: int, shares: tuple[float, f
     cum_p = cum * p_frac + 1e-9
     np.floor(cum_p, out=cum_p)
     cum -= cum_p  # competitors take the rest
-    return ArrivalSeries(horizon, _increments(cum_p), _increments(cum))
+    return ArrivalSeries(_increments(cum_p), _increments(cum))
 
 
 def _increments(cum: np.ndarray) -> MinuteCounts:
@@ -328,12 +313,8 @@ def _increments(cum: np.ndarray) -> MinuteCounts:
 
 def scale_series(series: ArrivalSeries, scale: float) -> ArrivalSeries:
     """Multiply arrival counts by `scale`, error-diffused per cell so integer
-    totals track the scaled demand. scale=1 returns the series unchanged."""
-    if scale < 0:
-        raise ConfigError("demand scale must be >= 0")
-    if scale == 1.0:
-        return series
-    return ArrivalSeries(series.horizon, _diffuse(series.participants, scale), _diffuse(series.competitors, scale))
+    totals track the scaled demand."""
+    return ArrivalSeries(_diffuse(series.participants, scale), _diffuse(series.competitors, scale))
 
 
 def save_series(path, series: ArrivalSeries):
@@ -347,18 +328,15 @@ def save_series(path, series: ArrivalSeries):
                 writer.writerow([k, m, group, c])
 
 
-def load_series(source, n_cells: int) -> ArrivalSeries:
-    """Read a `save_series` table from `source`, a path or a `Table` read
-    from one, for a grid of `n_cells` cells; repeated rows add up. A cell
-    off the grid or an unknown group is reported with its line."""
-    table = source if isinstance(source, Table) else Table(source)
+def load_series(table: Table, n_cells: int) -> ArrivalSeries:
+    """Read a `save_series` table for a grid of `n_cells` cells; repeated
+    rows add up. A cell off the grid or an unknown group is reported with
+    its line."""
     rows = {"participant": [], "competitor": []}
-    horizon = 0
     for line, row in table.rows("series", SERIES_COLS, ("cell", "minute", "count")):
         if row["cell"] >= n_cells:
             raise ValidationError(f"line {line}: cell {row['cell']} outside the grid's cells 0..{n_cells - 1}")
         if row["group"] not in rows:
             raise ValidationError(f"line {line}: unknown group {row['group']!r}")
         rows[row["group"]].append((row["cell"], row["minute"], row["count"]))
-        horizon = max(horizon, row["minute"] + 1)
-    return ArrivalSeries(horizon, MinuteCounts.of(rows["participant"]), MinuteCounts.of(rows["competitor"]))
+    return ArrivalSeries(MinuteCounts.of(rows["participant"]), MinuteCounts.of(rows["competitor"]))

@@ -64,7 +64,7 @@ from .agents import DwellSpec, sample_dwell_batch, step_competitors_batch, step_
 from .demand import ArrivalsConfig, ArrivalSeries, scale_series, synth_demand
 from .errors import ConfigError, Table, ValidationError, check_int, check_number, check_path
 from .grid import GridSpec, OccupancyState, SightView, load_grid, sight_view
-from .metrics import GROUPS, STATUS_CENSORED, STATUS_FAILED, STATUS_PARKED
+from .metrics import GROUPS, STATUS_CENSORED, STATUS_FAILED, STATUS_PARKED, RunOutcomes
 from .predictor import (
     BUCKET_MINUTES,
     HistoryCorpus,
@@ -162,21 +162,6 @@ class SimConfig:
 
 
 @dataclass
-class RunOutcomes:
-    """Terminal outcome per spawned agent (column arrays)."""
-
-    group: np.ndarray
-    spawn: np.ndarray
-    status: np.ndarray
-    terminal: np.ndarray
-    park_cell: np.ndarray
-
-    @staticmethod
-    def from_lists(rows: list[tuple[int, int, int, int, int]]) -> "RunOutcomes":
-        return RunOutcomes(*np.array(rows, dtype=np.int64).reshape(-1, 5).T)
-
-
-@dataclass
 class RunResult:
     seed: int
     outcomes: RunOutcomes
@@ -269,10 +254,8 @@ class Simulation:
         event_sink=None,
         corpus: HistoryCorpus | None = None,
     ):
-        self.grid = grid
         self.n = grid.n
         self.cfg = cfg
-        self.seed = seed
         self.occ = OccupancyState(self.n, np.asarray(capacity, dtype=np.int64).copy())
         self.streams = RngStreams(seed)
         self.sink = event_sink
@@ -295,14 +278,19 @@ class Simulation:
         self.model = None
         self.minute0 = 0
         if cfg.strategy is StrategyKind.CORD_APPROX:
+            n_cells = self.n * self.n
             if self.corpus is None:
-                self.corpus = HistoryCorpus(self.n * self.n, cfg.weekday)
+                self.corpus = HistoryCorpus(n_cells, cfg.weekday)
+            if self.corpus.n_cells != n_cells:
+                raise ConfigError(
+                    f"history corpus covers {self.corpus.n_cells} cells, not the {self.n}x{self.n} grid's {n_cells}"
+                )
             if len(self.corpus):
                 self.minute0 = (int(self.corpus.starts.max()) // 1440 + 1) * 1440
-            self.model = retrain(self.corpus) if len(self.corpus) else uniform_model(self.n * self.n)
+            self.model = retrain(self.corpus) if len(self.corpus) else uniform_model(n_cells)
             self._forecast(0)
-            self._attempts = np.zeros(self.n * self.n, np.int64)
-            self._successes = np.zeros(self.n * self.n, np.int64)
+            self._attempts = np.zeros(n_cells, np.int64)
+            self._successes = np.zeros(n_cells, np.int64)
 
         if cfg.initial_occupancy > 0:
             self._place_phantoms()
@@ -607,7 +595,9 @@ class Simulation:
 
 
 def build_arrivals(cfg: SimConfig, grid: GridSpec, master_seed: int) -> ArrivalSeries:
-    """Materialize the run's arrival series from the configured source."""
+    """Materialize the run's arrival series from the configured source. A
+    file of either kind holds no arrival at or past the horizon: its minute
+    counts are checked as read, before the share split and scaling."""
     a = cfg.arrivals
     if a.kind == "synth":
         seed = a.seed if a.seed is not None else derive_seed(master_seed, 0xDE)
@@ -616,17 +606,19 @@ def build_arrivals(cfg: SimConfig, grid: GridSpec, master_seed: int) -> ArrivalS
         if not a.path:
             raise ConfigError("arrivals.kind=file requires arrivals.path")
         table = Table(a.path)
-        if "segment_id" in table.columns:
-            records = demand_mod.parse_intensity(table, grid.label_to_cell)
-            counts = demand_mod.disaggregate(records)
-            series = demand_mod.split_demand(counts, cfg.shares[0], cfg.shares[1], horizon=cfg.horizon)
+        intensity = "segment_id" in table.columns
+        if intensity:
+            counts = demand_mod.disaggregate(demand_mod.parse_intensity(table, grid.label_to_cell))
+            read = (counts,)
         else:
             series = demand_mod.load_series(table, grid.n * grid.n)
-            if series.horizon > cfg.horizon:
-                raise ConfigError(
-                    f"arrival series spans {series.horizon} minutes, beyond horizon {cfg.horizon}"
-                )
-            series.horizon = cfg.horizon
+            read = (series.participants, series.competitors)
+        # MinuteCounts hold no zero count, so every minute read has an arrival
+        last = max(int(rows.minutes.max(initial=-1)) for rows in read)
+        if last >= cfg.horizon:
+            raise ConfigError(f"{a.path}: arrival at minute {last}, past horizon {cfg.horizon}")
+        if intensity:
+            series = demand_mod.split_demand(counts, *cfg.shares)
     if cfg.demand_scale != 1.0:
         series = scale_series(series, cfg.demand_scale)
     return series

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,19 @@ REGIME_BINS = (
 # driver groups by code, and agent outcome codes; the engine writes both
 GROUPS = ("participant", "competitor")
 STATUS_PARKED, STATUS_FAILED, STATUS_CENSORED = 0, 1, 2
+
+
+@dataclass
+class RunOutcomes:
+    """Terminal outcome per spawned agent (column arrays): group code, spawn
+    tick, status code, terminal tick (-1 when censored) and park cell (-1
+    unless parked)."""
+
+    group: np.ndarray
+    spawn: np.ndarray
+    status: np.ndarray
+    terminal: np.ndarray
+    park_cell: np.ndarray
 
 
 def mean_defined(values) -> float | None:
@@ -72,7 +86,7 @@ def avg_search_time(outcomes, group_code: int, window: tuple[int, int]) -> float
     return _summary(outcomes, _window_mask(outcomes, group_code, window))["avg_search_time"]
 
 
-def regime_gap(outcomes, availability: np.ndarray, bins=REGIME_BINS) -> dict[str, float | None]:
+def regime_gap(outcomes, availability: np.ndarray) -> dict[str, float | None]:
     """Participant-minus-competitor success ratio per availability regime.
 
     Agents are binned by the availability fraction recorded at their spawn
@@ -80,7 +94,7 @@ def regime_gap(outcomes, availability: np.ndarray, bins=REGIME_BINS) -> dict[str
     """
     at_spawn = availability[np.clip(outcomes.spawn, 0, len(availability) - 1)]
     out: dict[str, float | None] = {}
-    for label, lo, hi in bins:
+    for label, lo, hi in REGIME_BINS:
         in_bin = (at_spawn >= lo) & (at_spawn < hi)
         p, c = (_summary(outcomes, in_bin & (outcomes.group == code))["success_ratio"] for code in (0, 1))
         out[label] = None if p is None or c is None else p - c
@@ -298,8 +312,6 @@ def _integer(value, name: str) -> int:
 def fold_events(path, t_max: int):
     """Rebuild outcome arrays from an event log; independent of the engine's
     in-memory bookkeeping, used for recount checks and `report`."""
-    from .engine import RunOutcomes
-
     # agent id -> (group, spawn tick) while searching; a park or fail moves
     # the agent to resolved, so each terminal event costs one dict lookup
     searching: dict[int, tuple[int, int]] = {}
@@ -336,7 +348,7 @@ def fold_events(path, t_max: int):
             raise ValidationError(f"{path}: line {lineno}: malformed event ({type(exc).__name__}: {exc})") from None
     for aid, spawn in searching.items():
         resolved[aid] = (*spawn, STATUS_CENSORED, -1, -1)
-    out = RunOutcomes.from_lists([resolved[aid] for aid in sorted(resolved)])
+    out = RunOutcomes(*np.array([resolved[aid] for aid in sorted(resolved)], np.int64).reshape(-1, 5).T)
     search = out.terminal - out.spawn
     bad = ((out.status == STATUS_PARKED) & (search > t_max)).nonzero()[0]
     if len(bad):

@@ -198,9 +198,9 @@ class _NormalEquations(NamedTuple):
     d: np.ndarray
     r_c: np.ndarray
 
-    def total(self, keep: np.ndarray) -> "_NormalEquations":
-        """Sum of the folds that the boolean mask keep selects."""
-        return _NormalEquations(*(block[keep].sum(axis=0) for block in self))
+    def total(self) -> "_NormalEquations":
+        """Sum over the fold axis."""
+        return _NormalEquations(*(block.sum(axis=0) for block in self))
 
     def solve(self, lam) -> tuple[np.ndarray, np.ndarray]:
         """(dense, cell) coefficients at lam > 0; the intercept is unpenalized.
@@ -300,7 +300,7 @@ def retrain(corpus: HistoryCorpus) -> RidgeModel:
     present, local = np.unique(cells, return_inverse=True)
     eqs = _fold_equations(dense, local, y, len(present), FOLDS)
     lam = 1.0 if len(y) < FOLDS else _select_lambda(eqs, y, DEFAULT_LAMBDA_GRID)
-    a, r_a, b, d, r_c = eqs.total(np.ones(FOLDS, dtype=bool))
+    a, r_a, b, d, r_c = eqs.total()
     full = np.zeros((13, corpus.n_cells))  # b's 11 rows, then d and r_c
     full[:, present] = np.vstack([b, d, r_c])
     beta_a, beta_c = _NormalEquations(a, r_a, full[:11], full[11], full[12]).solve(lam)

@@ -277,7 +277,7 @@ def fold_mses(eqs, dense: np.ndarray, cells: np.ndarray, y: np.ndarray, grid, fo
     own records. predictor._select_lambda solves these fits in one batch and
     scores them from each fold's blocks instead of its records."""
     fold = np.arange(len(y)) % folds
-    trains = [eqs.total(np.arange(folds) != f) for f in range(folds)]
+    trains = [type(eqs)(*(block[np.arange(folds) != f].sum(axis=0) for block in eqs)) for f in range(folds)]
     mses = []
     for lam in grid:
         errs = []
@@ -303,13 +303,12 @@ def dict_of(rows: MinuteCounts) -> dict:
 
 @dataclass
 class DictSeries:
-    horizon: int
     participants: dict
     competitors: dict
 
 
 def dict_series(series: ArrivalSeries) -> DictSeries:
-    return DictSeries(series.horizon, dict_of(series.participants), dict_of(series.competitors))
+    return DictSeries(dict_of(series.participants), dict_of(series.competitors))
 
 
 def group_arrivals(series: ArrivalSeries, group: str, horizon: int) -> tuple[np.ndarray, list[int]]:
@@ -322,9 +321,9 @@ def group_arrivals(series: ArrivalSeries, group: str, horizon: int) -> tuple[np.
     return np.repeat(rows.cells, rows.counts), before[first_row].tolist()
 
 
-def series_of(horizon: int, participants=None, competitors=None) -> ArrivalSeries:
+def series_of(participants=None, competitors=None) -> ArrivalSeries:
     """An ArrivalSeries from {(cell, minute): count} dicts."""
-    return ArrivalSeries(horizon, counts_of(participants or {}), counts_of(competitors or {}))
+    return ArrivalSeries(counts_of(participants or {}), counts_of(competitors or {}))
 
 
 def disaggregate_dict(records, origin=None) -> dict:
@@ -363,28 +362,16 @@ def _diffuse_dict(src: dict, factor: float, dest: dict):
                 dest[(cell, minute)] = n
 
 
-def split_demand_dict(minute_counts: dict, participant_share, competitor_share, horizon=None) -> DictSeries:
-    if participant_share < 0 or competitor_share < 0:
-        raise ConfigError("shares must be non-negative")
-    if participant_share + competitor_share > 1.0 + 1e-12:
-        raise ConfigError("participant + competitor share must not exceed 1")
-    if horizon is None:
-        horizon = max((m for (_, m) in minute_counts), default=-1) + 1
-    series = DictSeries(horizon, {}, {})
-    if not minute_counts or (participant_share == 0 and competitor_share == 0):
-        return series
-    for (_, minute) in minute_counts:
-        if minute >= horizon:
-            raise ValidationError(f"minute {minute} outside horizon {horizon}")
+def split_demand_dict(minute_counts: dict, participant_share, competitor_share) -> DictSeries:
+    series = DictSeries({}, {})
     for share, dest in ((participant_share, series.participants), (competitor_share, series.competitors)):
-        if share:
-            _diffuse_dict(minute_counts, share, dest)
+        _diffuse_dict(minute_counts, share, dest)
     return series
 
 
 def synth_demand_dict(arrivals, n, horizon, shares, seed) -> DictSeries:
     rates = _synth_rates(arrivals, n, horizon, seed)
-    series = DictSeries(horizon, {}, {})
+    series = DictSeries({}, {})
     total_share = shares[0] + shares[1]
     if total_share <= 0:
         return series
@@ -406,11 +393,7 @@ def synth_demand_dict(arrivals, n, horizon, shares, seed) -> DictSeries:
 
 
 def scale_series_dict(series: DictSeries, scale: float) -> DictSeries:
-    if scale < 0:
-        raise ConfigError("demand scale must be >= 0")
-    if scale == 1.0:
-        return series
-    out = DictSeries(series.horizon, {}, {})
+    out = DictSeries({}, {})
     _diffuse_dict(series.participants, scale, out.participants)
     _diffuse_dict(series.competitors, scale, out.competitors)
     return out

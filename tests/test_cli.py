@@ -447,6 +447,29 @@ def test_run_reads_a_series_file(tmp_path, short_config):
         (1, "participant", 5), (2, "competitor", 7), (2, "competitor", 7)]
 
 
+def test_a_zero_count_series_row_past_the_horizon_runs(tmp_path, short_config):
+    # used to fail with "arrival series spans 501 minutes, beyond horizon 120"
+    cfg = _arrival_file_config(tmp_path, short_config, "7,500,competitor,0")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "events.ndjson").read_text().count('"spawn"') == 1
+
+
+@pytest.mark.parametrize("kind, late_row", [
+    ("intensity", "s3,2024-04-18T02:00:00,1,g000005,1.0"),  # one vehicle, at minute 120
+    ("series", "5,120,participant,1"),
+])
+def test_an_arrival_at_the_horizon_is_rejected_from_either_file_kind(tmp_path, short_config, capsys, kind, late_row):
+    # an intensity file used to fail with "minute 120 outside horizon 120",
+    # a series file with "arrival series spans 121 minutes, beyond horizon 120"
+    arrivals = tmp_path / "arrivals.csv"
+    arrivals.write_text("\n".join([*TABLES[kind][2], late_row]) + "\n")
+    config = _edited_config(tmp_path, short_config, **{"arrivals.kind": "file", "arrivals.path": str(arrivals)})
+    for argv in (["validate", "--config", str(config)], ["run", "--config", str(config), "--out", str(tmp_path / "o")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {arrivals}: arrival at minute 120, past horizon 120\n"
+
+
 def test_report_rejects_unknown_config_key(tmp_path, short_config, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(short_config), "--out", str(out)]) == 0

@@ -31,7 +31,7 @@ from curbsim.demand import (
     split_demand,
     synth_demand,
 )
-from curbsim.errors import ConfigError, ParseError, ValidationError
+from curbsim.errors import ConfigError, ParseError, Table, ValidationError
 
 SHARES = (0.015, 0.08)
 HEADER = "segment_id,interval_start,count,geohash7,overlap_fraction\n"
@@ -41,7 +41,7 @@ LABELS = {str(k): k for k in range(16)}  # geohash "k" is cell k
 def _parse(tmp_path, text):
     path = tmp_path / "intensity.csv"
     path.write_text(text)
-    return parse_intensity(path, LABELS)
+    return parse_intensity(Table(path), LABELS)
 
 
 def test_parse_empty_file(tmp_path):
@@ -152,12 +152,12 @@ def test_split_error_diffusion_oracle():
 
 
 def test_split_zero_shares_and_validation():
+    # the shares' bounds are SimConfig's (tests/test_engine.py); a zero share
+    # or an empty table splits into no arrivals
     five = counts_of({(0, 0): 5})
-    assert dict_series(split_demand(five, 0.0, 0.0)).participants == {}
-    with pytest.raises(ConfigError):
-        split_demand(five, -0.1, 0.5)
-    with pytest.raises(ConfigError):
-        split_demand(five, 0.6, 0.6)
+    assert dict_series(split_demand(five, 0.0, 0.0)) == DictSeries({}, {})
+    assert dict_series(split_demand(five, 0.0, 0.4)) == DictSeries({}, {(0, 0): 2})
+    assert dict_series(split_demand(counts_of({}), 0.3, 0.4)) == DictSeries({}, {})
 
 
 def test_split_share_accuracy_property():
@@ -222,7 +222,7 @@ def test_series_roundtrip(tmp_path):
     series = synth_demand(ArrivalsConfig(pattern="hotspot", magnitude=0.8), 4, 30, SHARES, 4)
     path = tmp_path / "series.csv"
     save_series(path, series)
-    back = dict_series(load_series(path, 16))
+    back = dict_series(load_series(Table(path), 16))
     series = dict_series(series)
     assert back.participants == series.participants
     assert back.competitors == series.competitors
@@ -256,23 +256,17 @@ def test_disaggregate_matches_dict_oracle(recs):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows_st, share_st, share_st, st.one_of(st.none(), st.integers(0, 50)))
-def test_split_demand_matches_dict_oracle(rows, p_share, c_share, horizon):
-    table = summed(rows)
-    try:
-        want = split_demand_dict(table, p_share, c_share, horizon)
-    except (ConfigError, ValidationError) as exc:
-        with pytest.raises(type(exc)):
-            split_demand(MinuteCounts.of(rows), p_share, c_share, horizon)
-        return
-    assert dict_series(split_demand(MinuteCounts.of(rows), p_share, c_share, horizon)) == want
+@given(rows_st, share_st, share_st)
+def test_split_demand_matches_dict_oracle(rows, p_share, c_share):
+    want = split_demand_dict(summed(rows), p_share, c_share)
+    assert dict_series(split_demand(MinuteCounts.of(rows), p_share, c_share)) == want
 
 
 @settings(max_examples=300, deadline=None)
 @given(rows_st, rows_st, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 4.0)))
 def test_scale_series_matches_dict_oracle(p_rows, c_rows, scale):
-    series = ArrivalSeries(50, MinuteCounts.of(p_rows), MinuteCounts.of(c_rows))
-    want = scale_series_dict(DictSeries(50, summed(p_rows), summed(c_rows)), scale)
+    series = ArrivalSeries(MinuteCounts.of(p_rows), MinuteCounts.of(c_rows))
+    want = scale_series_dict(DictSeries(summed(p_rows), summed(c_rows)), scale)
     assert dict_series(scale_series(series, scale)) == want
 
 
@@ -282,7 +276,7 @@ def test_merged_arrivals_split_by_group_into_the_per_group_lists(p_rows, c_rows,
     """Each minute's slice of the one arrival list, split by group code,
     holds the per-group lists' slices (tests/reference.py), participants
     first; the rows up to the horizon are both groups' arrivals before it."""
-    series = ArrivalSeries(50, MinuteCounts.of(p_rows), MinuteCounts.of(c_rows))
+    series = ArrivalSeries(MinuteCounts.of(p_rows), MinuteCounts.of(c_rows))
     cells, codes, first = series.arrivals(horizon)
     want = [group_arrivals(series, name, horizon) for name in ("participant", "competitor")]
     assert len(first) == horizon + 1 and first[0] == 0
@@ -310,7 +304,7 @@ def test_series_file_survives_load_save_byte_for_byte(tmp_path):
     spec = ArrivalsConfig(pattern="hotspot", magnitude=0.9, rotate_every=30)
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     save_series(first, synth_demand(spec, 5, 120, SHARES, 3))
-    save_series(second, load_series(first, 25))
+    save_series(second, load_series(Table(first), 25))
     assert first.read_bytes() == second.read_bytes()
     assert len(first.read_bytes().splitlines()) > 100
 
@@ -318,9 +312,8 @@ def test_series_file_survives_load_save_byte_for_byte(tmp_path):
 def test_load_series_sums_repeated_rows(tmp_path):
     path = tmp_path / "series.csv"
     path.write_text("cell,minute,group,count\n3,4,participant,2\n3,4,participant,5\n3,4,competitor,0\n")
-    series = dict_series(load_series(path, 9))
-    assert series.participants == {(3, 4): 7} and series.competitors == {}
-    assert series.horizon == 5
+    series = dict_series(load_series(Table(path), 9))
+    assert series == DictSeries({(3, 4): 7}, {})
 
 
 @pytest.mark.parametrize("row, what", [
@@ -336,4 +329,4 @@ def test_load_series_rejects_rows_off_the_grid_or_clock(tmp_path, row, what):
     path = tmp_path / "series.csv"
     path.write_text("cell,minute,group,count\n0,0,participant,1\n" + row + "\n")
     with pytest.raises(ValidationError, match=f"line 3: .*{what}"):
-        load_series(path, 100)
+        load_series(Table(path), 100)

@@ -30,12 +30,9 @@ from curbsim.engine import (
 from curbsim.errors import ConfigError
 from curbsim.grid import CellCoord, make_grid, manhattan_matrix, sight_view
 from curbsim.metrics import STATUS_PARKED, fold_events, hourly_series
+from curbsim.predictor import HistoryCorpus
 from curbsim.rng import RngStreams, derive_seed
 from curbsim.strategies import StrategyKind
-
-
-def empty_series(horizon=10):
-    return ArrivalSeries(horizon)
 
 
 def sim_with(grid, caps, series, cfg, seed=7, sink=None):
@@ -82,7 +79,7 @@ def competitor_captures(sim, r=None):
 def test_captures_examples():
     grid, caps = make_grid(8, capacity=1)
     cfg = base_cfg(r=1)
-    series = empty_series()
+    series = ArrivalSeries()
 
     def at_tick_one(sim):
         sim.occ.tick = 1  # agents spawned at 0 become active at tick 1
@@ -108,7 +105,7 @@ def test_captures_examples():
 
 def test_tick_noop():
     grid, caps = make_grid(4, capacity=1)
-    sim = sim_with(grid, caps, empty_series(), base_cfg())
+    sim = sim_with(grid, caps, ArrivalSeries(), base_cfg())
     occ_before = sim.occ.occupied.copy()
     sim.tick()
     assert sim.occ.tick == 1
@@ -120,7 +117,7 @@ def test_adjacent_participant_parks_next_tick():
     grid, caps = make_grid(4, capacity=0)
     caps = caps.copy()
     caps[5] = 1  # (1,1)
-    series = series_of(10, participants={(6, 0): 1})  # spawn at (1,2), adjacent
+    series = series_of(participants={(6, 0): 1})  # spawn at (1,2), adjacent
     cfg = base_cfg()
     sim = sim_with(grid, caps, series, cfg)
     sim.tick()
@@ -135,7 +132,7 @@ def test_search_time_equals_initial_distance():
     grid, caps = make_grid(8, capacity=0)
     caps = caps.copy()
     caps[0] = 1  # spot at (0,0)
-    series = series_of(20, participants={(7 * 8 + 7, 0): 1})  # spawn at (7,7), distance 14
+    series = series_of(participants={(7 * 8 + 7, 0): 1})  # spawn at (7,7), distance 14
     sim = sim_with(grid, caps, series, base_cfg(horizon=20))
     out = sim.run()
     assert out.status[0] == 0
@@ -148,7 +145,7 @@ def test_tie_break_frequency_micro():
     grid, caps = make_grid(4, capacity=0)
     caps = caps.copy()
     caps[5] = 1
-    series = series_of(4, participants={(4, 0): 1}, competitors={(6, 0): 1})
+    series = series_of(participants={(4, 0): 1}, competitors={(6, 0): 1})
     wins = 0
     trials = 20_000
     for seed in range(trials):
@@ -163,7 +160,7 @@ def test_unassigned_keeps_stale_target():
     grid, caps = make_grid(6, capacity=0)
     caps = caps.copy()
     caps[0] = 1  # single spot at (0,0)
-    series = series_of(10, participants={(5 * 6 + 5, 0): 1})
+    series = series_of(participants={(5 * 6 + 5, 0): 1})
     sim = sim_with(grid, caps, series, base_cfg(horizon=10))
     sim.tick()
     sim.tick()
@@ -183,7 +180,7 @@ def test_unassigned_keeps_stale_target():
 
 def test_expiry_strictly_after_budget():
     grid, caps = make_grid(4, capacity=0)  # no spots anywhere
-    series = series_of(40, participants={(5, 2): 1})
+    series = series_of(participants={(5, 2): 1})
     cfg = base_cfg(horizon=40, t_max=5)
     sim = sim_with(grid, caps, series, cfg)
     out = sim.run()
@@ -305,6 +302,13 @@ def test_retrain_every_multiples_of_bucket_accepted():
         assert SimConfig(retrain_every=every).retrain_every == every
 
 
+def test_a_corpus_of_another_cell_count_is_a_config_error():
+    # used to fail in the first forecast with a bare numpy broadcast error
+    grid, caps = make_grid(10, capacity=1)
+    with pytest.raises(ConfigError, match=r"^history corpus covers 4 cells, not the 10x10 grid's 100$"):
+        Simulation(grid, caps, ArrivalSeries(), base_cfg(strategy="cord-approx"), 7, None, HistoryCorpus(4))
+
+
 @pytest.mark.parametrize("field, value", [
     ("log_moves", "false"), ("weekday", 9), ("weekday", -1), ("t_max", 0),
     ("shares", (-0.1, 0.5)), ("shares", (0.6, 0.5)), ("shares", (0.1,)),
@@ -414,7 +418,7 @@ def test_resolve_matches_per_cell_scalar_draws():
         n = 3
         grid, _ = make_grid(n, capacity=0)
         caps = rng.integers(0, 5, n * n)
-        sim = sim_with(grid, caps, empty_series(), base_cfg(strategy="unc-agn"), seed=trial)
+        sim = sim_with(grid, caps, ArrivalSeries(), base_cfg(strategy="unc-agn"), seed=trial)
         sim.occ.occupied = rng.integers(0, caps // 2 + 1)
         t = sim.occ.tick = 1
         m = int(rng.integers(0, 32))
@@ -532,7 +536,7 @@ def test_an_oracle_tick_without_active_competitors_prices_with_zero_columns(monk
     """The view always exists when a free spot does: with no competitor it
     has zero columns, and the oracle prices as the dense reference does."""
     grid, caps = make_grid(6, capacity=1)
-    series = series_of(12, participants={(0, 0): 2, (35, 1): 1, (14, 3): 2, (21, 5): 1})
+    series = series_of(participants={(0, 0): 2, (35, 1): 1, (14, 3): 2, (21, 5): 1})
     cfg = base_cfg(strategy="cord-oracle", horizon=12, r=1)
     offers, priced = [], []
     dispatch, price = engine_mod.dispatch, strategies.oracle_cost_matrix

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curbsim.engine import ArrivalsConfig, RunOutcomes, SimConfig, run_simulation
+from curbsim.engine import ArrivalsConfig, SimConfig, run_simulation
 from curbsim.grid import make_grid
 from curbsim.metrics import (
     GROUPS,
     REGIME_BINS,
+    RunOutcomes,
     avg_search_time,
     export_report,
     fold_events,
@@ -23,7 +24,7 @@ from curbsim.metrics import (
 
 
 def outcomes_from(rows):
-    return RunOutcomes.from_lists(rows)
+    return RunOutcomes(*np.array(rows, np.int64).reshape(-1, 5).T)
 
 
 def test_success_ratio_examples():

@@ -429,7 +429,7 @@ def test_retrain_picks_the_per_fold_lambda_and_solves_the_full_width_blocks(corp
         band = min(mses.values()) + width
         assert mses[got.lam] <= band + width / 2
         assert all(mse > band - width / 2 for lam, mse in mses.items() if lam < got.lam)
-    beta_a, beta_c = eqs.total(np.ones(FOLDS, dtype=bool)).solve(got.lam)
+    beta_a, beta_c = eqs.total().solve(got.lam)
     assert np.array_equal(got.coefficients, np.concatenate([beta_a[1:10], beta_c, beta_a[10:]]))
     assert got.intercept == beta_a[0]
 
