@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .engine import SimConfig, config_grid, load_inputs, run_simulation
 from .errors import ConfigError, CurbsimError, ValidationError
-from .metrics import GROUPS, export_report, fold_events, mean_defined, outcome_blocks
+from .metrics import GROUPS, REGIME_BINS, export_report, fold_events, mean_defined, outcome_blocks
 from .strategies import StrategyKind, parse_strategy
 
 
@@ -125,14 +125,18 @@ def cmd_sweep(args) -> int:
 
 def _check_report(report, n_logs: int):
     """The report.json structure `report` reads: an object with a `strategy`,
-    `aggregate.regimes` and a `runs` list that holds an `hourly` series and
-    `zones` per run, one run per event log at least."""
+    `aggregate.regimes` holding every regime bin and a `runs` list that
+    holds an `hourly` series and `zones` per run, one run per event log at
+    least."""
     if not isinstance(report, dict):
         raise ValidationError("report.json must hold a JSON object")
     if not isinstance(report.get("strategy"), str):
         raise ValidationError("report.json has no strategy")
     if not isinstance(report.get("aggregate"), dict) or not isinstance(report["aggregate"].get("regimes"), dict):
         raise ValidationError("report.json has no aggregate.regimes")
+    for label, _, _ in REGIME_BINS:
+        if label not in report["aggregate"]["regimes"]:
+            raise ValidationError(f"report.json aggregate.regimes has no {label} bin")
     runs = report.get("runs")
     if not isinstance(runs, list):
         raise ValidationError("report.json has no runs list")

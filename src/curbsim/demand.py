@@ -241,7 +241,7 @@ class ArrivalsConfig:
         for name, lo in (("peak_minute", None), ("n_centers", 1), ("rotate_every", 0)):
             check_int(f"arrivals.{name}", getattr(self, name), lo)
         if self.seed is not None:
-            check_int("arrivals.seed", self.seed)
+            check_int("arrivals.seed", self.seed, 0, 64)
 
 
 def _synth_rates(a: ArrivalsConfig, n: int, horizon: int, seed: int) -> np.ndarray:

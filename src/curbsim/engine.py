@@ -83,6 +83,9 @@ GROUP_PHANTOM = 2
 
 _NO_ROWS = np.zeros(0, np.int64)
 _NO_CELLS = np.zeros((0, 2), np.int64)
+# a horizon stays below 2**16 minutes (45 days): arrival rates are built
+# per cell and minute
+HORIZON_BITS = 16
 
 
 @dataclass
@@ -117,8 +120,10 @@ class SimConfig:
         check_path("history_file", self.history_file)
         self.shares = tuple(self.shares)
         self.peak_window = tuple(self.peak_window)
-        for name, lo in (("r", 0), ("horizon", 0), ("runs", 1), ("t_max", 1), ("seed", None)):
+        for name, lo in (("r", 0), ("runs", 1), ("t_max", 1)):
             check_int(name, getattr(self, name), lo)
+        check_int("horizon", self.horizon, 0, HORIZON_BITS)
+        check_int("seed", self.seed, 0, 64)
         # Python's json reads NaN and Infinity; check_number rejects both
         check_number("initial_occupancy", self.initial_occupancy, 0, 1)
         check_number("demand_scale", self.demand_scale, 0)

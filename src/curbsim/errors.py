@@ -37,11 +37,15 @@ class SingularityError(CurbsimError):
     """Unregularized fit on rank-deficient data."""
 
 
-def check_int(name, value, lo=None):
-    """ConfigError unless value is an integer >= lo; a non-number raises
-    TypeError, which `SimConfig.from_dict` reports as a bad value."""
+def check_int(name, value, lo=None, bits=40):
+    """ConfigError unless value is an integer >= lo of magnitude below
+    2**bits, so every config integer fits the int64 arrays and the 64-bit
+    seeds it ends up in; a non-number raises TypeError, which
+    `SimConfig.from_dict` reports as a bad value."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool) and (lo is None or value >= lo):
-        return
+        if abs(value) < 2**bits:
+            return
+        raise ConfigError(f"{name} must be an integer of magnitude below 2**{bits}, got {value!r}")
     bound = "" if lo is None else f" >= {lo}"
     error = ConfigError if isinstance(value, numbers.Real) else TypeError
     raise error(f"{name} must be an integer{bound}, got {value!r}")

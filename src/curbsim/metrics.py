@@ -317,13 +317,22 @@ def fold_events(path, t_max: int):
     searching: dict[int, tuple[int, int]] = {}
     resolved: dict[int, tuple[int, int, int, int, int]] = {}
     groups = {name: code for code, name in enumerate(GROUPS)}
+    decode = json.JSONDecoder().raw_decode
     lineno = 0
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
-                ev = json.loads(line)
+                # one decode of the line without JSON's outer whitespace; any
+                # failure re-reads it with json.loads, for json.loads's error
+                text = line.strip(" \t\n\r")
+                try:
+                    ev, end = decode(text)
+                    if end != len(text):
+                        raise ValueError
+                except ValueError:
+                    ev = json.loads(line)
                 aid = ev["agent_id"]
                 kind = ev["event"]
                 if kind == "spawn":

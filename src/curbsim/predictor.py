@@ -5,18 +5,22 @@ time-of-day / weekday / cell / trend features, fits closed-form ridge
 regression (intercept unpenalized) with deterministic cross-validated
 regularization, and serves predictions clamped to [0.01, 1].
 
-A retrain never builds the design matrix. It sums the normal equations per
-fold over the cells the corpus holds, solves and scores every (lambda,
-fold) fit of the cross-validation from those sums in one batched pass, and
-solves the final fit from the totals scattered to full width, so a model's
-bits do not depend on which cells were observed. No sum runs in BLAS.
+A retrain never builds the design matrix. The corpus carries the per-fold
+normal-equation sums of the rows it has seen, and each retrain folds in only
+the rows appended since the last: a row's trend is fixed when the row
+enters, and every sum runs in row order, so the carried sums have the bits
+of sums taken from scratch. A retrain solves and scores every (lambda,
+fold) fit of the cross-validation from those sums, gathered at the observed
+cells, in one batched pass, and solves the final fit from their full-width
+totals, so a model's bits do not depend on which cells were observed. No
+sum runs in BLAS.
 Predictions depend only on the hour bucket, the model and the trend, so
 `predict_many` serves every cell of one bucket at once. A model is fit and
 serves with the corpus's base weekday, the weekday of its minute 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +35,8 @@ DEFAULT_LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 FOLDS = 5
 TREND_BUCKETS = 3
 TREND_DEFAULT = 0.5
+# records per fold in one block when folding records into the normal equations
+ADD_GROUPS = 256
 # gap, relative to the mean squared target, under which two lambdas' mean
 # fold MSEs count as a tie
 TIE_RTOL = 1e-10
@@ -40,7 +46,9 @@ TIE_RTOL = 1e-10
 class HistoryCorpus:
     """Observed success ratios per (cell, hour bucket), one row per
     observation, stored as columns. Columns are rebound, never written in
-    place, so copies made with dataclasses.replace share them safely."""
+    place, so copies made with dataclasses.replace share them safely, and
+    rows are only appended, so the sums retrain carries over the first rows
+    stay valid."""
 
     n_cells: int
     base_weekday: int = 0
@@ -48,6 +56,9 @@ class HistoryCorpus:
     starts: np.ndarray = ()  # int64 bucket start, minutes from corpus epoch
     rho: np.ndarray = ()  # float64 successes / attempts
     attempts: np.ndarray = ()  # int64
+    # retrain's carried (rows, per-fold blocks), see _fold_sums; a copy made
+    # with dataclasses.replace starts without them
+    _sums: tuple[int, _NormalEquations] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.cells = np.asarray(self.cells, dtype=np.int64)
@@ -70,24 +81,20 @@ def trailing_trend(corpus: HistoryCorpus, cells: np.ndarray, starts: np.ndarray)
     strictly before the start: rows with start - TREND_BUCKETS*BUCKET_MINUTES
     <= row start < start. TREND_DEFAULT where no row falls in the window.
 
-    Rows are sorted once on a combined (cell, start rank) key; each window
-    is then a key range, found by two searchsorted calls, whose sum is a
-    difference of the cumulative rho.
+    Each distinct query start sums its window's rows per cell in row order,
+    so rows appended later that start at or after the query start leave the
+    trend's bits as they were.
     """
-    # ranks of the distinct row starts keep the combined key small
-    levels = np.unique(corpus.starts)
-    width = len(levels) + 1
-    keys = corpus.cells * width + np.searchsorted(levels, corpus.starts)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    csum = np.concatenate([[0.0], np.cumsum(corpus.rho[order])])
     span = TREND_BUCKETS * BUCKET_MINUTES
-    lo = np.searchsorted(keys, cells * width + np.searchsorted(levels, starts - span))
-    hi = np.searchsorted(keys, cells * width + np.searchsorted(levels, starts))
-    count = hi - lo
     out = np.full(len(cells), TREND_DEFAULT)
-    hit = count > 0
-    out[hit] = (csum[hi[hit]] - csum[lo[hit]]) / count[hit]
+    for start in np.unique(starts):
+        rows = (corpus.starts >= start - span) & (corpus.starts < start)
+        window = corpus.cells[rows]
+        sums = np.bincount(window, weights=corpus.rho[rows], minlength=corpus.n_cells)
+        counts = np.bincount(window, minlength=corpus.n_cells)
+        query = np.flatnonzero(starts == start)
+        hit = query[counts[cells[query]] > 0]
+        out[hit] = sums[cells[hit]] / counts[cells[hit]]
     return out
 
 
@@ -198,6 +205,33 @@ class _NormalEquations(NamedTuple):
     d: np.ndarray
     r_c: np.ndarray
 
+    def add(self, dense: np.ndarray, cells: np.ndarray, y: np.ndarray, first: int):
+        """Add records first, first + 1, ... to their folds' blocks in place,
+        record index modulo folds, one record after another in row order, so
+        blocks summed in parts have the bits of blocks summed at once. No
+        sum runs in BLAS, so the rounding does not depend on the BLAS thread
+        count either."""
+        folds = len(self.a)
+        step = ADD_GROUPS * folds
+        for lo in range(0, len(y), step):
+            part = slice(lo, lo + step)
+            rows = len(y[part])
+            head = (first + lo) % folds
+            # the records as (group, fold) rows of [dense | dense * y], zero
+            # padded: a sum over the leading axis adds one group after
+            # another, and a padding row adds +0.0, which changes no sum
+            grouped = np.zeros((-(-(head + rows) // folds), folds, 2, 11))
+            flat = grouped.reshape(-1, 2, 11)
+            flat[head:head + rows, 0] = dense[part]
+            flat[head:head + rows, 1] = dense[part] * y[part, None]
+            x = grouped[:, :, 0]
+            self.a[:] = np.concatenate([self.a[None], x[..., :, None] * x[..., None, :]]).sum(axis=0)
+            self.r_a[:] = np.concatenate([self.r_a[None], grouped[:, :, 1]]).sum(axis=0)
+        fold = np.arange(first, first + len(y)) % folds
+        np.add.at(self.b, (fold, slice(None), cells), dense)
+        np.add.at(self.d, (fold, cells), 1.0)
+        np.add.at(self.r_c, (fold, cells), y)
+
     def total(self) -> "_NormalEquations":
         """Sum over the fold axis."""
         return _NormalEquations(*(block.sum(axis=0) for block in self))
@@ -226,22 +260,41 @@ _DENSE_PENALTY = np.diag([0.0] + [1.0] * 10)
 
 def _fold_equations(dense: np.ndarray, cells: np.ndarray, y: np.ndarray, n_cells: int,
                     folds: int) -> _NormalEquations:
-    """Normal-equation blocks per fold (record index modulo folds).
+    """Normal-equation blocks per fold (record index modulo folds), summed
+    from zero."""
+    eqs = _NormalEquations(np.zeros((folds, 11, 11)), np.zeros((folds, 11)), np.zeros((folds, 11, n_cells)),
+                           np.zeros((folds, n_cells)), np.zeros((folds, n_cells)))
+    eqs.add(dense, cells, y, 0)
+    return eqs
 
-    Sums run in einsum and bincount, never in BLAS, so their rounding does
-    not depend on the BLAS thread count.
+
+def _fold_sums(corpus: HistoryCorpus) -> _NormalEquations:
+    """The corpus's full-width per-fold blocks, carried on the corpus.
+
+    Only the rows appended since the last call are folded in: their trends
+    and dense columns are built, and their records added in row order. A
+    row's trend reads only rows that start before it, so appended rows leave
+    the carried rows' trends, and so their sums, as they were, unless one
+    starts before the latest carried start: then every row is summed again
+    from zero. Either way the blocks equal `_fold_equations` over the whole
+    corpus, bit for bit.
     """
-    fold = np.arange(len(y)) % folds
-    rows = [fold == f for f in range(folds)]
-    key = fold * n_cells + cells
-    size = folds * n_cells
-    a = np.stack([np.einsum("ri,rj->ij", dense[r], dense[r]) for r in rows])
-    r_a = np.stack([np.einsum("ri,r->i", dense[r], y[r]) for r in rows])
-    b = np.stack([np.bincount(key, weights=col, minlength=size) for col in dense.T])
-    d = np.bincount(key, minlength=size).astype(np.float64)
-    r_c = np.bincount(key, weights=y, minlength=size)
-    return _NormalEquations(a, r_a, b.reshape(-1, folds, n_cells).swapaxes(0, 1),
-                            d.reshape(folds, n_cells), r_c.reshape(folds, n_cells))
+    n = len(corpus)
+    first, eqs = corpus._sums or (0, None)
+    if first == n:
+        return eqs
+    if first > n or (first and corpus.starts[first:].min() < corpus.starts[:first].max()):
+        first = 0
+    cells, starts, y = corpus.cells[first:], corpus.starts[first:], corpus.rho[first:]
+    if (cells < 0).any() or (cells >= corpus.n_cells).any():
+        raise ValidationError(f"corpus cell outside the grid's 0..{corpus.n_cells - 1}")
+    dense = _dense_columns(starts, trailing_trend(corpus, cells, starts), corpus.base_weekday)
+    if first:
+        eqs.add(dense, cells, y, first)
+    else:
+        eqs = _fold_equations(dense, cells, y, corpus.n_cells, FOLDS)
+    corpus._sums = (n, eqs)
+    return eqs
 
 
 def _select_lambda(eqs: _NormalEquations, y: np.ndarray, grid) -> float:
@@ -280,30 +333,27 @@ def retrain(corpus: HistoryCorpus) -> RidgeModel:
     The model is fit_ridge of rho on the feature_dim design, with lambda
     chosen from DEFAULT_LAMBDA_GRID by deterministic cross-validation: fold
     k holds the records whose index is k modulo FOLDS. The design is never
-    built: per-fold normal-equation blocks are accumulated once, over the
-    cells the corpus holds, and the lambda selection solves and scores every
-    (lambda, fold) fit from them in one batched pass. The final fit scatters
-    the observed cells' totals into full-width blocks and solves those, so
-    its rounding does not depend on which cells were observed.
+    built: the per-fold normal-equation blocks are carried on the corpus and
+    extended by the rows appended since the last retrain (`_fold_sums`), and
+    the lambda selection solves and scores every (lambda, fold) fit from
+    them, gathered at the cells the corpus holds, in one batched pass. The
+    final fit solves the full-width totals, so its rounding does not depend
+    on which cells were observed.
 
     Empty corpus falls back to the uniform 0.5 prior. Corpora smaller than
     the fold count skip CV and use lambda = 1.0.
     """
     if len(corpus) == 0:
         return uniform_model(corpus.n_cells)
-    cells = corpus.cells
-    if (cells < 0).any() or (cells >= corpus.n_cells).any():
-        raise ValidationError(f"corpus cell outside the grid's 0..{corpus.n_cells - 1}")
+    eqs = _fold_sums(corpus)
     y = corpus.rho
-    trends = trailing_trend(corpus, cells, corpus.starts)
-    dense = _dense_columns(corpus.starts, trends, corpus.base_weekday)
-    present, local = np.unique(cells, return_inverse=True)
-    eqs = _fold_equations(dense, local, y, len(present), FOLDS)
-    lam = 1.0 if len(y) < FOLDS else _select_lambda(eqs, y, DEFAULT_LAMBDA_GRID)
-    a, r_a, b, d, r_c = eqs.total()
-    full = np.zeros((13, corpus.n_cells))  # b's 11 rows, then d and r_c
-    full[:, present] = np.vstack([b, d, r_c])
-    beta_a, beta_c = _NormalEquations(a, r_a, full[:11], full[11], full[12]).solve(lam)
+    if len(y) < FOLDS:
+        lam = 1.0
+    else:
+        present = np.flatnonzero(eqs.d.any(axis=0))
+        observed = _NormalEquations(eqs.a, eqs.r_a, *(block.take(present, axis=-1) for block in eqs[2:]))
+        lam = _select_lambda(observed, y, DEFAULT_LAMBDA_GRID)
+    beta_a, beta_c = eqs.total().solve(lam)
     coefficients = np.concatenate([beta_a[1:10], beta_c, beta_a[10:]])
     return RidgeModel(coefficients, float(beta_a[0]), float(lam))
 

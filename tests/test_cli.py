@@ -283,6 +283,32 @@ def test_validate_out_of_range_field(tmp_path, short_config, capsys, field, valu
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, fields, message", [
+    # an OverflowError traceback from validate
+    ("validate", {"arrivals.rotate_every": 2**63},
+     f"arrivals.rotate_every must be an integer of magnitude below 2**40, got {2**63}"),
+    # an OverflowError traceback from run
+    ("run", {"dwell": {"kind": "fixed", "minutes": 10, "floor": 2**63}},
+     f"dwell.floor must be an integer of magnitude below 2**40, got {2**63}"),
+    # numpy's "array is too big" ValueError traceback from validate
+    ("validate", {"horizon": 2**62}, f"horizon must be an integer of magnitude below 2**16, got {2**62}"),
+    # seeds used to alias modulo 2**64: 2**64 + 1 wrote seed 1's event log
+    ("run", {"seed": 2**64 + 1}, f"seed must be an integer of magnitude below 2**64, got {2**64 + 1}"),
+    ("run", {"seed": -1}, "seed must be an integer >= 0, got -1"),
+])
+def test_config_integers_past_their_bounds_exit_2(tmp_path, short_config, capsys, command, fields, message):
+    out = tmp_path / "out"
+    path = _edited_config(tmp_path, short_config, **fields)
+    assert main([command, "--config", str(path)] + (["--out", str(out)] if command == "run" else [])) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_the_largest_seed_and_horizon_in_bounds_validate(tmp_path, short_config, capsys):
+    assert _validate(tmp_path, short_config, seed=2**64 - 1, horizon=2**16 - 1) == 0
+    assert capsys.readouterr().out == "config ok\n"
+
+
 @pytest.mark.parametrize("field", ["centers", "static_centers"])
 def test_validate_rejects_arrival_centers_off_the_grid(tmp_path, short_config, capsys, field):
     # centers off the grid used to pass validate, and run spawned no agent
@@ -551,6 +577,22 @@ def test_report_rejects_a_malformed_report(tmp_path, short_config, capsys, edit,
     capsys.readouterr()
     assert main(["report", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("label", ["low", "intermediate", "high"])
+def test_report_rejects_regimes_without_a_bin(tmp_path, short_config, capsys, label):
+    # a missing bin used to end in a KeyError traceback from export_regimes_csv
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(short_config), "--out", str(out)]) == 0
+
+    def drop_bin(report):
+        del report["aggregate"]["regimes"][label]
+        return report
+
+    _break_report(out, drop_bin)
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: report.json aggregate.regimes has no {label} bin\n"
 
 
 def test_report_recounts_spawned_and_censored_agents(tmp_path, short_config, capsys):
