@@ -1,7 +1,7 @@
 """Demand ingestion and generation.
 
-Pipeline: 15-minute traffic-intensity records -> per-cell minute bins
-(largest-remainder apportionment) -> participant/competitor arrival series
+Pipeline: 15-minute traffic-intensity rows -> per-cell minute bins (one
+reader, `parse_intensity`) -> participant/competitor arrival series
 (error-diffusion share split). synth_demand generates desk-scale series
 directly from documented closed-form intensities.
 
@@ -14,7 +14,6 @@ list with per-minute offsets, for the engine to slice.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from datetime import datetime
 from typing import NamedTuple
@@ -25,15 +24,6 @@ from .errors import ConfigError, ParseError, Table, ValidationError, check_int, 
 
 INTENSITY_COLS = ("segment_id", "interval_start", "count", "geohash7", "overlap_fraction")
 SERIES_COLS = ("cell", "minute", "group", "count")
-
-
-@dataclass
-class IntensityRecord:
-    segment_id: str
-    interval_start: datetime
-    count: int
-    cell: int
-    overlap_fraction: float
 
 
 class MinuteCounts(NamedTuple):
@@ -48,11 +38,14 @@ class MinuteCounts(NamedTuple):
         """Canonical columns from (cell, minute, count) rows in any order:
         repeated (cell, minute) rows are summed, zero counts dropped."""
         cells, minutes, counts = np.array(rows, np.int64).reshape(-1, 3).T
-        keys, row_key = np.unique(np.stack([minutes, cells], axis=1), axis=0, return_inverse=True)
-        summed = np.zeros(len(keys), np.int64)
-        np.add.at(summed, row_key.reshape(-1), counts)
+        order = np.lexsort((cells, minutes))
+        cells, minutes = cells.take(order), minutes.take(order)
+        new = np.ones(len(order), bool)  # the first row of each (minute, cell) run
+        new[1:] = (cells[1:] != cells[:-1]) | (minutes[1:] != minutes[:-1])
+        head = np.flatnonzero(new)
+        summed = np.add.reduceat(counts.take(order), head)
         keep = summed != 0
-        return cls(keys[keep, 1], keys[keep, 0], summed[keep])
+        return cls(cells.take(head)[keep], minutes.take(head)[keep], summed[keep])
 
 
 NO_ARRIVALS = MinuteCounts(*(np.zeros(0, np.int64),) * 3)
@@ -87,21 +80,34 @@ class ArrivalSeries:
         return cells.take(order), codes.take(order), first.tolist()
 
 
-def parse_intensity(table: Table, label_to_cell: dict[str, int]) -> list[IntensityRecord]:
-    """Materialize the intensity rows of `table`; a bad row is reported with
-    its line. `label_to_cell` maps geohash labels to cell indices. The
-    per-segment overlap fractions must sum to 1 for each interval.
+def parse_intensity(table: Table, label_to_cell: dict[str, int]) -> MinuteCounts:
+    """Minute-level counts per cell from the intensity rows of `table`; a
+    bad row is reported with its line. `label_to_cell` maps geohash labels
+    to cell indices. The per-segment overlap fractions must sum to 1 for
+    each interval. Each row's target floor(count * overlap_fraction + 0.5)
+    is split over its 15 one-minute bins by largest remainder, ties to the
+    earliest: bin b gets target // 15, plus one while b < target % 15. Rows
+    that share a (cell, minute) add up; minutes count from midnight of the
+    earliest row's day.
     """
-    records = []
+    slot_of: dict[str, int] = {}  # each interval_start text -> its timestamp's index in `when`
+    when: list[datetime] = []
+    sums: dict[tuple[str, datetime], float] = {}
+    rows = []  # (timestamp index, count, cell, fraction)
     for line, row in table.rows("intensity", INTENSITY_COLS, ("count",)):
-        try:
-            ts = datetime.fromisoformat(row["interval_start"])
-        except ValueError:
-            raise ParseError(f"bad ISO-8601 timestamp {row['interval_start']!r}", line) from None
-        if records and (ts.tzinfo is None) != (records[0].interval_start.tzinfo is None):
-            raise ParseError("timestamps with and without a UTC offset are mixed", line)
-        if ts.minute % 15 or ts.second or ts.microsecond:
-            raise ParseError(f"timestamp {ts.isoformat()} not 15-minute aligned", line)
+        text = row["interval_start"]
+        slot = slot_of.get(text)
+        if slot is None:  # each distinct text is parsed and checked once
+            try:
+                ts = datetime.fromisoformat(text)
+            except ValueError:
+                raise ParseError(f"bad ISO-8601 timestamp {text!r}", line) from None
+            if when and (ts.tzinfo is None) != (when[0].tzinfo is None):
+                raise ParseError("timestamps with and without a UTC offset are mixed", line)
+            if ts.minute % 15 or ts.second or ts.microsecond:
+                raise ParseError(f"timestamp {ts.isoformat()} not 15-minute aligned", line)
+            slot = slot_of[text] = len(when)
+            when.append(ts)
         try:
             frac = float(row["overlap_fraction"])
         except ValueError:
@@ -110,50 +116,23 @@ def parse_intensity(table: Table, label_to_cell: dict[str, int]) -> list[Intensi
             raise ValidationError(f"line {line}: overlap_fraction {frac} outside (0, 1]")
         if row["geohash7"] not in label_to_cell:
             raise ValidationError(f"line {line}: unknown geohash {row['geohash7']!r}")
-        records.append(IntensityRecord(row["segment_id"], ts, row["count"], label_to_cell[row["geohash7"]], frac))
-
-    sums: dict[tuple[str, datetime], float] = {}
-    for rec in records:
-        key = (rec.segment_id, rec.interval_start)
-        sums[key] = sums.get(key, 0.0) + rec.overlap_fraction
+        key = (row["segment_id"], when[slot])  # datetimes: equal instants share a key
+        sums[key] = sums.get(key, 0.0) + frac
+        rows.append((slot, row["count"], label_to_cell[row["geohash7"]], frac))
     for (seg, ts), total in sums.items():
         if abs(total - 1.0) > 1e-6:
             raise ValidationError(
                 f"segment {seg} at {ts.isoformat()}: overlap fractions sum to {total}, not 1"
             )
-    return records
-
-
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def largest_remainder(total: int, slots: int) -> list[int]:
-    """Apportion `total` units over `slots` equal-quota bins; ties go to the
-    earliest bins. Sums exactly to total."""
-    base, rem = divmod(total, slots)
-    return [base + 1 if s < rem else base for s in range(slots)]
-
-
-def disaggregate(records: list[IntensityRecord]) -> MinuteCounts:
-    """Minute-level counts per cell.
-
-    Each record contributes round(count * overlap_fraction) vehicles, split
-    uniformly over its 15 one-minute bins by largest-remainder apportionment;
-    records that share a (cell, minute) add up. Minute indices are offsets
-    from midnight of the earliest record's day.
-    """
-    if records:
-        first = min(r.interval_start for r in records)
-        origin = first.replace(hour=0, minute=0, second=0, microsecond=0)
-    rows = []
-    for rec in records:
-        target = _round_half_up(rec.count * rec.overlap_fraction)
-        if target == 0:
-            continue
-        start_min = int((rec.interval_start - origin).total_seconds() // 60)
-        rows += [(rec.cell, start_min + offset, c) for offset, c in enumerate(largest_remainder(target, 15))]
-    return MinuteCounts.of(rows)
+    if not rows:
+        return NO_ARRIVALS
+    origin = min(when).replace(hour=0, minute=0, second=0, microsecond=0)
+    start = np.array([int((ts - origin).total_seconds() // 60) for ts in when], np.int64)
+    slots, counts, cells, fracs = (np.array(col) for col in zip(*rows))
+    base, rem = np.divmod(np.floor(counts * fracs + 0.5).astype(np.int64), 15)
+    bins = np.arange(15)
+    columns = (cells[:, None], start.take(slots)[:, None] + bins, base[:, None] + (bins < rem[:, None]))
+    return MinuteCounts.of(np.stack(np.broadcast_arrays(*columns), axis=-1))
 
 
 def _diffuse(rows: MinuteCounts, factor: float) -> MinuteCounts:

@@ -86,6 +86,9 @@ _NO_CELLS = np.zeros((0, 2), np.int64)
 # a horizon stays below 2**16 minutes (45 days): arrival rates are built
 # per cell and minute
 HORIZON_BITS = 16
+# a run holds at most 2**24 arrivals: the arrival list is built one row per
+# arrival at start (the 44x44 stress day spawns about 2e5)
+MAX_ARRIVALS = 2**24
 
 
 @dataclass
@@ -221,13 +224,6 @@ class _Columns:
         self._rebind()
 
 
-class _Parked(_Columns):
-    """Occupied spots: agent id (-1 for phantoms), group, cell, dwell left."""
-
-    def __init__(self):
-        super().__init__(ids=(), group=(), cell=(), dwell=())
-
-
 class _FreeSpots(NamedTuple):
     """One tick's free spots, built once after departures: nothing parks or
     departs again before the claims resolve."""
@@ -266,7 +262,8 @@ class Simulation:
         self.sink = event_sink
         # target (-1, -1): a competitor, or a participant never assigned
         self.searching = _Columns(ids=(), group=(), pos=(2,), spawn=(), target=(2,))
-        self.parked = _Parked()
+        # occupied spots: agent id (-1 for phantoms), group, cell, dwell left
+        self.parked = _Columns(ids=(), group=(), cell=(), dwell=())
         self.availability = np.zeros(cfg.horizon)
         self._outcomes = _Columns(spawn=(), group=(), status=(), terminal=(), park_cell=())
         self._arrivals = series.arrivals(cfg.horizon)
@@ -332,11 +329,6 @@ class Simulation:
         tails = [f', "group": "{name}", "event": "{event}", "cell": ' for name in GROUPS]
         for aid, g, k in zip(ids.tolist(), group.tolist(), cells.tolist()):
             write(f"{head}{aid}{tails[g]}{k}}}\n")
-
-    def _record(self, spawn, groups, status, t, cells):
-        """One outcome row (group, spawn, status, terminal tick, cell) per
-        agent; every argument but spawn may be one value for all."""
-        self._outcomes.append(spawn, groups, status, t, cells)
 
     def _active(self, t: int) -> np.ndarray:
         """The searching rows spawned before this tick and within the search
@@ -527,7 +519,7 @@ class Simulation:
         self.occ.occupied += np.bincount(cells, minlength=self.n * self.n)
         self.parked.append(ids, group, cells, dwell)
         self.parked_count += np.bincount(group, minlength=2)
-        self._record(s.spawn.take(won), group, STATUS_PARKED, t, cells)
+        self._outcomes.append(s.spawn.take(won), group, STATUS_PARKED, t, cells)
         self._emit(t, "park", ids, group, cells)
         self.occ.check()
 
@@ -544,7 +536,7 @@ class Simulation:
             gone = self._by_group(gone)
             group = s.group.take(gone)
             self.failed_count += np.bincount(group, minlength=2)
-            self._record(s.spawn.take(gone), group, STATUS_FAILED, t, -1)
+            self._outcomes.append(s.spawn.take(gone), group, STATUS_FAILED, t, -1)
             if self.sink is not None:
                 cells = s.pos.take(gone, axis=0).dot(self._flat)
                 self._emit(t, "fail", s.ids.take(gone), group, cells)
@@ -589,7 +581,7 @@ class Simulation:
         """Censor agents still searching at horizon end, participants first."""
         s = self.searching
         rows = self._by_group(np.arange(len(s)))
-        self._record(s.spawn.take(rows), s.group.take(rows), STATUS_CENSORED, -1, -1)
+        self._outcomes.append(s.spawn.take(rows), s.group.take(rows), STATUS_CENSORED, -1, -1)
         o = self._outcomes
         return RunOutcomes(o.group, o.spawn, o.status, o.terminal, o.park_cell)
 
@@ -602,7 +594,9 @@ class Simulation:
 def build_arrivals(cfg: SimConfig, grid: GridSpec, master_seed: int) -> ArrivalSeries:
     """Materialize the run's arrival series from the configured source. A
     file of either kind holds no arrival at or past the horizon: its minute
-    counts are checked as read, before the share split and scaling."""
+    counts are checked as read, before the share split and scaling. The
+    series, scaled, holds no negative count and at most MAX_ARRIVALS
+    arrivals; otherwise it is a ConfigError naming the source."""
     a = cfg.arrivals
     if a.kind == "synth":
         seed = a.seed if a.seed is not None else derive_seed(master_seed, 0xDE)
@@ -613,7 +607,7 @@ def build_arrivals(cfg: SimConfig, grid: GridSpec, master_seed: int) -> ArrivalS
         table = Table(a.path)
         intensity = "segment_id" in table.columns
         if intensity:
-            counts = demand_mod.disaggregate(demand_mod.parse_intensity(table, grid.label_to_cell))
+            counts = demand_mod.parse_intensity(table, grid.label_to_cell)
             read = (counts,)
         else:
             series = demand_mod.load_series(table, grid.n * grid.n)
@@ -626,6 +620,13 @@ def build_arrivals(cfg: SimConfig, grid: GridSpec, master_seed: int) -> ArrivalS
             series = demand_mod.split_demand(counts, *cfg.shares)
     if cfg.demand_scale != 1.0:
         series = scale_series(series, cfg.demand_scale)
+    counts = np.concatenate([series.participants.counts, series.competitors.counts])
+    source = a.path if a.kind == "file" else f"arrivals.pattern {a.pattern!r}"
+    if (counts < 0).any():
+        raise ConfigError(f"{source}: negative arrival count {counts.min()}")
+    # each count is bounded first, so the sum cannot wrap around
+    if (counts > MAX_ARRIVALS).any() or counts.sum() > MAX_ARRIVALS:
+        raise ConfigError(f"{source}: more than {MAX_ARRIVALS} arrivals in a run")
     return series
 
 

@@ -205,6 +205,12 @@ class _NormalEquations(NamedTuple):
     d: np.ndarray
     r_c: np.ndarray
 
+    @classmethod
+    def zeros(cls, folds: int, n_cells: int) -> "_NormalEquations":
+        """Empty blocks for `folds` folds over n_cells cells."""
+        return cls(np.zeros((folds, 11, 11)), np.zeros((folds, 11)), np.zeros((folds, 11, n_cells)),
+                   np.zeros((folds, n_cells)), np.zeros((folds, n_cells)))
+
     def add(self, dense: np.ndarray, cells: np.ndarray, y: np.ndarray, first: int):
         """Add records first, first + 1, ... to their folds' blocks in place,
         record index modulo folds, one record after another in row order, so
@@ -258,16 +264,6 @@ class _NormalEquations(NamedTuple):
 _DENSE_PENALTY = np.diag([0.0] + [1.0] * 10)
 
 
-def _fold_equations(dense: np.ndarray, cells: np.ndarray, y: np.ndarray, n_cells: int,
-                    folds: int) -> _NormalEquations:
-    """Normal-equation blocks per fold (record index modulo folds), summed
-    from zero."""
-    eqs = _NormalEquations(np.zeros((folds, 11, 11)), np.zeros((folds, 11)), np.zeros((folds, 11, n_cells)),
-                           np.zeros((folds, n_cells)), np.zeros((folds, n_cells)))
-    eqs.add(dense, cells, y, 0)
-    return eqs
-
-
 def _fold_sums(corpus: HistoryCorpus) -> _NormalEquations:
     """The corpus's full-width per-fold blocks, carried on the corpus.
 
@@ -276,8 +272,8 @@ def _fold_sums(corpus: HistoryCorpus) -> _NormalEquations:
     row's trend reads only rows that start before it, so appended rows leave
     the carried rows' trends, and so their sums, as they were, unless one
     starts before the latest carried start: then every row is summed again
-    from zero. Either way the blocks equal `_fold_equations` over the whole
-    corpus, bit for bit.
+    from zero blocks. Either way the blocks equal zero blocks plus every row
+    at once, bit for bit.
     """
     n = len(corpus)
     first, eqs = corpus._sums or (0, None)
@@ -289,10 +285,9 @@ def _fold_sums(corpus: HistoryCorpus) -> _NormalEquations:
     if (cells < 0).any() or (cells >= corpus.n_cells).any():
         raise ValidationError(f"corpus cell outside the grid's 0..{corpus.n_cells - 1}")
     dense = _dense_columns(starts, trailing_trend(corpus, cells, starts), corpus.base_weekday)
-    if first:
-        eqs.add(dense, cells, y, first)
-    else:
-        eqs = _fold_equations(dense, cells, y, corpus.n_cells, FOLDS)
+    if not first:
+        eqs = _NormalEquations.zeros(FOLDS, corpus.n_cells)
+    eqs.add(dense, cells, y, first)
     corpus._sums = (n, eqs)
     return eqs
 

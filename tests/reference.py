@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from datetime import datetime
+from typing import NamedTuple
 
 import numpy as np
 
 from curbsim.agents import DwellSpec, step_toward_batch
-from curbsim.demand import ArrivalSeries, MinuteCounts, _round_half_up, _synth_rates, largest_remainder
+from curbsim.demand import ArrivalSeries, MinuteCounts, _synth_rates
 from curbsim.errors import CapacityError, ConfigError, ValidationError
 from curbsim.grid import CellCoord, OccupancyState, manhattan, manhattan_matrix
 from curbsim.matching import INFEASIBLE
@@ -326,7 +328,32 @@ def series_of(participants=None, competitors=None) -> ArrivalSeries:
     return ArrivalSeries(counts_of(participants or {}), counts_of(competitors or {}))
 
 
+class IntensityRecord(NamedTuple):
+    """One intensity row as parsed: its interval's start and its cell."""
+
+    segment_id: str
+    interval_start: datetime
+    count: int
+    cell: int
+    overlap_fraction: float
+
+
+def _round_half_up(x: float) -> int:
+    return int(math.floor(x + 0.5))
+
+
+def largest_remainder(total: int, slots: int) -> list[int]:
+    """Apportion `total` units over `slots` equal-quota bins; ties go to the
+    earliest bins. Sums exactly to total."""
+    base, rem = divmod(total, slots)
+    return [base + 1 if s < rem else base for s in range(slots)]
+
+
 def disaggregate_dict(records, origin=None) -> dict:
+    """`demand.parse_intensity`'s minute counts, record by record, from
+    IntensityRecords: round(count * fraction) vehicles split over the
+    record's 15 minutes by largest remainder, minutes counted from midnight
+    of the earliest record's day."""
     out: dict[tuple[int, int], int] = {}
     if not records:
         return out

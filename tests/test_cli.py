@@ -304,6 +304,41 @@ def test_config_integers_past_their_bounds_exit_2(tmp_path, short_config, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", [
+    "magnitude", "series",
+    # numpy warns that the overflowing rates' cast to counts is invalid
+    pytest.param("overflow", marks=pytest.mark.filterwarnings("ignore:invalid value encountered in cast")),
+])
+def test_arrivals_past_the_bound_exit_2_in_validate_and_run(tmp_path, short_config, capsys, case):
+    # validate said "config ok" to each; run then failed with a traceback:
+    # numpy could not allocate the arrival list (169 GiB, 2 TiB), or the
+    # overflowing magnitude cast to negative counts that np.repeat refused
+    # (an out-of-range cast reads as the most negative int64 on x86; a
+    # platform that saturates it reads past the bound instead)
+    series = tmp_path / "series.csv"
+    series.write_text(f"cell,minute,group,count\n0,0,participant,{2**38}\n")
+    fields = {"magnitude": {"arrivals.magnitude": 1e9},
+              "series": {"arrivals": {"kind": "file", "path": str(series)}},
+              "overflow": {"arrivals.magnitude": 1e306}}[case]
+    codes, errs = _validate_and_run(tmp_path, _edited_config(tmp_path, short_config, **fields), capsys)
+    assert codes == (2, 2)
+    source = str(series) if case == "series" else "arrivals.pattern 'hotspot'"
+    assert errs.startswith(f"error: {source}: ") and "Traceback" not in errs
+    if case != "overflow":
+        assert errs == f"error: {source}: more than {2**24} arrivals in a run\n" * 2
+
+
+def test_arrivals_up_to_the_bound_validate(tmp_path, short_config, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text(f"cell,minute,group,count\n0,0,participant,{2**23}\n5,9,competitor,{2**23}\n")
+    path = _edited_config(tmp_path, short_config, arrivals={"kind": "file", "path": str(series)})
+    assert main(["validate", "--config", str(path)]) == 0
+    with series.open("a") as fh:
+        fh.write("5,9,competitor,1\n")
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {series}: more than {2**24} arrivals in a run\n"
+
+
 def test_the_largest_seed_and_horizon_in_bounds_validate(tmp_path, short_config, capsys):
     assert _validate(tmp_path, short_config, seed=2**64 - 1, horizon=2**16 - 1) == 0
     assert capsys.readouterr().out == "config ok\n"

@@ -1,5 +1,7 @@
 import math
-from datetime import datetime, timedelta
+import tempfile
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
     DictSeries,
+    IntensityRecord,
     counts_of,
     dict_of,
     dict_series,
     disaggregate_dict,
     group_arrivals,
+    largest_remainder,
     scale_series_dict,
     split_demand_dict,
     synth_demand_dict,
@@ -20,10 +24,7 @@ from reference import (
 from curbsim.demand import (
     ArrivalSeries,
     ArrivalsConfig,
-    IntensityRecord,
     MinuteCounts,
-    disaggregate,
-    largest_remainder,
     load_series,
     parse_intensity,
     save_series,
@@ -45,12 +46,13 @@ def _parse(tmp_path, text):
 
 
 def test_parse_empty_file(tmp_path):
-    assert _parse(tmp_path, HEADER) == []
+    assert dict_of(_parse(tmp_path, HEADER)) == {}
 
 
 def test_parse_one_row(tmp_path):
+    # one record: its 30 vehicles at cell 7 over its 15 minutes from 08:00
     rows = _parse(tmp_path, HEADER + "s1,2024-04-18T08:00:00,30,7,1.0\n")
-    assert len(rows) == 1 and rows[0].count == 30 and rows[0].cell == 7
+    assert dict_of(rows) == {(7, 480 + m): 2 for m in range(15)}
 
 
 def test_parse_negative_count(tmp_path):
@@ -61,7 +63,7 @@ def test_parse_negative_count(tmp_path):
 def test_parse_count_past_int64_columns(tmp_path):
     with pytest.raises(ValidationError, match=r"^line 2: count 1099511627776 outside 0..2\*\*40$"):
         _parse(tmp_path, HEADER + f"s1,2024-04-18T08:00:00,{2**40},7,1.0\n")
-    assert _parse(tmp_path, HEADER + f"s1,2024-04-18T08:00:00,{2**40 - 1},7,1.0\n")[0].count == 2**40 - 1
+    assert _parse(tmp_path, HEADER + f"s1,2024-04-18T08:00:00,{2**40 - 1},7,1.0\n").counts.sum() == 2**40 - 1
 
 
 def test_parse_missing_column(tmp_path):
@@ -76,7 +78,7 @@ def test_parse_bad_timestamp_reports_line(tmp_path):
 
 
 def test_parse_rejects_mixed_naive_and_offset_timestamps(tmp_path):
-    # used to end in a TypeError from disaggregate's min()
+    # used to end in a TypeError from the minute offsets' min()
     text = HEADER + "s1,2024-04-18T08:00:00,3,7,1.0\ns2,2024-04-18T08:00:00+02:00,3,7,1.0\n"
     with pytest.raises(ParseError, match="^line 3: "):
         _parse(tmp_path, text)
@@ -98,7 +100,7 @@ def _records(tmp_path, count, fraction, when="2024-04-18T08:00:00"):
 
 
 def test_disaggregate_exact_division(tmp_path):
-    out = dict_of(disaggregate(_records(tmp_path, 30, 1.0)))
+    out = dict_of(_records(tmp_path, 30, 1.0))
     bins = [out.get((3, 480 + m), 0) for m in range(15)]
     assert bins == [2] * 15
 
@@ -114,13 +116,14 @@ def test_disaggregate_largest_remainder_oracle(tmp_path):
         want = [base[i] + (1 if i < remainder else 0) for i in range(15)]
         assert got == want
         assert sum(got) == total
-    out = dict_of(disaggregate(_records(tmp_path, 10, 1.0)))
+    out = dict_of(_records(tmp_path, 10, 1.0))
     bins = [out.get((3, 480 + m), 0) for m in range(15)]
     assert sum(bins) == 10 and set(bins) <= {0, 1}
+    assert bins == largest_remainder(10, 15)
 
 
 def test_disaggregate_zero_count(tmp_path):
-    assert dict_of(disaggregate(_records(tmp_path, 0, 1.0))) == {}
+    assert dict_of(_records(tmp_path, 0, 1.0)) == {}
 
 
 def test_disaggregate_conservation_property(tmp_path):
@@ -128,7 +131,7 @@ def test_disaggregate_conservation_property(tmp_path):
     for _ in range(100):
         count = int(rng.integers(0, 300))
         frac = float(rng.uniform(0.05, 1.0))
-        out = dict_of(disaggregate(_records(tmp_path, count, frac)))
+        out = dict_of(_records(tmp_path, count, frac))
         total = sum(v for (cell, _), v in out.items() if cell == 3)
         assert total == int(math.floor(count * frac + 0.5))
 
@@ -238,21 +241,60 @@ share_st = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
 
 def summed(rows) -> dict:
     """The dict the old pipeline held for these rows: repeated (cell, minute)
-    rows add up, and no entry is zero (disaggregate skipped empty bins)."""
+    rows add up, and no entry is zero (MinuteCounts holds no zero count)."""
     out: dict = {}
     for k, m, v in rows:
         out[(k, m)] = out.get((k, m), 0) + v
     return {key: v for key, v in out.items() if v}
 
 
+# shown offsets for a file whose timestamps all carry one; 2024-04-18 00:00Z
+# reads as 2024-04-17 19:00-05:00, a day earlier
+OFFSETS = [timezone.utc, timezone(timedelta(hours=2)), timezone(timedelta(hours=-5)),
+           timezone(timedelta(hours=5, minutes=30))]
+
+
+@st.composite
+def intensity_records(draw):
+    """Intensity rows in any order: each (segment, interval) split over one
+    to three cells (possibly the same one) with fractions summing to 1, over
+    up to three days, all naive or all with mixed UTC offsets, with counts
+    and fractions small enough that some targets round to zero."""
+    aware = draw(st.booleans())
+    start = datetime(2024, 4, 18, tzinfo=timezone.utc if aware else None)
+    records = []
+    for seg, q in draw(st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 3 * 96)), max_size=8, unique=True)):
+        ts = start + timedelta(minutes=15 * q)
+        if aware:
+            ts = ts.astimezone(draw(st.sampled_from(OFFSETS)))
+        count = draw(st.one_of(st.integers(0, 3), st.integers(0, 400)))
+        weights = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+        records += [IntensityRecord(seg, ts, count, draw(cells_st), w / sum(weights)) for w in weights]
+    return draw(st.permutations(records))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(cells_st, st.integers(0, 8), st.integers(0, 400), st.floats(0.01, 1.0)), max_size=12))
-def test_disaggregate_matches_dict_oracle(recs):
-    # repeated (cell, interval) records overlap in the same minute bins
-    base = datetime(2024, 4, 18, 6, 0)
-    records = [IntensityRecord("s", base + timedelta(minutes=15 * q), count, cell, frac)
-               for cell, q, count, frac in recs]
-    assert dict_of(disaggregate(records)) == disaggregate_dict(records)
+@given(intensity_records())
+def test_disaggregate_matches_dict_oracle(records):
+    """parse_intensity over the rows written to a file equals the record by
+    record oracle; repeated (cell, interval) rows overlap in the same minute
+    bins."""
+    text = HEADER + "".join(f"{r.segment_id},{r.interval_start.isoformat()},{r.count},{r.cell},{r.overlap_fraction!r}\n"
+                            for r in records)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert dict_of(_parse(Path(tmp), text)) == disaggregate_dict(records)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(cells_st, st.integers(0, 5), st.integers(-3, 30)), max_size=40).flatmap(st.permutations))
+def test_minute_counts_of_matches_dict_oracle(rows):
+    """Rows in any order, repeated, summing to zero or none at all: the
+    summed nonzero counts, sorted by (minute, cell), one row per pair."""
+    got = MinuteCounts.of(rows)
+    assert all(col.dtype == np.int64 for col in got)
+    assert dict_of(got) == summed(rows)
+    keys = list(zip(got.minutes.tolist(), got.cells.tolist()))
+    assert keys == sorted(set(keys)) and (got.counts != 0).all()
 
 
 @settings(max_examples=300, deadline=None)

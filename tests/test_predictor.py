@@ -36,7 +36,7 @@ from curbsim.predictor import (
     uniform_model,
     update_history,
     _dense_columns,
-    _fold_equations,
+    _NormalEquations,
 )
 from perfbench.workloads import city22_config, lattice_capacity
 
@@ -422,7 +422,8 @@ def test_retrain_picks_the_per_fold_lambda_and_solves_the_full_width_blocks(corp
         return
     cells, y = corpus.cells, corpus.rho
     dense = _dense_columns(corpus.starts, trailing_trend(corpus, cells, corpus.starts), corpus.base_weekday)
-    eqs = _fold_equations(dense, cells, y, corpus.n_cells, FOLDS)
+    eqs = _NormalEquations.zeros(FOLDS, corpus.n_cells)
+    eqs.add(dense, cells, y, 0)
     if len(y) >= FOLDS:
         mses = dict(zip(DEFAULT_LAMBDA_GRID, fold_mses(eqs, dense, cells, y, DEFAULT_LAMBDA_GRID, FOLDS)))
         width = TIE_RTOL * float(np.mean(y * y))
