@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .engine import SimConfig, config_grid, load_inputs, run_simulation
+from .engine import SimConfig, build_arrivals, config_grid, load_inputs, run_simulation
 from .errors import ConfigError, CurbsimError, ValidationError
 from .metrics import GROUPS, REGIME_BINS, export_report, fold_events, mean_defined, outcome_blocks
 from .strategies import StrategyKind, parse_strategy
@@ -60,6 +60,13 @@ def _list_flag(flag: str, text: str, kind):
         raise ConfigError(f"{flag} must be a comma-separated list of {kind.__name__}s, got {text!r}") from None
 
 
+def _arrival_input(cfg: SimConfig):
+    """What a sweep cell's arrival series depends on that its sweep varies:
+    the demand scale, and the seed when it places synthetic arrivals."""
+    seeded = cfg.arrivals.kind == "synth" and cfg.arrivals.seed is None
+    return cfg.demand_scale, cfg.seed if seeded else None
+
+
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError("--jobs must be an integer >= 1")
@@ -82,9 +89,16 @@ def cmd_sweep(args) -> int:
         cell_cfg = replace(cfg, strategy=strategy, seed=seed, demand_scale=scale)
         _require_history(cell_cfg)
         cells[name] = (cell_cfg, str(out_root / "cells" / name))
-    # the cells name the same input files; a cord-approx cell's config reads the history too
+    # the cells name the same input files; a cord-approx cell's config reads
+    # the history too. Each distinct arrival input's series is built once
+    # and checked against the arrival bound.
     configs = [cell_cfg for cell_cfg, _ in cells.values()]
-    load_inputs(next((c for c in configs if c.strategy is StrategyKind.CORD_APPROX), configs[0]))
+    first = next((c for c in configs if c.strategy is StrategyKind.CORD_APPROX), configs[0])
+    grid = load_inputs(first)[0]
+    others = {_arrival_input(c): c for c in configs}
+    del others[_arrival_input(first)]
+    for cell_cfg in others.values():
+        build_arrivals(cell_cfg, grid, cell_cfg.seed)
     out_root.mkdir(parents=True, exist_ok=True)
 
     results: dict[str, dict] = {}

@@ -24,6 +24,25 @@ from .errors import ConfigError, ParseError, Table, ValidationError, check_int, 
 
 INTENSITY_COLS = ("segment_id", "interval_start", "count", "geohash7", "overlap_fraction")
 SERIES_COLS = ("cell", "minute", "group", "count")
+# a run holds at most 2**24 arrivals: the arrival list is built one row per
+# arrival at start (the 44x44 stress day spawns about 2e5)
+MAX_ARRIVALS = 2**24
+
+
+class TooManyArrivals(ConfigError):
+    """A series past MAX_ARRIVALS; `engine.build_arrivals` names its source."""
+
+    def __init__(self):
+        super().__init__(f"more than {MAX_ARRIVALS} arrivals in a run")
+
+
+def _check_float_counts(peak: float):
+    """TooManyArrivals when one float count, before its floor, is past
+    MAX_ARRIVALS + 1, or is no number: that count alone floors to more than
+    the bound. Counts at most that keep every float sum finite and every
+    int64 cast in range."""
+    if not peak <= MAX_ARRIVALS + 1:
+        raise TooManyArrivals
 
 
 class MinuteCounts(NamedTuple):
@@ -140,6 +159,9 @@ def _diffuse(rows: MinuteCounts, factor: float) -> MinuteCounts:
     ascending minutes (x = count * factor + carry, n = floor(x + 1e-9), carry
     = x - n), so each cell's total stays within one vehicle of its scaled one."""
     cells, minutes, counts = rows
+    # each count is >= 0 and a carry is below 1, so x stays below the largest
+    # scaled count plus 1
+    _check_float_counts(float(counts.max(initial=0)) * factor)
     ids, slot = np.unique(cells, return_inverse=True)
     carry = np.zeros(len(ids))
     out = np.empty_like(counts)
@@ -266,10 +288,14 @@ def synth_demand(a: ArrivalsConfig, n: int, horizon: int, shares: tuple[float, f
         for i, j in getattr(a, name) or ():
             if not (0 <= i < n and 0 <= j < n):
                 raise ConfigError(f"arrivals.{name} holds [{i}, {j}], off the {n}x{n} grid")
-    rates = _synth_rates(a, n, horizon, seed)
+    with np.errstate(over="ignore"):  # an overflowing rate is inf, past the bound
+        rates = _synth_rates(a, n, horizon, seed)
     total_share = shares[0] + shares[1]
     if total_share <= 0:
         return ArrivalSeries()
+    # checked before any sum: a cell's arrivals up to a minute are at least
+    # its rate at that minute
+    _check_float_counts(float(rates.max(initial=0.0)))
     p_frac = shares[0] / total_share
     rates[rates.sum(axis=1) <= 0] = 0.0  # cells without demand spawn nothing
     # cumulative (cells, minutes) tables, in place: exact integers in float64

@@ -61,7 +61,7 @@ import numpy as np
 from . import demand as demand_mod
 from . import metrics as metrics_mod
 from .agents import DwellSpec, sample_dwell_batch, step_competitors_batch, step_toward_batch
-from .demand import ArrivalsConfig, ArrivalSeries, scale_series, synth_demand
+from .demand import MAX_ARRIVALS, ArrivalsConfig, ArrivalSeries, TooManyArrivals, scale_series, synth_demand
 from .errors import ConfigError, Table, ValidationError, check_int, check_number, check_path
 from .grid import GridSpec, OccupancyState, SightView, load_grid, sight_view
 from .metrics import GROUPS, STATUS_CENSORED, STATUS_FAILED, STATUS_PARKED, RunOutcomes
@@ -86,9 +86,6 @@ _NO_CELLS = np.zeros((0, 2), np.int64)
 # a horizon stays below 2**16 minutes (45 days): arrival rates are built
 # per cell and minute
 HORIZON_BITS = 16
-# a run holds at most 2**24 arrivals: the arrival list is built one row per
-# arrival at start (the 44x44 stress day spawns about 2e5)
-MAX_ARRIVALS = 2**24
 
 
 @dataclass
@@ -595,8 +592,24 @@ def build_arrivals(cfg: SimConfig, grid: GridSpec, master_seed: int) -> ArrivalS
     """Materialize the run's arrival series from the configured source. A
     file of either kind holds no arrival at or past the horizon: its minute
     counts are checked as read, before the share split and scaling. The
-    series, scaled, holds no negative count and at most MAX_ARRIVALS
-    arrivals; otherwise it is a ConfigError naming the source."""
+    series, scaled, holds at most MAX_ARRIVALS arrivals; otherwise it is a
+    ConfigError naming the source, raised before any count that far out is
+    cast to an integer."""
+    a = cfg.arrivals
+    try:
+        series = _read_arrivals(cfg, grid, master_seed)
+        counts = np.concatenate([series.participants.counts, series.competitors.counts])
+        # each count is bounded first, so the sum cannot wrap around
+        if (counts > MAX_ARRIVALS).any() or counts.sum() > MAX_ARRIVALS:
+            raise TooManyArrivals
+    except TooManyArrivals as exc:
+        source = a.path if a.kind == "file" else f"arrivals.pattern {a.pattern!r}"
+        raise ConfigError(f"{source}: {exc}") from None
+    return series
+
+
+def _read_arrivals(cfg: SimConfig, grid: GridSpec, master_seed: int) -> ArrivalSeries:
+    """`build_arrivals`' series before its count bound."""
     a = cfg.arrivals
     if a.kind == "synth":
         seed = a.seed if a.seed is not None else derive_seed(master_seed, 0xDE)
@@ -620,13 +633,6 @@ def build_arrivals(cfg: SimConfig, grid: GridSpec, master_seed: int) -> ArrivalS
             series = demand_mod.split_demand(counts, *cfg.shares)
     if cfg.demand_scale != 1.0:
         series = scale_series(series, cfg.demand_scale)
-    counts = np.concatenate([series.participants.counts, series.competitors.counts])
-    source = a.path if a.kind == "file" else f"arrivals.pattern {a.pattern!r}"
-    if (counts < 0).any():
-        raise ConfigError(f"{source}: negative arrival count {counts.min()}")
-    # each count is bounded first, so the sum cannot wrap around
-    if (counts > MAX_ARRIVALS).any() or counts.sum() > MAX_ARRIVALS:
-        raise ConfigError(f"{source}: more than {MAX_ARRIVALS} arrivals in a run")
     return series
 
 

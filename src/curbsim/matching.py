@@ -10,7 +10,10 @@ the sentinel are stripped from the result.
 The result is a pair of index arrays, rows ascending: row[i] takes col[i].
 
 Each row is augmented by a Dijkstra search over the columns, with the relax
-step vectorized over buffers allocated once per solve. A column's distance
+step vectorized over buffers allocated once per solve: five numpy calls per
+step (add, subtract, subtract, minimum, argmin) and no predecessor vector.
+The augmenting path's predecessors are recovered once the search ends, by
+recomputing the few relaxed values along it. A column's distance
 is final once it is scanned, so the dual update after an augmentation
 touches only the scanned columns (their v) and the rows matched to them
 (their u), one scalar update each; a row whose nearest column is free
@@ -68,15 +71,18 @@ class Assignment:
 
 
 def _sap_core(cost):
-    """Min-cost perfect matching of all rows; requires nr <= nc, finite costs.
+    """Min-cost perfect matching of all rows; requires nr <= nc, finite
+    costs and no -0.0 entry (`_solve` adds 0.0 to every matrix, so the
+    first scan needs no `+ 0.0` of its own to keep its distances' bits).
 
     Returns col4row (row -> matched column). During a search, `masked`
     holds each open column's tentative distance and inf once it is scanned;
-    the scanned columns' distances are kept in scan order in `dists`.
+    the scanned columns' distances are kept in scan order in `dists`, and
+    `via[k]` is the row matched to `scanned[k]`, scanned next.
     """
     nr, nc = cost.shape
     rows = list(cost)
-    u = np.zeros(nr, np.float64)
+    u = [0.0] * nr  # Python floats: the same double arithmetic, no numpy scalar boxing
     v = np.zeros(nc, np.float64)
     col4row = [-1] * nr
     row4col = [-1] * nc
@@ -84,15 +90,15 @@ def _sap_core(cost):
     masked = np.empty(nc, np.float64)
     reduced = np.empty(nc, np.float64)
     v_open = np.empty(nc, np.float64)
-    pred = np.empty(nc, np.int64)
-    better = np.empty(nc, np.bool_)
+    # a ufunc takes a 0-d array operand faster than a Python float
+    dist_0d, u_0d = np.empty((), np.float64), np.empty((), np.float64)
     for cur_row in range(nr):
         # first scan from cur_row: every column is open and at distance inf,
-        # and u[cur_row] is still 0, so subtracting it would change no bit
-        np.add(rows[cur_row], 0.0, out=masked)
-        np.subtract(masked, v, out=masked)
+        # and u[cur_row] is still 0, so adding 0.0 and subtracting it would
+        # change no bit of a cost that is not -0.0
+        np.subtract(rows[cur_row], v, out=masked)
         j = int(masked.argmin())
-        min_val = masked[j]
+        min_val = masked.item(j)
         if row4col[j] == -1:
             # the nearest column is free: only this row's dual moves
             u[cur_row] += min_val
@@ -101,7 +107,6 @@ def _sap_core(cost):
         # v_open is v on open columns and -inf on scanned ones, where the
         # reduced cost becomes +inf and so never beats masked
         np.copyto(v_open, v)
-        pred.fill(cur_row)
         scanned, dists, via = [], [], []
         while True:
             masked[j] = inf
@@ -112,14 +117,38 @@ def _sap_core(cost):
             if i == -1:
                 break
             via.append(i)
-            np.add(rows[i], min_val, out=reduced)
-            np.subtract(reduced, u[i], out=reduced)
+            dist_0d[()] = min_val
+            u_0d[()] = u[i]
+            np.add(rows[i], dist_0d, out=reduced)
+            np.subtract(reduced, u_0d, out=reduced)
             np.subtract(reduced, v_open, out=reduced)
-            np.less(reduced, masked, out=better)
-            np.putmask(masked, better, reduced)
-            np.putmask(pred, better, i)
+            np.minimum(masked, reduced, out=masked)
             j = int(masked.argmin())
-            min_val = masked[j]
+            min_val = masked.item(j)
+        # flip the matching along the path to the free column scanned[-1],
+        # with the search's duals. The search keeps no predecessor: a value
+        # in masked changes only on a strict decrease, so the row that set
+        # scanned[k]'s distance is the first of cur_row, via[0], ...,
+        # via[k-1] whose relaxed value, recomputed with the search's
+        # floating-point operations, equals dists[k]
+        k = len(via)
+        while True:
+            j, dist = scanned[k], dists[k]
+            vj = v.item(j)
+            if rows[cur_row].item(j) - vj == dist:
+                i, k = cur_row, -1
+            else:
+                for m in range(k):
+                    i = via[m]
+                    if ((rows[i].item(j) + dists[m]) - u[i]) - vj == dist:
+                        k = m
+                        break
+                else:
+                    raise AssertionError(f"no scanned row reaches column {j} at distance {dist}")
+            row4col[j] = i
+            col4row[i] = j
+            if i == cur_row:
+                break
         u[cur_row] += min_val
         # a scan visits few columns, and one scalar update per visited row
         # and column is cheaper than a fancy-indexed update of that size
@@ -127,13 +156,6 @@ def _sap_core(cost):
             u[i] += min_val - dist
         for j, dist in zip(scanned, dists):
             v[j] -= min_val - dist
-        j = scanned[-1]
-        while True:
-            i = int(pred[j])
-            row4col[j] = i
-            j, col4row[i] = col4row[i], j
-            if i == cur_row:
-                break
     return np.array(col4row, np.int64)
 
 
@@ -146,14 +168,16 @@ def _solve(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     transposed = nr > nc
     work = entries.T if transposed else entries
     finite = np.isfinite(work)
-    if np.count_nonzero(finite) == finite.size:
-        col = _sap_core(np.ascontiguousarray(work))
-        row = np.arange(len(col))
-    else:
-        big = work[finite].sum() + 2.0
-        col4row = _sap_core(np.ascontiguousarray(np.where(finite, work, big)))
-        row = finite[np.arange(len(col4row)), col4row].nonzero()[0]  # sentinel match = unmatched
-        col = col4row[row]
+    all_finite = np.count_nonzero(finite) == finite.size
+    # the solver's one C-ordered copy; adding 0.0 turns each -0.0 into +0.0
+    cost = np.add(work, 0.0, order="C")
+    if not all_finite:
+        np.copyto(cost, work[finite].sum() + 2.0, where=~finite)
+    col = _sap_core(cost)
+    row = np.arange(len(col))
+    if not all_finite:
+        row = finite[row, col].nonzero()[0]  # sentinel match = unmatched
+        col = col[row]
     if transposed:
         order = np.argsort(col)
         row, col = col[order], row[order]

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,50 @@ def test_sweep_checks_the_history_rule_before_any_cell_runs(tmp_path, short_conf
     assert not (out / "cells").exists()
 
 
+def test_sweep_checks_every_arrival_bound_before_any_cell_runs(tmp_path, short_config, capsys):
+    # the x1e-09 cell used to run, and the x1 cell failed at run time (exit 1)
+    out = tmp_path / "sweep"
+    config = _edited_config(tmp_path, short_config, horizon=10, peak_window=[0, 10],
+                            **{"arrivals.magnitude": 1e9})
+    code = main(["sweep", "--config", str(config), "--out", str(out), "--scales", "1e-9,1"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: arrivals.pattern 'hotspot': more than {2**24} arrivals in a run\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fields, seeds, inputs", [
+    ({}, "1", [(1.0, 1)]),
+    ({}, "1,2", [(0.5, 1), (0.5, 2), (1.0, 1), (1.0, 2)]),
+    ({"arrivals.seed": 3}, "1,2", [(0.5, 3), (1.0, 3)]),
+])
+def test_sweep_builds_each_arrival_input_once_before_the_cells(tmp_path, short_config, monkeypatch,
+                                                               fields, seeds, inputs):
+    # one series per demand scale and, for synthetic arrivals without their
+    # own seed, per master seed; none per strategy
+    from curbsim import cli, engine
+
+    built = []
+    build = engine.build_arrivals
+
+    def counted(cfg, grid, master_seed):
+        seed = cfg.arrivals.seed if cfg.arrivals.seed is not None else master_seed
+        built.append((cfg.demand_scale, seed))
+        return build(cfg, grid, master_seed)
+
+    def no_cell(cfg, out_dir=None):
+        raise RuntimeError("the cells are not run here")
+
+    monkeypatch.setattr(engine, "build_arrivals", counted)
+    monkeypatch.setattr(cli, "build_arrivals", counted)
+    monkeypatch.setattr(cli, "run_simulation", no_cell)
+    scales = "1" if len(inputs) == 1 else "0.5,1"
+    config = _edited_config(tmp_path, short_config, **fields)
+    code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "sweep"),
+                 "--strategies", "unc-agn,cord-agn,cord-oracle", "--seeds", seeds, "--scales", scales])
+    assert code == 1
+    assert sorted(built) == inputs
+
+
 def test_sweep_four_by_three(tmp_path, short_config):
     cfg = json.loads(short_config.read_text())
     cfg["horizon"] = 60
@@ -304,28 +349,28 @@ def test_config_integers_past_their_bounds_exit_2(tmp_path, short_config, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", [
-    "magnitude", "series",
-    # numpy warns that the overflowing rates' cast to counts is invalid
-    pytest.param("overflow", marks=pytest.mark.filterwarnings("ignore:invalid value encountered in cast")),
-])
+@pytest.mark.parametrize("case", ["magnitude", "series", "overflow", "float-limit", "scaled-series"])
 def test_arrivals_past_the_bound_exit_2_in_validate_and_run(tmp_path, short_config, capsys, case):
     # validate said "config ok" to each; run then failed with a traceback:
     # numpy could not allocate the arrival list (169 GiB, 2 TiB), or the
-    # overflowing magnitude cast to negative counts that np.repeat refused
-    # (an out-of-range cast reads as the most negative int64 on x86; a
-    # platform that saturates it reads past the bound instead)
+    # overflowing magnitude cast to negative counts that np.repeat refused.
+    # Later the overflowing cases said "negative arrival count
+    # -9223372036854775808" after numpy's overflow and cast warnings.
     series = tmp_path / "series.csv"
     series.write_text(f"cell,minute,group,count\n0,0,participant,{2**38}\n")
     fields = {"magnitude": {"arrivals.magnitude": 1e9},
               "series": {"arrivals": {"kind": "file", "path": str(series)}},
-              "overflow": {"arrivals.magnitude": 1e306}}[case]
-    codes, errs = _validate_and_run(tmp_path, _edited_config(tmp_path, short_config, **fields), capsys)
+              "overflow": {"arrivals.magnitude": 1e306},
+              "float-limit": {"arrivals.magnitude": 1.7976931348623157e308},
+              "scaled-series": {"arrivals": {"kind": "file", "path": str(series)}, "demand_scale": 1e300},
+              }[case]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        codes, errs = _validate_and_run(tmp_path, _edited_config(tmp_path, short_config, **fields), capsys)
+    assert [str(w.message) for w in caught] == []
     assert codes == (2, 2)
-    source = str(series) if case == "series" else "arrivals.pattern 'hotspot'"
-    assert errs.startswith(f"error: {source}: ") and "Traceback" not in errs
-    if case != "overflow":
-        assert errs == f"error: {source}: more than {2**24} arrivals in a run\n" * 2
+    source = str(series) if "series" in case else "arrivals.pattern 'hotspot'"
+    assert errs == f"error: {source}: more than {2**24} arrivals in a run\n" * 2
 
 
 def test_arrivals_up_to_the_bound_validate(tmp_path, short_config, capsys):
