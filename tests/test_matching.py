@@ -144,7 +144,6 @@ def test_solver_picks_the_reference_pairs(m):
     assert got.total_cost == float(sum(m[r, c] for r, c in want))
 
 
-
 @pytest.mark.parametrize("m", [
     np.array([[-0.0, 1.0, 2.0], [3.0, -0.0, 1.0]]),
     np.array([[-0.0, INFEASIBLE], [1.0, -0.0], [-0.0, 2.0]]),  # big-M entries, transposed
