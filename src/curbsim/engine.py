@@ -86,6 +86,9 @@ _NO_CELLS = np.zeros((0, 2), np.int64)
 # a horizon stays below 2**16 minutes (45 days): arrival rates are built
 # per cell and minute
 HORIZON_BITS = 16
+# runs stay below 2**16: each run is a simulated day or more, so a larger
+# count would run until killed
+RUNS_BITS = 16
 
 
 @dataclass
@@ -120,8 +123,9 @@ class SimConfig:
         check_path("history_file", self.history_file)
         self.shares = tuple(self.shares)
         self.peak_window = tuple(self.peak_window)
-        for name, lo in (("r", 0), ("runs", 1), ("t_max", 1)):
+        for name, lo in (("r", 0), ("t_max", 1)):
             check_int(name, getattr(self, name), lo)
+        check_int("runs", self.runs, 1, RUNS_BITS)
         check_int("horizon", self.horizon, 0, HORIZON_BITS)
         check_int("seed", self.seed, 0, 64)
         # Python's json reads NaN and Infinity; check_number rejects both
@@ -302,12 +306,14 @@ class Simulation:
         spots = self._free_spots(t)
         act = self._active(t)
         is_p = self.searching.group == GROUP_PARTICIPANT
-        act_p, act_c = act & is_p, act & ~is_p
-        sight = None
-        if len(spots.k):
-            sight = sight_view(self.searching.pos.take(act_c.nonzero()[0], axis=0), spots.cells)
+        act_p = act & is_p
+        # the active competitors, gathered once for the sight view and _move;
+        # only their own step moves them
+        comp = (act & ~is_p).nonzero()[0]
+        comp_pos = self.searching.pos.take(comp, axis=0)
+        sight = sight_view(comp_pos, spots.cells) if len(spots.k) else None
         self._dispatch(t, act_p, spots, sight)
-        self._move(t, act_p, act_c, spots.cells, sight)
+        self._move(t, act_p, comp, comp_pos, spots.cells, sight)
         won = self._resolve(t, act, spots.free)
         self._expire(t, won)
         self._check_conservation()
@@ -428,11 +434,12 @@ class Simulation:
             s.target[rows] = self._coords.take(k, axis=0)
             self._emit(t, "assign", s.ids.take(rows), s.group.take(rows), k)
 
-    def _move(self, t, act_p, act_c, free_cells, sight: SightView | None):
+    def _move(self, t, act_p, comp, comp_pos, free_cells, sight: SightView | None):
         """Step every active searcher: assigned participants, unassigned
-        participants, then competitors, in this draw order. Never-dispatched
-        participants cruise like blind searchers, so a tick without an
-        assignment is repositioning, not a lost minute."""
+        participants, then the competitors at rows comp (positions
+        comp_pos), in this draw order. Never-dispatched participants cruise
+        like blind searchers, so a tick without an assignment is
+        repositioning, not a lost minute."""
         cfg = self.cfg
         mrng = self.streams.stream("movement")
         s = self.searching
@@ -445,10 +452,8 @@ class Simulation:
         if len(rows):
             pos = s.pos.take(rows, axis=0)
             self._relocate(t, rows, step_competitors_batch(pos, _NO_CELLS, None, cfg.r, self.n, mrng))
-        rows = act_c.nonzero()[0]
-        if len(rows):
-            pos = s.pos.take(rows, axis=0)
-            self._relocate(t, rows, step_competitors_batch(pos, free_cells, sight, cfg.r, self.n, mrng))
+        if len(comp):
+            self._relocate(t, comp, step_competitors_batch(comp_pos, free_cells, sight, cfg.r, self.n, mrng))
 
     def _relocate(self, t, rows, new_pos):
         s = self.searching

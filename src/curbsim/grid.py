@@ -37,10 +37,25 @@ class SightView(NamedTuple):
     by the oracle's capture allocation and pricing and by competitor
     stepping."""
 
-    pos: np.ndarray  # (m, 2) searcher positions
-    dist: np.ndarray  # (nf, m) int64 Manhattan distances, cell-major
-    best: np.ndarray  # (m,) distance to the nearest free cell
-    nearest: np.ndarray  # (m,) index of the first nearest free cell
+    pos: np.ndarray  # (m, 2) int64 searcher positions
+    dist: np.ndarray  # (nf, m) Manhattan distances, cell-major, in the narrowest exact integer type
+    best: np.ndarray  # (m,) int64 distance to the nearest free cell
+    nearest: np.ndarray  # (m,) int64 index of the first nearest free cell
+
+
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+# (type, lowest, highest value), narrowest first
+_NARROW = tuple((t, int(np.iinfo(t).min), int(np.iinfo(t).max)) for t in (np.int16, np.int32))
+
+
+def sight_dtype(lo: int, hi: int, nf: int):
+    """The narrowest of int16, int32 and int64 holding every coordinate in
+    lo..hi, their differences and every key dist * nf + index of nf cells
+    (dist <= 2 * (hi - lo), so a key is below (2 * (hi - lo) + 1) * nf)."""
+    for kind, low, high in _NARROW:
+        if low <= lo and hi <= high and (2 * (hi - lo) + 1) * nf <= high:
+            return kind
+    return np.int64
 
 
 def sight_view(pos, cells) -> SightView:
@@ -48,19 +63,29 @@ def sight_view(pos, cells) -> SightView:
 
     The distances are cell-major because the readers reduce over the cells:
     a reduction down nf columns m wide is several times cheaper than one
-    along m rows nf wide. One min over dist * nf + cell index gives each
-    searcher's nearest distance and, among equally near cells, the lowest
-    index, as argmin does. With no free cell, best is the int64 maximum, so
-    no searcher sees one, and nearest is 0.
+    along m rows nf wide. They are built in `sight_dtype` of the
+    coordinates' range, exact and about half the cost of int64 on a city
+    grid. One min over dist * nf + cell index gives each searcher's nearest
+    distance and, among equally near cells, the lowest index, as argmin
+    does. With no free cell, best is the int64 maximum, so no searcher sees
+    one, and nearest is 0.
     """
     pos = np.asarray(pos, dtype=np.int64).reshape(-1, 2)
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
     nf = len(cells)
-    dist = np.abs(cells[:, 0, None] - pos[:, 0])
-    dist += np.abs(cells[:, 1, None] - pos[:, 1])
-    key = dist * nf
-    key += np.arange(nf)[:, None]
-    best, nearest = np.divmod(key.min(axis=0, initial=np.iinfo(np.int64).max), max(nf, 1))
+    # the coordinates' range (an empty array leaves it as it was); the bare
+    # ufunc reductions cost less than the methods on a small view
+    lo = int(np.minimum.reduce(pos, None, initial=np.minimum.reduce(cells, None, initial=_INT64_MAX)))
+    hi = int(np.maximum.reduce(pos, None, initial=np.maximum.reduce(cells, None, initial=_INT64_MIN)))
+    kind = sight_dtype(lo, hi, nf)
+    at, to = cells.astype(kind), pos.astype(kind)
+    dist = np.abs(at[:, 0, None] - to[:, 0])
+    dist += np.abs(at[:, 1, None] - to[:, 1])
+    if nf == 0:
+        return SightView(pos, dist, np.full(len(pos), _INT64_MAX), np.zeros(len(pos), np.int64))
+    key = dist * kind(nf)
+    key += np.arange(nf, dtype=kind)[:, None]
+    best, nearest = np.divmod(key.min(axis=0).astype(np.int64), nf)
     return SightView(pos, dist, best, nearest)
 
 

@@ -83,18 +83,27 @@ def trailing_trend(corpus: HistoryCorpus, cells: np.ndarray, starts: np.ndarray)
 
     Each distinct query start sums its window's rows per cell in row order,
     so rows appended later that start at or after the query start leave the
-    trend's bits as they were.
+    trend's bits as they were. The windows are slices of the rows sorted by
+    start, found by binary search, so the cost grows with the rows in the
+    windows, not with the corpus once per query start.
     """
     span = TREND_BUCKETS * BUCKET_MINUTES
     out = np.full(len(cells), TREND_DEFAULT)
-    for start in np.unique(starts):
-        rows = (corpus.starts >= start - span) & (corpus.starts < start)
-        window = corpus.cells[rows]
-        sums = np.bincount(window, weights=corpus.rho[rows], minlength=corpus.n_cells)
+    order = np.argsort(corpus.starts, kind="stable")
+    by_start = corpus.starts.take(order)
+    queries = np.argsort(starts, kind="stable")
+    query_starts, first = np.unique(starts.take(queries), return_index=True)
+    lo = by_start.searchsorted(query_starts - span).tolist()
+    hi = by_start.searchsorted(query_starts).tolist()
+    bounds = first.tolist() + [len(queries)]
+    for i in range(len(query_starts)):
+        rows = np.sort(order[lo[i]:hi[i]])  # back into row order
+        window = corpus.cells.take(rows)
+        sums = np.bincount(window, weights=corpus.rho.take(rows), minlength=corpus.n_cells)
         counts = np.bincount(window, minlength=corpus.n_cells)
-        query = np.flatnonzero(starts == start)
-        hit = query[counts[cells[query]] > 0]
-        out[hit] = sums[cells[hit]] / counts[cells[hit]]
+        query = queries[bounds[i]:bounds[i + 1]]
+        hit = query[counts.take(cells.take(query)) > 0]
+        out[hit] = sums.take(cells.take(hit)) / counts.take(cells.take(hit))
     return out
 
 

@@ -19,8 +19,9 @@ The sight view (`grid.SightView`) holds the competitors' positions, their
 cell-major distances to the free cells and each one's nearest free cell; the
 engine builds it once per tick and competitor stepping reads it too. The
 oracle computes no competitor distance of its own: `capture_limits` reads
-the nearest cells, and `oracle_cost_matrix` reads the blind competitors'
-columns plus the participant matrix `dispatch` already holds.
+the nearest cells, and `oracle_cost_matrix` reads the columns of the blind
+competitors in capture range (nearest free cell within 2R, below) plus the
+participant matrix `dispatch` already holds.
 
 The oracle first allocates captures (`capture_limits`): each competitor that
 sees a free cell is committed to its nearest one, at most one competitor per
@@ -153,9 +154,11 @@ def oracle_cost_matrix(tau, tc, comp_pos, cells, r):
     `capture_limits` leaves unallocated.
 
     tau is the (nd, nf) int64 participant travel-time matrix, tc the
-    (nf, nc) cell-major distances from the free cells (nf, 2) to the
-    competitors at comp_pos (nc, 2). Each of them is more than r from every
-    free cell, so it inflates costs and makes no pair infeasible.
+    (nf, nc) cell-major distances, of any integer type, from the free cells
+    (nf, 2) to the competitors at comp_pos (nc, 2). Each of them is more
+    than r from every free cell, so it inflates costs and makes no pair
+    infeasible; one more than 2r from every free cell adds nothing, so the
+    caller may leave it out and keep every bit of the result.
     """
     nf = len(cells)
     if tc.size == 0:
@@ -166,7 +169,8 @@ def oracle_cost_matrix(tau, tc, comp_pos, cells, r):
     # in competitor order. Then prefix-sum so sum_{tau_c < tau_d} is a
     # single gather; farther competitors would only add exact zeros
     width = 2 * r + 1
-    near = tc <= 2 * r
+    # 2r clipped to tc's type: tc may be int16 while r reaches 2**40
+    near = tc <= min(2 * r, int(np.iinfo(tc.dtype).max))
     cell, comp = near.nonzero()
     bucket = cell * width + tc[near]
     adx = np.abs(comp_pos[:, 0].take(comp) - cells[:, 0].take(cell))
@@ -225,8 +229,9 @@ def dispatch(
         if sight is None or r is None or r < 0:
             raise ConfigError("cord-oracle dispatch requires the competitors' sight view and a radius R >= 0")
         limit, unallocated = capture_limits(sight, free_counts, r)
-        blind = unallocated.nonzero()[0]
-        cost = oracle_cost_matrix(tau, sight.dist.take(blind, axis=1), sight.pos.take(blind, axis=0),
+        # only a blind competitor within 2R of some free cell can capture
+        priced = (unallocated & (sight.best <= 2 * r)).nonzero()[0]
+        cost = oracle_cost_matrix(tau, sight.dist.take(priced, axis=1), sight.pos.take(priced, axis=0),
                                   free_cells, r)
     elif kind is StrategyKind.CORD_APPROX:
         if p_hat is None:

@@ -195,6 +195,22 @@ def trend(corpus, cell: int, bucket_start: int) -> float:
     return float(np.mean(vals)) if len(vals) else TREND_DEFAULT
 
 
+def trailing_trend_masked(corpus, cells: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """predictor.trailing_trend in its masking form: the whole corpus masked
+    once per distinct query start, the window summed per cell in row order."""
+    span = TREND_BUCKETS * BUCKET_MINUTES
+    out = np.full(len(cells), TREND_DEFAULT)
+    for start in np.unique(starts):
+        rows = (corpus.starts >= start - span) & (corpus.starts < start)
+        window = corpus.cells[rows]
+        sums = np.bincount(window, weights=corpus.rho[rows], minlength=corpus.n_cells)
+        counts = np.bincount(window, minlength=corpus.n_cells)
+        query = np.flatnonzero(starts == start)
+        hit = query[counts[cells[query]] > 0]
+        out[hit] = sums[cells[hit]] / counts[cells[hit]]
+    return out
+
+
 def build_features(cells, bucket_starts, trends, n_cells: int, base_weekday: int = 0) -> np.ndarray:
     """Dense feature rows: cyclical time of day, weekday one-hot, cell
     one-hot, trend."""

@@ -389,6 +389,29 @@ def test_the_largest_seed_and_horizon_in_bounds_validate(tmp_path, short_config,
     assert capsys.readouterr().out == "config ok\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+def test_runs_past_2_16_exit_2(tmp_path, short_config, capsys, command):
+    # 2**62 runs used to pass validate, and run went on until killed
+    out = tmp_path / "out"
+    args = [command, "--config", str(_edited_config(tmp_path, short_config, runs=2**16))]
+    assert main(args + ([] if command == "validate" else ["--out", str(out)])) == 2
+    assert capsys.readouterr().err == f"error: runs must be an integer of magnitude below 2**16, got {2**16}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_runs_flag_past_2_16_exits_2(tmp_path, short_config, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(short_config), "--runs", str(2**62), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: runs must be an integer of magnitude below 2**16, got {2**62}\n"
+    assert not out.exists()
+
+
+def test_the_largest_runs_in_bounds_validate(tmp_path, short_config, capsys):
+    assert _validate(tmp_path, short_config, runs=2**16 - 1) == 0
+    assert capsys.readouterr().out == "config ok\n"
+
+
 @pytest.mark.parametrize("field", ["centers", "static_centers"])
 def test_validate_rejects_arrival_centers_off_the_grid(tmp_path, short_config, capsys, field):
     # centers off the grid used to pass validate, and run spawned no agent

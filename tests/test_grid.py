@@ -17,6 +17,7 @@ from curbsim.grid import (
     manhattan,
     manhattan_matrix,
     save_grid,
+    sight_dtype,
     sight_view,
 )
 
@@ -58,7 +59,8 @@ def test_sight_view_equals_the_dense_references(case):
     view = sight_view(pos, cells)
     dense = manhattan_matrix(pos, cells)
     assert np.array_equal(view.pos, pos)
-    assert view.dist.dtype == np.int64 and view.dist.shape == (len(cells), len(pos))
+    # coordinates below 8 and at most 10 cells: every key is below 2**15
+    assert view.dist.dtype == np.int16 and view.dist.shape == (len(cells), len(pos))
     assert np.array_equal(view.dist, dense.T)
     if len(cells) == 0:
         # no free cell: no searcher sees one, whatever the radius
@@ -66,6 +68,69 @@ def test_sight_view_equals_the_dense_references(case):
         return
     assert np.array_equal(view.best, dense.min(axis=1))
     assert np.array_equal(view.nearest, dense.argmin(axis=1))
+
+
+# coordinates just inside and outside int16 and int32, and far beyond both
+EDGES = (0, 2**15 - 1, -(2**15), 2**15, 2**31 - 1, -(2**31), 2**31, 2**40, -(2**40))
+
+
+@st.composite
+def far_searchers_and_cells(draw):
+    """Searchers and free cells (repeats allowed, possibly none) a small
+    or a wide spread away from a coordinate base near an integer type's
+    edge; no grid is built."""
+    base = draw(st.sampled_from(EDGES) | st.integers(-(2**40), 2**40))
+    spread = draw(st.sampled_from((0, 3, 40, 2**14, 2**16, 2**30)))
+    coord = st.integers(base - spread, base + spread)
+    pos = draw(st.lists(st.tuples(coord, coord), max_size=12))
+    cells = draw(st.lists(st.tuples(coord, coord), max_size=12))
+    return np.array(pos, np.int64).reshape(-1, 2), np.array(cells, np.int64).reshape(-1, 2)
+
+
+def narrowest_exact(pos, cells):
+    """The narrowest of int16, int32 and int64 holding every coordinate and
+    every key dist * nf + index below (2 * spread + 1) * nf."""
+    both = np.concatenate([pos, cells]).ravel()
+    lo, hi = (int(both.min()), int(both.max())) if len(both) else (0, 0)
+    for kind in (np.int16, np.int32):
+        info = np.iinfo(kind)
+        if info.min <= lo and hi <= info.max and (2 * (hi - lo) + 1) * len(cells) <= info.max:
+            return kind
+    return np.int64
+
+
+@settings(max_examples=400, deadline=None)
+@given(far_searchers_and_cells())
+@example((np.array([[2**40, 2**40 + 3]]), np.array([[2**40 + 1, 2**40], [2**40, 2**40]])))
+@example((np.array([[-(2**15), 2**15 - 1]]), np.array([[2**15 - 1, -(2**15)]])))  # spread past int16
+@example((np.array([[3, -7]]), NO_CELLS))  # no free cell: best stays the int64 maximum
+@example((np.array([[2**31, 0]]), NO_CELLS))
+def test_narrow_sight_view_equals_the_int64_reference(case):
+    """Whatever type the rule picks, the distances, nearest distance and
+    first nearest cell equal the int64 dense matrix's; the view picks the
+    narrowest type that holds every key, and best and nearest stay int64."""
+    pos, cells = case
+    view = sight_view(pos, cells)
+    dense = manhattan_matrix(pos, cells)
+    assert view.dist.dtype == narrowest_exact(pos, cells)
+    assert view.best.dtype == view.nearest.dtype == np.int64
+    assert np.array_equal(view.pos, pos) and view.dist.shape == (len(cells), len(pos))
+    assert np.array_equal(view.dist, dense.T)
+    if len(cells) == 0:
+        assert view.best.tolist() == [np.iinfo(np.int64).max] * len(pos)
+        assert view.nearest.tolist() == [0] * len(pos)
+        return
+    assert np.array_equal(view.best, dense.min(axis=1))
+    assert np.array_equal(view.nearest, dense.argmin(axis=1))
+
+
+@pytest.mark.parametrize("lo, hi, nf, kind", [
+    # every cell of the 10x10 and 22x22 cities free; the 44x44 city's median tick
+    (0, 9, 100, np.int16), (0, 21, 484, np.int16), (0, 43, 69, np.int16),
+    (0, 999, 1000, np.int32), (-(2**40), 0, 1, np.int64),
+])
+def test_sight_dtype_on_the_benchmark_cities_and_beyond(lo, hi, nf, kind):
+    assert sight_dtype(lo, hi, nf) is kind
 
 
 def test_free_spots_examples():

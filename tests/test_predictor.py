@@ -12,6 +12,7 @@ from reference import (
     predict_availability,
     retrain_reference,
     select_lambda,
+    trailing_trend_masked,
     trend,
 )
 
@@ -339,6 +340,21 @@ def test_trend_window_matches_scalar_reference(case):
     for start in queries:
         want = [trend(corpus, k, start) for k in range(corpus.n_cells)]
         np.testing.assert_allclose(corpus.trend_vector(start), want, rtol=0, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=200)
+@given(trend_cases(), st.data())
+def test_trend_windows_keep_the_bits_of_the_masking_form(case, data):
+    """The searchsorted windows sum the same rows in the same row order as
+    masking the corpus per query start: rows appended out of start order,
+    repeated starts and repeated queries included."""
+    corpus, queries = case
+    assert np.array_equal(trailing_trend(corpus, corpus.cells, corpus.starts),
+                          trailing_trend_masked(corpus, corpus.cells, corpus.starts))
+    cells = np.array(data.draw(st.lists(st.integers(0, corpus.n_cells - 1), max_size=12)), np.int64)
+    starts = np.array(data.draw(st.lists(st.sampled_from(queries), min_size=len(cells), max_size=len(cells))),
+                      np.int64)
+    assert np.array_equal(trailing_trend(corpus, cells, starts), trailing_trend_masked(corpus, cells, starts))
 
 
 @settings(deadline=None, max_examples=200)

@@ -241,6 +241,57 @@ def test_oracle_matrix_equals_the_scatter_add_reference(case):
     assert np.array_equal(got, want)
 
 
+@st.composite
+def capture_range_cases(draw):
+    """Participants, free cells with 1-3 spots each and competitors spread
+    over a city up to 12 wide, so some competitors are blind and beyond 2R
+    of every free cell; r = 40000 makes 2R overflow int16, the sight view's
+    type on such a city."""
+    n, r = draw(st.integers(1, 12)), draw(st.sampled_from((0, 1, 2, 40000)))
+    d = draw_cells(draw, n, min_size=1, max_size=6)
+    f = draw_cells(draw, n, min_size=1, max_size=8, unique=True)
+    counts = np.array(draw(st.lists(st.integers(1, 3), min_size=len(f), max_size=len(f))), np.int64)
+    return d, f, counts, draw_cells(draw, n, max_size=16), r, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(capture_range_cases())
+def test_pricing_only_the_competitors_in_capture_range_keeps_every_bit(case):
+    """dispatch prices the blind competitors within 2R of some free cell;
+    pricing every blind competitor gives the same cost matrix, bit for bit,
+    and the same dispatched pairs."""
+    d, f, counts, c, r, seed = case
+    sight = sight_view(c, f)
+    _, unallocated = capture_limits(sight, counts, r)
+    blind = unallocated.nonzero()[0]
+    tau = manhattan_matrix(d, f)
+    price = strategies.oracle_cost_matrix
+
+    def priced_over(tc, comp_pos):
+        return price(tau, tc, comp_pos, f, r)
+
+    def every_blind(*_):
+        return priced_over(sight.dist.take(blind, axis=1), sight.pos.take(blind, axis=0))
+
+    near = (unallocated & (sight.best <= 2 * r)).nonzero()[0]
+    assert np.array_equal(priced_over(sight.dist.take(near, axis=1), sight.pos.take(near, axis=0)), every_blind())
+
+    def dispatched(pricing):
+        seen = []
+        solve = strategies.hungarian_assign
+        strategies.hungarian_assign = lambda m: seen.append(m.entries.copy()) or solve(m)
+        strategies.oracle_cost_matrix = pricing
+        try:
+            pairs = dispatch(StrategyKind.CORD_ORACLE, d, f, counts, np.random.default_rng(seed), sight=sight, r=r)
+        finally:
+            strategies.hungarian_assign, strategies.oracle_cost_matrix = solve, price
+        return pairs, seen
+
+    (got, got_cost), (want, want_cost) = dispatched(price), dispatched(every_blind)
+    assert np.array_equal(got, want)
+    assert len(got_cost) == len(want_cost) == 1 and np.array_equal(got_cost[0], want_cost[0])
+
+
 def test_approx_cost():
     assert approx_cost(6, 0.5) == 12
     assert approx_cost(6, 1.0) == 6

@@ -14,9 +14,12 @@ the number of pairs the change won, the relative change of the medians and
 whether that change exceeds the parent's interquartile range; plus each
 side's source hash and host versions from the benchmark manifest, every
 day's outcome digest per side, whether the two sides' digests are identical
-and, with --trace, one traced run per side of that workload. It prints every
-end-to-end verdict per workload and the traced per-layer deltas: the time
-layers largest first, then each other layer that moved.
+and, with --trace, each per-layer metric of that workload run traced once
+on each side in every pair (interleaved in the pair's order, after its
+untraced runs), with each side's values, median and quartiles. It prints
+every end-to-end verdict per workload and the change of the traced
+per-layer medians: the time layers largest first, then each other layer
+whose median moved.
 """
 from __future__ import annotations
 
@@ -61,21 +64,23 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q2, q3]
 
 
+def spread(values: list[float]) -> dict:
+    q1, q2, q3 = quartiles(values)
+    return {"values": values, "median": q2, "quartiles": [q1, q3]}
+
+
 def summarize(spec: dict, parent: list[dict], change: list[dict]) -> dict:
     out = {}
     for m in spec["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
-        a = [r["metrics"][name] for r in parent]
-        b = [r["metrics"][name] for r in change]
-        qa, qb = quartiles(a), quartiles(b)
-        wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+        a = spread([r["metrics"][name] for r in parent])
+        b = spread([r["metrics"][name] for r in change])
+        wins = sum((y < x) if lower else (y > x) for x, y in zip(a["values"], b["values"]))
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
-            "parent": {"values": a, "median": qa[1], "quartiles": [qa[0], qa[2]]},
-            "change": {"values": b, "median": qb[1], "quartiles": [qb[0], qb[2]]},
-            "change_wins": wins, "pairs": len(a),
-            "median_change": (qb[1] - qa[1]) / qa[1] if qa[1] else 0.0,
-            "beyond_parent_iqr": abs(qb[1] - qa[1]) > qa[2] - qa[0],
+            "parent": a, "change": b, "change_wins": wins, "pairs": PAIRS,
+            "median_change": (b["median"] - a["median"]) / a["median"] if a["median"] else 0.0,
+            "beyond_parent_iqr": abs(b["median"] - a["median"]) > a["quartiles"][1] - a["quartiles"][0],
         }
     return out
 
@@ -86,7 +91,7 @@ def main(argv=None) -> int:
     p.add_argument("--change", required=True, type=Path)
     p.add_argument("--topic", required=True)
     p.add_argument("--workloads", help="comma-separated, name or name@seed; default: all")
-    p.add_argument("--trace", help="workload, name or name@seed, to run once traced on each side")
+    p.add_argument("--trace", help="workload, name or name@seed, to run traced on each side in every pair")
     p.add_argument("--out", type=Path, help="default: BENCH_<topic>.json in the change dir")
     args = p.parse_args(argv)
 
@@ -96,6 +101,7 @@ def main(argv=None) -> int:
     labels = {label: parse_label(label) for label in names}
     sides = {"parent": args.parent, "change": args.change}
     runs = {label: {"parent": [], "change": []} for label in labels}
+    traced = {"parent": [], "change": []}
     for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for label, (name, seed) in labels.items():
@@ -103,6 +109,11 @@ def main(argv=None) -> int:
                 r = run_bench(sides[side], spec["command"], name, seed, seconds, 0)
                 runs[label][side].append(r)
                 print(f"pair {i} {label} {side}: wall_s {r['metrics']['wall_s']:.4f}", flush=True)
+        if args.trace:
+            for side in order:
+                traced[side].append(run_bench(sides[side], spec["command"], *parse_label(args.trace),
+                                              seconds, 1)["metrics"])
+                print(f"pair {i} {args.trace} {side}: traced", flush=True)
 
     first = next(iter(runs.values()))
     record = {
@@ -123,8 +134,7 @@ def main(argv=None) -> int:
     if args.trace:
         name, seed = parse_label(args.trace)
         record["trace"] = {"workload": name, "seed": seed, **{
-            side: run_bench(src, spec["command"], name, seed, seconds, 1)["metrics"]
-            for side, src in sides.items()}}
+            side: {k: spread([m[k] for m in ms]) for k in ms[0]} for side, ms in traced.items()}}
     out = args.out or args.change / f"BENCH_{args.topic}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     for label, w in record["workloads"].items():
@@ -136,13 +146,14 @@ def main(argv=None) -> int:
     if args.trace:
         t = record["trace"]
         units = {m["name"]: m["unit"] for m in spec["per_layer"]}
-        delta = {k: t["change"][k] - t["parent"][k] for k in t["parent"]}
+        a, b = ({k: v["median"] for k, v in t[side].items()} for side in ("parent", "change"))
+        delta = {k: b[k] - a[k] for k in a}
         # the time layers largest change first, then every other layer that moved
         ranked = sorted((k for k in delta if units.get(k) == "s"), key=lambda k: -abs(delta[k]))
         ranked += [k for k in delta if units.get(k) != "s" and delta[k]]
-        print(f"traced {t['workload']}@{t['seed']}, per-layer change per simulated day:")
+        print(f"traced {t['workload']}@{t['seed']}, per-layer median over {PAIRS} runs per side, per simulated day:")
         for k in ranked:
-            print(f"  {k:34s} {t['parent'][k]:.6g} -> {t['change'][k]:.6g} {units.get(k, '')} ({delta[k]:+.6g})")
+            print(f"  {k:34s} {a[k]:.6g} -> {b[k]:.6g} {units.get(k, '')} ({delta[k]:+.6g})")
     print(f"wrote {out}")
     return 0
 
